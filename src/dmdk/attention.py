@@ -3,6 +3,12 @@
 Shapes follow one convention throughout: a sequence is rows, the model width
 ``d`` is columns. ``scaled_dot_attention(x, y, ...)`` reads queries from ``x``
 and keys/values from ``y``, so the output always has ``x.rows`` rows.
+
+Attention is two steps: ``project_kv`` projects the keys and values of ``y``,
+and ``attend`` attends queries from ``x`` over them, causally from a position
+offset if asked. Incremental decoding projects a memory once and attends over
+it at every step; ``scaled_dot_attention`` and ``multi_head_attention`` run the
+two steps back to back.
 """
 
 from __future__ import annotations
@@ -95,9 +101,51 @@ class MhaParams:
         return cls(heads, Tensor(rng.normal(0.0, std, (d, d))))
 
 
-def causal_mask(length: int) -> np.ndarray:
-    """Strictly-upper-triangular MASKED_SCORE matrix: row h sees columns <= h."""
-    return np.triu(np.full((length, length), MASKED_SCORE), k=1)
+def causal_mask(length: int, offset: int = 0) -> np.ndarray:
+    """MASKED_SCORE above the causal diagonal for ``length`` query rows.
+
+    Query row h sits at position offset + h and sees key columns <= offset + h;
+    there are offset + length key columns.
+    """
+    return np.triu(np.full((length, offset + length), MASKED_SCORE), k=offset + 1)
+
+
+def project_kv(y: Tensor, head: HeadParams) -> tuple[Tensor, Tensor]:
+    """Keys and values of one head over the rows of ``y``."""
+    if y.cols != head.wk.rows:
+        raise ValueError(f"key width {y.cols} does not match projection {head.wk.shape}")
+    return matmul(y, head.wk), matmul(y, head.wv)
+
+
+def attend(
+    x: Tensor,
+    k: Tensor,
+    v: Tensor,
+    head: HeadParams,
+    offset: int | None = None,
+    with_weights: bool = False,
+):
+    """softmax(q k^T / sqrt(d_n)) v with q projected from x.
+
+    With an ``offset`` the attention is causal: query row i sits at position
+    offset + i and sees key columns <= offset + i, so ``k`` must hold exactly
+    offset + x.rows rows. ``None`` lets every query see every key.
+    """
+    if x.cols != head.wq.rows:
+        raise ValueError(f"query width {x.cols} does not match projection {head.wq.shape}")
+    q = matmul(x, head.wq)
+    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(head.width))
+    if offset is not None:
+        if k.rows != offset + x.rows:
+            raise ValueError(
+                f"causal attention at offset {offset} needs {offset + x.rows} key rows, "
+                f"got {k.rows}"
+            )
+        if x.rows > 1:  # a single query row at the end sees every key
+            scores = add(scores, Tensor(causal_mask(x.rows, offset)))
+    weights = softmax_rows(scores)
+    out = matmul(weights, v)
+    return (out, weights) if with_weights else out
 
 
 def scaled_dot_attention(
@@ -108,28 +156,29 @@ def scaled_dot_attention(
     with_weights: bool = False,
 ):
     """One head: softmax(q k^T / sqrt(d_n)) v with q from x, k and v from y."""
-    if x.cols != head.wq.rows:
-        raise ValueError(f"query width {x.cols} does not match projection {head.wq.shape}")
-    if y.cols != head.wk.rows:
-        raise ValueError(f"key width {y.cols} does not match projection {head.wk.shape}")
-    q = matmul(x, head.wq)
-    k = matmul(y, head.wk)
-    v = matmul(y, head.wv)
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(head.width))
-    if causal:
-        if x.rows != y.rows:
-            raise ValueError(
-                f"causal attention requires matching lengths, got {x.rows} and {y.rows}"
-            )
-        scores = add(scores, Tensor(causal_mask(x.rows)))
-    weights = softmax_rows(scores)
-    out = matmul(weights, v)
-    return (out, weights) if with_weights else out
+    if causal and x.rows != y.rows:
+        raise ValueError(
+            f"causal attention requires matching lengths, got {x.rows} and {y.rows}"
+        )
+    k, v = project_kv(y, head)
+    return attend(x, k, v, head, 0 if causal else None, with_weights)
+
+
+def project_heads(y: Tensor, params: MhaParams) -> list[tuple[Tensor, Tensor]]:
+    """Per-head (keys, values) over ``y``, for ``attend_heads``."""
+    return [project_kv(y, h) for h in params.heads]
+
+
+def attend_heads(
+    x: Tensor, kv: Sequence[tuple[Tensor, Tensor]], params: MhaParams, offset: int | None = None
+) -> Tensor:
+    """Multi-head attention of ``x`` over projected per-head (keys, values)."""
+    outs = [attend(x, k, v, h, offset) for h, (k, v) in zip(params.heads, kv)]
+    return matmul(concat_cols(outs), params.wo)
 
 
 def multi_head_attention(x: Tensor, y: Tensor, params: MhaParams, causal: bool = False) -> Tensor:
-    outs = [scaled_dot_attention(x, y, h, causal=causal) for h in params.heads]
-    return matmul(concat_cols(outs), params.wo)
+    return attend_heads(x, project_heads(y, params), params, 0 if causal else None)
 
 
 @dataclass
@@ -174,6 +223,22 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
 
 
+# One read-only sinusoidal table per width, grown by doubling. Each row depends
+# only on its position and the width, so a slice equals a fresh table bit for bit.
+_SINUSOIDS: dict[int, np.ndarray] = {}
+
+
+def sinusoidal_rows(start: int, stop: int, dim: int) -> np.ndarray:
+    """Rows start..stop-1 of the sinusoidal table of width ``dim`` (read-only)."""
+    table = _SINUSOIDS.get(dim)
+    if table is None or table.shape[0] < stop:
+        have = 0 if table is None else table.shape[0]
+        table = sinusoidal_encoding(max(stop, 2 * have, 64), dim)
+        table.flags.writeable = False
+        _SINUSOIDS[dim] = table
+    return table[start:stop]
+
+
 @dataclass
 class EmbeddingTable:
     """Token rows plus a positional signal (sinusoidal unless a table is given)."""
@@ -205,19 +270,23 @@ class EmbeddingTable:
         return cls(rows, positions)
 
 
-def embed_tokens(ids: Sequence[int], table: EmbeddingTable) -> Tensor:
-    """len(ids) x d matrix of token embedding + positional encoding."""
+def embed_tokens(ids: Sequence[int], table: EmbeddingTable, start: int = 0) -> Tensor:
+    """len(ids) x d matrix of token embedding + the encoding of positions
+    start, start + 1, ..."""
     tok = embedding(table.rows, ids)
     n = len(tok.value)
     if n == 0:
         return tok
+    if start < 0:
+        raise ValueError(f"start position must be >= 0, got {start}")
+    stop = start + n
     if table.positions is None:
-        pos = Tensor(sinusoidal_encoding(n, table.dim))
+        pos = Tensor(sinusoidal_rows(start, stop, table.dim))
     else:
-        if n > table.positions.rows:
+        if stop > table.positions.rows:
             raise ValueError(
-                f"sequence length {n} exceeds learned positional table "
+                f"sequence length {stop} exceeds learned positional table "
                 f"({table.positions.rows} rows)"
             )
-        pos = embedding(table.positions, range(n))
+        pos = embedding(table.positions, range(start, stop))
     return add(tok, pos)

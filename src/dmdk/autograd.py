@@ -3,14 +3,17 @@
 Every quantity in this package is a 2-D float64 array wrapped in a
 :class:`Tensor` node. Ops build a DAG as a side effect of the forward pass;
 ``backward`` walks it once in reverse topological order, accumulating
-gradients additively across fan-out. ``finite_diff_grad`` is the
+gradients additively across fan-out. Inside ``no_grad()`` ops compute the
+same values but keep no graph, for inference. ``finite_diff_grad`` is the
 independent central-difference estimator used to audit every backward rule.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "matmul",
     "mean_rows",
     "mul",
+    "no_grad",
     "parameter_gradients",
     "relative_error",
     "relu",
@@ -42,6 +46,23 @@ __all__ = [
 
 class NonFiniteError(ValueError):
     """A value escaped the finite-float64 domain (NaN or infinity)."""
+
+
+_grad_enabled: ContextVar[bool] = ContextVar("dmdk_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no graph inside the block: tensors keep no parents or grad_fn.
+
+    Values are computed exactly as with the graph on, and the non-finite
+    check still runs; ``backward`` refuses to run inside the block.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -70,8 +91,12 @@ class Tensor:
         if not np.isfinite(self.value).all():
             raise NonFiniteError("tensor contains non-finite values")
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._grad_fn = _grad_fn
+        if _grad_enabled.get():
+            self._parents = _parents
+            self._grad_fn = _grad_fn
+        else:
+            self._parents = ()
+            self._grad_fn = None
 
     @property
     def rows(self) -> int:
@@ -111,6 +136,8 @@ def _topo_order(output: Tensor) -> list[Tensor]:
 
 def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     """Backpropagate from a 1x1 output; returns gradients for every reachable leaf."""
+    if not _grad_enabled.get():
+        raise RuntimeError("backward called inside no_grad()")
     if output.shape != (1, 1):
         raise ValueError(f"backward requires a 1x1 scalar output, got shape {output.shape}")
     order = _topo_order(output)

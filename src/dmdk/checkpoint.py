@@ -17,6 +17,7 @@ models produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -58,28 +59,77 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; any malformed content raises ValueError naming ``path``.
+
+    The header is checked in full before any tensor is read, and each tensor is
+    read straight from the file into its own array.
+    """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 16 or data[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", data, 8)
-    header_end = 16 + header_len
-    if header_end > len(data):
-        raise ValueError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[16:header_end].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ValueError(f"{path}: malformed checkpoint header: {e}") from None
-    payload = data[header_end:]
-    tensors: dict[str, np.ndarray] = {}
-    for item in header.get("tensors", []):
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        if len(prefix) < 16 or prefix[:4] != MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        (version,) = struct.unpack_from("<I", prefix, 4)
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        (header_len,) = struct.unpack_from("<Q", prefix, 8)
+        header_end = 16 + header_len
+        if header_end > size:
+            raise ValueError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ValueError(f"{path}: malformed checkpoint header: {e}") from None
+        meta, entries = _checked_header(path, header, size - header_end)
+        tensors: dict[str, np.ndarray] = {}
+        for name, rows, cols, offset in entries:
+            try:
+                arr = np.empty((rows, cols), dtype="<f8")
+            except ValueError as e:  # an empty tensor with an impossible dimension
+                raise ValueError(f"{path}: tensor {name!r} has shape {rows}x{cols}: {e}") from None
+            fh.seek(header_end + offset)
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise ValueError(f"{path}: tensor {name!r} extends past end of file")
+            tensors[name] = arr.astype(np.float64, copy=False)
+    return tensors, meta
+
+
+def _checked_header(path: Path, header, payload_len: int):
+    """(meta, [(name, rows, cols, offset)]) once the tensors are known to tile
+    the payload of ``payload_len`` bytes exactly, without overlap."""
+    if not isinstance(header, dict) or set(header) != {"meta", "tensors"}:
+        raise ValueError(f"{path}: checkpoint header must be an object with 'meta' and 'tensors'")
+    meta, items = header["meta"], header["tensors"]
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint 'meta' must be an object")
+    if not isinstance(items, list):
+        raise ValueError(f"{path}: checkpoint 'tensors' must be a list")
+    entries, names = [], set()
+    for k, item in enumerate(items):
+        if not (
+            isinstance(item, dict)
+            and set(item) == {"name", "rows", "cols", "offset"}
+            and isinstance(item["name"], str)
+            and all(type(item[key]) is int and item[key] >= 0 for key in ("rows", "cols", "offset"))
+        ):
+            raise ValueError(
+                f"{path}: tensors[{k}] must be {{name: string, rows, cols, offset: "
+                f"non-negative integers}}, got {item!r}"
+            )
         name, rows, cols, offset = item["name"], item["rows"], item["cols"], item["offset"]
-        nbytes = rows * cols * 8
-        if offset + nbytes > len(payload):
+        if name in names:
+            raise ValueError(f"{path}: duplicate tensor name {name!r}")
+        names.add(name)
+        if offset + rows * cols * 8 > payload_len:
             raise ValueError(f"{path}: tensor {name!r} extends past end of file")
-        arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-        tensors[name] = arr.reshape(rows, cols).astype(np.float64)
-    return tensors, header.get("meta", {})
+        entries.append((name, rows, cols, offset))
+    end = used = 0
+    for name, rows, cols, offset in sorted(entries, key=lambda e: (e[3], e[1] * e[2])):
+        if offset < end:
+            raise ValueError(f"{path}: tensor {name!r} overlaps the tensor before it")
+        end = max(end, offset + rows * cols * 8)
+        used += rows * cols * 8
+    if used != payload_len:
+        raise ValueError(f"{path}: payload is {payload_len} bytes, tensors account for {used}")
+    return meta, entries

@@ -5,6 +5,12 @@ topic-tag attention (W') and graph attention (M'), fuse into X' by attending
 X over the weighted mixture of the three, then decode autoregressively with
 stacked cross-attention over X', W', and M'. Ablation modes substitute X for
 the disabled knowledge branches, leaving parameter shapes untouched.
+
+Training and greedy decoding share ``decoder_forward``. Training feeds the
+whole sequence at once. Decoding runs under ``no_grad`` and feeds one token
+per step through a ``DecoderCache``: the cross-attention keys and values over
+X', W' and M' are projected once per record and layer, and each layer's
+self-attention keys and values grow by one row per token.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -23,9 +29,11 @@ from .autograd import (
     Tensor,
     add,
     cross_entropy_logits,
+    concat_rows,
     finite_diff_grad,
     matmul,
     layer_norm,
+    no_grad,
     parameter_gradients,
     relative_error,
     scale,
@@ -35,9 +43,11 @@ from .attention import (
     FfnParams,
     HeadParams,
     MhaParams,
+    attend_heads,
     embed_tokens,
     feed_forward,
     multi_head_attention,
+    project_heads,
 )
 from .features import ProjectionParams, fuse_views, load_features, project_features
 from .graph import (
@@ -96,7 +106,6 @@ class FusionWeights:
 class GenerationConfig:
     max_length: int
     ablation: AblationMode = AblationMode.FULL
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_length < 1:
@@ -121,18 +130,18 @@ class ModelSpec:
     fuse_mode: str = "concat"
 
     def __post_init__(self):
-        checks = [
-            ("d", self.d >= 1),
-            ("heads", self.heads >= 1),
-            ("decoder_layers", self.decoder_layers >= 1),
-            ("gcn_layers", self.gcn_layers >= 1),
-            ("ffn_multiplier", self.ffn_multiplier >= 1),
-            ("feature_dim", self.feature_dim >= 1),
-            ("max_length", self.max_length >= 1),
-        ]
-        for name, ok in checks:
-            if not ok:
+        for name in (
+            "d", "heads", "decoder_layers", "gcn_layers", "ffn_multiplier", "feature_dim", "max_length"
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
                 raise ValueError(f"model spec field {name!r} out of range")
+        if self.learned_positions is not None and (
+            type(self.learned_positions) is not int or self.learned_positions < 1
+        ):
+            raise ValueError("model spec field 'learned_positions' out of range")
+        if type(self.pre_norm) is not bool:
+            raise ValueError("model spec field 'pre_norm' must be a boolean")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} is not divisible by heads={self.heads}")
         if self.fuse_mode not in ("concat", "mean"):
@@ -335,6 +344,47 @@ def _sublayer(h: Tensor, f, norm: LayerNormParams, pre_norm: bool) -> Tensor:
     return layer_norm(add(h, f(h)), norm.gain, norm.bias)
 
 
+KV = list[tuple[Tensor, Tensor]]  # per-head (keys, values) of one attention block
+
+
+@dataclass
+class DecoderCache:
+    """What one record's incremental decode reuses from step to step.
+
+    ``cross[i]`` holds layer i's per-head keys and values over X', W' and M',
+    projected on the first step; ``self_kv[i]`` holds layer i's self-attention
+    keys and values, one row per token fed so far (``length`` of them).
+    """
+
+    memories: tuple[Tensor, Tensor, Tensor] | None = None
+    cross: list[tuple[KV, KV, KV]] = field(default_factory=list)
+    self_kv: list[KV] = field(default_factory=list)
+    length: int = 0
+
+
+def _cross_kv(layer: DecoderLayerParams, x_fused: Tensor, w_enh: Tensor, m_enh: Tensor):
+    return (
+        project_heads(x_fused, layer.cross_fused),
+        project_heads(w_enh, layer.cross_labels),
+        project_heads(m_enh, layer.cross_graph),
+    )
+
+
+def _self_kv(h: Tensor, layer_index: int, params: MhaParams, cache: DecoderCache | None) -> KV:
+    kv = project_heads(h, params)
+    if cache is None:
+        return kv
+    if layer_index < len(cache.self_kv):
+        kv = [
+            (concat_rows([k0, k]), concat_rows([v0, v]))
+            for (k0, v0), (k, v) in zip(cache.self_kv[layer_index], kv)
+        ]
+        cache.self_kv[layer_index] = kv
+    else:
+        cache.self_kv.append(kv)
+    return kv
+
+
 def decoder_forward(
     ids: Sequence[int],
     x_fused: Tensor,
@@ -342,47 +392,46 @@ def decoder_forward(
     m_enh: Tensor,
     dec: DecoderParams,
     table: EmbeddingTable,
+    cache: DecoderCache | None = None,
 ) -> Tensor:
-    """Logits for every prefix position: masked self-attention, then stacked
-    cross-attention over X', W', M', then feed-forward, then the affine head."""
+    """Logits for every position of ``ids``: masked self-attention, then stacked
+    cross-attention over X', W', M', then feed-forward, then the affine head.
+
+    Without a cache ``ids`` is the whole BOS-prefixed sequence. With one, ``ids``
+    are the next tokens after the ``cache.length`` already fed: the cross-attention
+    keys and values come from the cache (projected on its first call, so every
+    call with one cache must pass the same memories), and each layer's
+    self-attention keys and values grow by len(ids) rows.
+    """
     ids = list(ids)
     if not ids:
         raise ValueError("decoder prefix must be nonempty")
-    h = embed_tokens(ids, table)
-    for layer in dec.layers:
-        h = _sublayer(
-            h, lambda t: multi_head_attention(t, t, layer.self_attn, causal=True),
-            layer.norms[0], dec.pre_norm,
+    start = 0
+    if cache is not None:
+        start = cache.length
+        memories = (x_fused, w_enh, m_enh)
+        if cache.memories is None:
+            cache.memories = memories
+            cache.cross = [_cross_kv(layer, *memories) for layer in dec.layers]
+        elif any(a is not b for a, b in zip(cache.memories, memories)):
+            raise ValueError("a decoder cache serves the memories of one record only")
+    h = embed_tokens(ids, table, start)
+    for i, layer in enumerate(dec.layers):
+        fused, labels, graph = (
+            cache.cross[i] if cache is not None else _cross_kv(layer, x_fused, w_enh, m_enh)
         )
+        norms, pre = layer.norms, dec.pre_norm
         h = _sublayer(
-            h, lambda t: multi_head_attention(t, x_fused, layer.cross_fused),
-            layer.norms[1], dec.pre_norm,
+            h, lambda t: attend_heads(t, _self_kv(t, i, layer.self_attn, cache), layer.self_attn, start),
+            norms[0], pre,
         )
-        h = _sublayer(
-            h, lambda t: multi_head_attention(t, w_enh, layer.cross_labels),
-            layer.norms[2], dec.pre_norm,
-        )
-        h = _sublayer(
-            h, lambda t: multi_head_attention(t, m_enh, layer.cross_graph),
-            layer.norms[3], dec.pre_norm,
-        )
-        h = _sublayer(h, lambda t: feed_forward(t, layer.ffn), layer.norms[4], dec.pre_norm)
+        h = _sublayer(h, lambda t: attend_heads(t, fused, layer.cross_fused), norms[1], pre)
+        h = _sublayer(h, lambda t: attend_heads(t, labels, layer.cross_labels), norms[2], pre)
+        h = _sublayer(h, lambda t: attend_heads(t, graph, layer.cross_graph), norms[3], pre)
+        h = _sublayer(h, lambda t: feed_forward(t, layer.ffn), norms[4], pre)
+    if cache is not None:
+        cache.length += len(ids)
     return add(matmul(h, dec.head_w), dec.head_b)
-
-
-def decode_step(
-    prefix: Sequence[int],
-    x_fused: Tensor,
-    w_enh: Tensor,
-    m_enh: Tensor,
-    dec: DecoderParams,
-    table: EmbeddingTable,
-) -> np.ndarray:
-    """Next-token probability vector given the BOS-prefixed token ids."""
-    logits = decoder_forward(prefix, x_fused, w_enh, m_enh, dec, table)
-    last = logits.value[-1]
-    e = np.exp(last - last.max())
-    return e / e.sum()
 
 
 def generate_greedy(
@@ -395,17 +444,18 @@ def generate_greedy(
 ) -> list[int]:
     """Argmax decoding (ties break toward the lowest index) until EOS or the cap.
 
-    The returned ids exclude BOS and EOS.
+    Feeds one token per step through a ``DecoderCache``. The returned ids
+    exclude BOS and EOS.
     """
-    prefix = [Vocabulary.BOS]
+    cache = DecoderCache()
+    token = Vocabulary.BOS
     out: list[int] = []
     while len(out) < config.max_length:
-        probs = decode_step(prefix, x_fused, w_enh, m_enh, dec, table)
-        token = int(np.argmax(probs))
+        logits = decoder_forward([token], x_fused, w_enh, m_enh, dec, table, cache)
+        token = int(np.argmax(logits.value[-1]))
         if token == Vocabulary.EOS:
             break
         out.append(token)
-        prefix.append(token)
     return out
 
 
@@ -599,11 +649,12 @@ def generate_for_records(
     base_labels = fallback_labels(base_graph, fallback)
     gen = GenerationConfig(model.spec.max_length, model.spec.ablation)
     out = []
-    for rec in records:
-        prep = prepare_record(rec, model.vocab, base_graph, base_labels, model.spec, with_report=False)
-        x_fused, w_enh, m_enh = encode_record(model, prep)
-        ids = generate_greedy(x_fused, w_enh, m_enh, model.decoder, model.embed, gen)
-        out.append((rec.id, " ".join(model.vocab.decode(ids))))
+    with no_grad():
+        for rec in records:
+            prep = prepare_record(rec, model.vocab, base_graph, base_labels, model.spec, with_report=False)
+            x_fused, w_enh, m_enh = encode_record(model, prep)
+            ids = generate_greedy(x_fused, w_enh, m_enh, model.decoder, model.embed, gen)
+            out.append((rec.id, " ".join(model.vocab.decode(ids))))
     return out
 
 
@@ -636,17 +687,48 @@ def save_model(path, model: ReportModel, base_graph: KnowledgeGraph, fallback: s
 
 
 def load_model(path) -> tuple[ReportModel, KnowledgeGraph, str]:
+    """Rebuild a saved model; malformed metadata raises ValueError naming ``path``."""
     from .checkpoint import load_checkpoint
     from .graph import graph_from_dict
 
     state, meta = load_checkpoint(path)
+
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"{path}: checkpoint metadata {problem}")
+
     for key in ("spec", "vocab", "node_names", "base_graph", "labels_fallback"):
         if key not in meta:
-            raise ValueError(f"checkpoint metadata is missing {key!r}")
-    vocab = Vocabulary(meta["vocab"]["tokens"], meta["vocab"]["min_freq"])
-    spec = ModelSpec.from_dict(meta["spec"])
-    model = ReportModel(vocab, meta["node_names"], spec, state=state)
-    base_graph = graph_from_dict(meta["base_graph"], where="checkpoint base graph")
+            raise bad(f"is missing {key!r}")
+    vocab, spec, node_names = meta["vocab"], meta["spec"], meta["node_names"]
+    if not (
+        isinstance(vocab, dict)
+        and isinstance(vocab.get("tokens"), list)
+        and all(isinstance(t, str) for t in vocab["tokens"])
+        and type(vocab.get("min_freq")) is int
+    ):
+        raise bad("'vocab' needs a 'tokens' list of strings and an integer 'min_freq'")
+    if not isinstance(spec, dict):
+        raise bad("'spec' must be an object")
+    missing = [f.name for f in fields(ModelSpec) if f.name not in spec]
+    if missing:
+        raise bad(f"'spec' is missing {', '.join(map(repr, missing))}")
+    if not (isinstance(node_names, list) and all(isinstance(n, str) for n in node_names)):
+        raise bad("'node_names' must be a list of strings")
+    if not isinstance(meta["labels_fallback"], str):
+        raise bad("'labels_fallback' must be a string")
+    try:
+        spec = ModelSpec.from_dict(spec)
+    except (TypeError, ValueError) as e:
+        raise bad(f"'spec' is invalid: {e}") from None
+    try:
+        vocab = Vocabulary(vocab["tokens"], vocab["min_freq"])
+        model = ReportModel(vocab, node_names, spec, state=state)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    try:
+        base_graph = graph_from_dict(meta["base_graph"], where=f"{path}: checkpoint base graph")
+    except TypeError as e:
+        raise bad(f"'base_graph' is malformed: {e}") from None
     return model, base_graph, meta["labels_fallback"]
 
 

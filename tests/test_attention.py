@@ -8,12 +8,15 @@ from dmdk.attention import (
     FfnParams,
     HeadParams,
     MhaParams,
+    attend,
     causal_mask,
     embed_tokens,
     feed_forward,
     multi_head_attention,
+    project_kv,
     scaled_dot_attention,
     sinusoidal_encoding,
+    sinusoidal_rows,
 )
 from dmdk.autograd import Tensor, parameter_gradients, finite_diff_grad, relative_error, sum_all
 
@@ -256,3 +259,41 @@ def test_learned_positions_cap_sequence_length():
     assert embed_tokens([0, 1, 2], table).shape == (3, 4)
     with pytest.raises(ValueError, match="exceeds learned positional table"):
         embed_tokens([0, 1, 2, 3], table)
+
+
+def test_sinusoidal_rows_slice_equals_fresh_table_bitwise():
+    for dim in (8, 32, 512):
+        for n in range(1, 300):
+            assert np.array_equal(sinusoidal_rows(0, n, dim), sinusoidal_encoding(n, dim)), (n, dim)
+        assert np.array_equal(sinusoidal_rows(290, 299, dim), sinusoidal_encoding(299, dim)[290:])
+
+
+def test_sinusoidal_rows_are_read_only():
+    rows = sinusoidal_rows(0, 4, 6)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+
+
+def test_embed_tokens_from_a_start_position_matches_the_full_sequence():
+    for positions in (None, 6):
+        table = EmbeddingTable.create(7, 4, np.random.default_rng(5), learned_positions=positions)
+        ids = [1, 4, 4, 6, 2]
+        full = embed_tokens(ids, table).value
+        parts = [embed_tokens(ids[:2], table).value, embed_tokens(ids[2:], table, start=2).value]
+        assert np.array_equal(np.vstack(parts), full)
+
+
+def test_causal_mask_at_offset_is_the_bottom_of_the_full_mask():
+    assert np.array_equal(causal_mask(2, offset=3), causal_mask(5)[3:])
+
+
+def test_attend_at_offset_matches_the_full_causal_rows():
+    rng = np.random.default_rng(8)
+    head = MhaParams.create(6, 2, rng).heads[0]
+    seq = Tensor(rng.normal(size=(5, 6)))
+    full = scaled_dot_attention(seq, seq, head, causal=True).value
+    k, v = project_kv(seq, head)
+    tail = attend(Tensor(seq.value[3:]), k, v, head, offset=3).value
+    np.testing.assert_allclose(tail, full[3:], rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="needs 4 key rows, got 5"):
+        attend(Tensor(seq.value[3:]), k, v, head, offset=2)

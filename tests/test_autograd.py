@@ -22,6 +22,7 @@ from dmdk.autograd import (
     matmul,
     mean_rows,
     mul,
+    no_grad,
     parameter_gradients,
     relative_error,
     relu,
@@ -332,3 +333,50 @@ def test_relative_error_uses_floor_near_zero():
     a = np.array([[1e-9]])
     b = np.array([[0.0]])
     assert relative_error(a, b).max() == pytest.approx(1e-9 / 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def _small_graph(a, b):
+    return sum_all(softmax_rows(add(matmul(a, b), scale(a, 0.5))))
+
+
+def test_no_grad_values_are_bitwise_equal():
+    a, b = Tensor(RNG.normal(size=(3, 3))), Tensor(RNG.normal(size=(3, 3)))
+    with_graph = _small_graph(a, b)
+    with no_grad():
+        without = _small_graph(a, b)
+    assert np.array_equal(with_graph.value, without.value)
+
+
+def test_no_grad_keeps_no_parents():
+    a, b = Tensor(RNG.normal(size=(2, 2))), Tensor(RNG.normal(size=(2, 2)))
+    with no_grad():
+        out = matmul(a, b)
+    assert out._parents == () and out._grad_fn is None
+    assert matmul(a, b)._parents == (a, b)  # the graph is back after the block
+
+
+def test_backward_refused_inside_no_grad():
+    a = Tensor([[2.0]])
+    out = mul(a, a)
+    with no_grad():
+        with pytest.raises(RuntimeError, match="no_grad"):
+            backward(out)
+    assert backward(out)[a][0, 0] == 4.0
+
+
+def test_no_grad_still_rejects_non_finite():
+    with no_grad():
+        with pytest.raises(NonFiniteError):
+            Tensor([[float("nan")]])
+
+
+def test_no_grad_resets_after_an_exception():
+    with pytest.raises(ValueError):
+        with no_grad():
+            raise ValueError("boom")
+    a = Tensor([[3.0]])
+    assert backward(mul(a, a))[a][0, 0] == 6.0

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmdk.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 
@@ -112,3 +114,111 @@ def test_empty_checkpoint_round_trips(tmp_path):
     tensors, meta = load_checkpoint(p)
     assert tensors == {}
     assert meta == {"only": "meta"}
+
+
+# ---------------------------------------------------------------------------
+# malformed files fail with a ValueError that names the file
+
+
+def write_raw(path, header, payload=b""):
+    body = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(body)) + body + payload)
+    return path
+
+
+def entry(name="w", rows=1, cols=2, offset=0):
+    return {"name": name, "rows": rows, "cols": cols, "offset": offset}
+
+
+def test_list_header_rejected(tmp_path):
+    p = write_raw(tmp_path / "m.ckpt", [])
+    with pytest.raises(ValueError, match=f"{p}.*'meta' and 'tensors'"):
+        load_checkpoint(p)
+
+
+def test_tensor_entry_without_rows_rejected(tmp_path):
+    item = entry()
+    del item["rows"]
+    p = write_raw(tmp_path / "m.ckpt", {"meta": {}, "tensors": [item]}, bytes(16))
+    with pytest.raises(ValueError, match=rf"{p}: tensors\[0\]"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(name=3), dict(rows=-1), dict(cols=1.0), dict(offset="0"), dict(rows=True)],
+    ids=["name", "negative", "float", "string", "bool"],
+)
+def test_tensor_entry_field_types_checked(tmp_path, bad):
+    p = write_raw(tmp_path / "m.ckpt", {"meta": {}, "tensors": [entry(**bad)]}, bytes(16))
+    with pytest.raises(ValueError, match=rf"{p}: tensors\[0\]"):
+        load_checkpoint(p)
+
+
+def test_non_object_meta_rejected(tmp_path):
+    p = write_raw(tmp_path / "m.ckpt", {"meta": [], "tensors": []})
+    with pytest.raises(ValueError, match="'meta' must be an object"):
+        load_checkpoint(p)
+
+
+def test_overlapping_tensors_rejected(tmp_path):
+    header = {"meta": {}, "tensors": [entry("a"), entry("b", offset=8)]}
+    p = write_raw(tmp_path / "m.ckpt", header, bytes(32))
+    with pytest.raises(ValueError, match="'b' overlaps"):
+        load_checkpoint(p)
+
+
+def test_trailing_payload_bytes_rejected(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, [("w", np.zeros((1, 2)))], {})
+    p.write_bytes(p.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="payload is 24 bytes, tensors account for 16"):
+        load_checkpoint(p)
+
+
+def test_duplicate_tensor_entries_rejected(tmp_path):
+    header = {"meta": {}, "tensors": [entry("a"), entry("a", offset=16)]}
+    p = write_raw(tmp_path / "m.ckpt", header, bytes(32))
+    with pytest.raises(ValueError, match="duplicate tensor name 'a'"):
+        load_checkpoint(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_arbitrary_bytes_after_magic_and_version_load_or_raise_value_error(tmp_path_factory, rest):
+    p = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    p.write_bytes(MAGIC + struct.pack("<I", VERSION) + rest)
+    try:
+        load_checkpoint(p)
+    except ValueError as e:
+        assert str(p) in str(e)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+header_like = st.fixed_dictionaries(
+    {
+        "meta": json_values,
+        "tensors": st.lists(
+            st.fixed_dictionaries(
+                {k: json_values | st.integers(0, 24) for k in ("rows", "cols", "offset")},
+                optional={"name": st.text(max_size=3) | json_values},
+            ),
+            max_size=3,
+        )
+        | json_values,
+    }
+) | json_values
+
+
+@settings(max_examples=150, deadline=None)
+@given(header_like)
+def test_arbitrary_json_headers_load_or_raise_value_error(tmp_path_factory, header):
+    p = write_raw(tmp_path_factory.mktemp("fuzz") / "m.ckpt", header, bytes(16))
+    try:
+        load_checkpoint(p)
+    except ValueError as e:
+        assert str(p) in str(e)

@@ -212,6 +212,21 @@ def test_generate_missing_checkpoint_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_generate_malformed_checkpoint_exits_two(tmp_path, capsys):
+    from dmdk.checkpoint import load_checkpoint, save_checkpoint
+
+    corpus = tagged_corpus(tmp_path, n=2)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
+    tensors, meta = load_checkpoint(ckpt)
+    del meta["vocab"]["tokens"]
+    save_checkpoint(ckpt, list(tensors.items()), meta)
+    capsys.readouterr()
+    code = main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")])
+    assert code == 2
+    assert str(ckpt) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

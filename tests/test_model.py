@@ -10,8 +10,8 @@ from dmdk.model import (
     GenerationConfig,
     ModelSpec,
     ReportModel,
+    DecoderCache,
     TrainingDiverged,
-    decode_step,
     decoder_forward,
     encode_record,
     fallback_labels,
@@ -246,7 +246,11 @@ def test_decoder_forward_rejects_empty_prefix():
 def test_decode_step_is_a_distribution():
     model = small_model()
     x, w, m = fixture_streams(model)
-    probs = decode_step([Vocabulary.BOS], x, w, m, model.decoder, model.embed)
+    cache = DecoderCache()
+    decoder_forward([Vocabulary.BOS], x, w, m, model.decoder, model.embed, cache)
+    last = decoder_forward([5], x, w, m, model.decoder, model.embed, cache).value[-1]
+    e = np.exp(last - last.max())
+    probs = e / e.sum()
     assert probs.shape == (len(model.vocab),)
     assert (probs >= 0).all()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -531,6 +535,46 @@ def test_model_meta_is_self_contained():
     meta = model_meta(model, base_graph(), "all")
     assert set(meta) == {"spec", "vocab", "node_names", "base_graph", "labels_fallback"}
     json.dumps(meta)
+
+
+def save_with_meta(path, edit):
+    from dmdk.checkpoint import save_checkpoint
+
+    model = small_model()
+    meta = model_meta(model, base_graph(), "all")
+    edit(meta)
+    save_checkpoint(path, [(n, p.value) for n, p in model.parameters()], meta)
+    return path
+
+
+def test_load_model_rejects_vocab_without_tokens(tmp_path):
+    path = save_with_meta(tmp_path / "m.ckpt", lambda meta: meta["vocab"].pop("tokens"))
+    with pytest.raises(ValueError, match=f"{path}: .*'vocab' needs a 'tokens' list"):
+        load_model(path)
+
+
+def test_load_model_rejects_missing_spec_fields(tmp_path):
+    def edit(meta):
+        del meta["spec"]["heads"], meta["spec"]["fuse_mode"]
+
+    path = save_with_meta(tmp_path / "m.ckpt", edit)
+    with pytest.raises(ValueError, match=f"{path}: .*'spec' is missing 'heads', 'fuse_mode'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("d", 16.0), ("heads", "2"), ("fusion", 1), ("ablation", "most"), ("pre_norm", 0)]
+)
+def test_load_model_rejects_malformed_spec_values(tmp_path, field, value):
+    path = save_with_meta(tmp_path / "m.ckpt", lambda meta: meta["spec"].update({field: value}))
+    with pytest.raises(ValueError, match=f"{path}: .*'spec' is invalid"):
+        load_model(path)
+
+
+def test_load_model_names_the_file_on_a_tensor_mismatch(tmp_path):
+    path = save_with_meta(tmp_path / "m.ckpt", lambda meta: meta["node_names"].append("extra"))
+    with pytest.raises(ValueError, match=f"{path}: checkpoint tensor 'gcn.embeddings'"):
+        load_model(path)
 
 
 def test_generate_for_records_order_and_ids(tmp_path, overfit_corpus):
