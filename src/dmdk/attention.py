@@ -1,14 +1,18 @@
-"""Scaled dot-product attention, multi-head attention, feed-forward, embeddings.
+"""Multi-head attention, feed-forward, embeddings.
 
 Shapes follow one convention throughout: a sequence is rows, the model width
-``d`` is columns. ``scaled_dot_attention(x, y, ...)`` reads queries from ``x``
+``d`` is columns. ``multi_head_attention(x, y, ...)`` reads queries from ``x``
 and keys/values from ``y``, so the output always has ``x.rows`` rows.
+
+Each attention block is packed: one d x d ``wq``, ``wk``, ``wv`` and ``wo``.
+Head h owns columns h*d_n .. (h+1)*d_n - 1 of the projected queries, keys and
+values, and ``heads_attention`` attends every head in one autograd node whose
+output holds the heads in that column order, ready for ``wo``.
 
 Attention is two steps: ``project_kv`` projects the keys and values of ``y``,
 and ``attend`` attends queries from ``x`` over them, causally from a position
 offset if asked. Incremental decoding projects a memory once and attends over
-it at every step; ``scaled_dot_attention`` and ``multi_head_attention`` run the
-two steps back to back.
+it at every step; ``multi_head_attention`` runs the two steps back to back.
 """
 
 from __future__ import annotations
@@ -19,17 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .autograd import (
-    Tensor,
-    add,
-    concat_cols,
-    embedding,
-    matmul,
-    relu,
-    scale,
-    softmax_rows,
-    transpose,
-)
+from .autograd import NonFiniteError, Tensor, add, embedding, matmul, relu
 
 # Finite stand-in for -inf: keeps every tensor finite while exp() underflows
 # masked scores to exactly 0 after max subtraction.
@@ -37,68 +31,27 @@ MASKED_SCORE = -1e9
 
 
 @dataclass
-class HeadParams:
-    """Projection triple for one attention head; each matrix is d x d_n."""
+class MhaParams:
+    """One attention block: packed d x d query, key, value and output projections.
+
+    Head h owns columns h*d_n .. (h+1)*d_n - 1 of the query, key and value
+    projections, with d_n = d / heads.
+    """
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
+    wo: Tensor  # projects the heads' outputs, concatenated in column order
+    heads: int
 
     def __post_init__(self):
-        if not (self.wq.shape == self.wk.shape == self.wv.shape):
-            raise ValueError(
-                f"head projections must share a shape: {self.wq.shape}, "
-                f"{self.wk.shape}, {self.wv.shape}"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.wq.cols
-
-
-@dataclass
-class MhaParams:
-    heads: list[HeadParams]
-    wo: Tensor  # d x d output projection over the concatenated heads
-
-    def __post_init__(self):
-        if not self.heads:
-            raise ValueError("multi-head attention needs at least one head")
-        d = self.heads[0].wq.rows
-        n = len(self.heads)
-        if d % n != 0:
-            raise ValueError(f"model width {d} not divisible by head count {n}")
-        for h in self.heads:
-            if h.wq.rows != d or h.width != d // n:
-                raise ValueError(
-                    f"every head must be {d}x{d // n}, got {h.wq.shape}"
-                )
-        if self.wo.shape != (d, d):
-            raise ValueError(f"output projection must be {d}x{d}, got {self.wo.shape}")
-
-    @property
-    def d(self) -> int:
-        return self.heads[0].wq.rows
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.heads)
-
-    @classmethod
-    def create(cls, d: int, n_heads: int, rng: np.random.Generator) -> "MhaParams":
-        if d % n_heads != 0:
-            raise ValueError(f"model width {d} not divisible by head count {n_heads}")
-        dn = d // n_heads
-        std = 1.0 / math.sqrt(d)
-        heads = [
-            HeadParams(
-                Tensor(rng.normal(0.0, std, (d, dn))),
-                Tensor(rng.normal(0.0, std, (d, dn))),
-                Tensor(rng.normal(0.0, std, (d, dn))),
-            )
-            for _ in range(n_heads)
-        ]
-        return cls(heads, Tensor(rng.normal(0.0, std, (d, d))))
+        d = self.wq.rows
+        if self.heads < 1 or d % self.heads != 0:
+            raise ValueError(f"model width {d} not divisible by head count {self.heads}")
+        for name in ("wq", "wk", "wv", "wo"):
+            shape = getattr(self, name).shape
+            if shape != (d, d):
+                raise ValueError(f"attention projection {name} must be {d}x{d}, got {shape}")
 
 
 def causal_mask(length: int, offset: int = 0) -> np.ndarray:
@@ -110,75 +63,85 @@ def causal_mask(length: int, offset: int = 0) -> np.ndarray:
     return np.triu(np.full((length, offset + length), MASKED_SCORE), k=offset + 1)
 
 
-def project_kv(y: Tensor, head: HeadParams) -> tuple[Tensor, Tensor]:
-    """Keys and values of one head over the rows of ``y``."""
-    if y.cols != head.wk.rows:
-        raise ValueError(f"key width {y.cols} does not match projection {head.wk.shape}")
-    return matmul(y, head.wk), matmul(y, head.wv)
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """rows x d -> heads x rows x d_n, a view: head h reads its own columns."""
+    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
 
 
-def attend(
-    x: Tensor,
-    k: Tensor,
-    v: Tensor,
-    head: HeadParams,
-    offset: int | None = None,
-    with_weights: bool = False,
-):
-    """softmax(q k^T / sqrt(d_n)) v with q projected from x.
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """heads x rows x d_n -> rows x d, heads concatenated in column order."""
+    heads, rows, width = a.shape
+    return a.transpose(1, 0, 2).reshape(rows, heads * width)
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, offset: int | None = None) -> np.ndarray:
+    """heads x rows x keys: softmax(q_h k_h^T / sqrt(d_n)) for each head h.
 
     With an ``offset`` the attention is causal: query row i sits at position
     offset + i and sees key columns <= offset + i, so ``k`` must hold exactly
-    offset + x.rows rows. ``None`` lets every query see every key.
+    offset + rows rows. ``None`` lets every query see every key.
     """
-    if x.cols != head.wq.rows:
-        raise ValueError(f"query width {x.cols} does not match projection {head.wq.shape}")
-    q = matmul(x, head.wq)
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(head.width))
+    if q.shape[1] != k.shape[1] or q.shape[1] % heads != 0:
+        raise ValueError(f"{heads}-head attention of {q.shape} queries over {k.shape} keys")
+    scores = (_split_heads(q, heads) @ _split_heads(k, heads).transpose(0, 2, 1)) * (
+        1.0 / math.sqrt(q.shape[1] // heads)
+    )
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("attention scores contain non-finite values")
     if offset is not None:
-        if k.rows != offset + x.rows:
+        if k.shape[0] != offset + q.shape[0]:
             raise ValueError(
-                f"causal attention at offset {offset} needs {offset + x.rows} key rows, "
-                f"got {k.rows}"
+                f"causal attention at offset {offset} needs {offset + q.shape[0]} key rows, "
+                f"got {k.shape[0]}"
             )
-        if x.rows > 1:  # a single query row at the end sees every key
-            scores = add(scores, Tensor(causal_mask(x.rows, offset)))
-    weights = softmax_rows(scores)
-    out = matmul(weights, v)
-    return (out, weights) if with_weights else out
+        if q.shape[0] > 1:  # a single query row at the end sees every key
+            scores = scores + causal_mask(q.shape[0], offset)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    return e / e.sum(axis=2, keepdims=True)
 
 
-def scaled_dot_attention(
-    x: Tensor,
-    y: Tensor,
-    head: HeadParams,
-    causal: bool = False,
-    with_weights: bool = False,
-):
-    """One head: softmax(q k^T / sqrt(d_n)) v with q from x, k and v from y."""
-    if causal and x.rows != y.rows:
-        raise ValueError(
-            f"causal attention requires matching lengths, got {x.rows} and {y.rows}"
+def heads_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int | None = None) -> Tensor:
+    """Every head's softmax(q_h k_h^T / sqrt(d_n)) v_h as one autograd node.
+
+    ``q``, ``k`` and ``v`` are packed (head h in columns h*d_n .. (h+1)*d_n - 1);
+    the output holds the heads' results in the same column order. ``offset``
+    is as in ``attention_weights``.
+    """
+    if v.shape != k.shape:
+        raise ValueError(f"keys {k.shape} and values {v.shape} must share a shape")
+    w = attention_weights(q.value, k.value, heads, offset)
+    qh, kh, vh = (_split_heads(t.value, heads) for t in (q, k, v))
+    c = 1.0 / math.sqrt(q.cols // heads)
+
+    def grad_fn(g: np.ndarray):
+        gh = _split_heads(g, heads)
+        dw = gh @ vh.transpose(0, 2, 1)
+        ds = (dw - (dw * w).sum(axis=2, keepdims=True)) * w * c
+        return (
+            _merge_heads(ds @ kh),
+            _merge_heads(ds.transpose(0, 2, 1) @ qh),
+            _merge_heads(w.transpose(0, 2, 1) @ gh),
         )
-    k, v = project_kv(y, head)
-    return attend(x, k, v, head, 0 if causal else None, with_weights)
+
+    return Tensor(_merge_heads(w @ vh), (q, k, v), grad_fn)
 
 
-def project_heads(y: Tensor, params: MhaParams) -> list[tuple[Tensor, Tensor]]:
-    """Per-head (keys, values) over ``y``, for ``attend_heads``."""
-    return [project_kv(y, h) for h in params.heads]
+def project_kv(y: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
+    """Packed keys and values of every head over the rows of ``y``."""
+    return matmul(y, params.wk), matmul(y, params.wv)
 
 
-def attend_heads(
-    x: Tensor, kv: Sequence[tuple[Tensor, Tensor]], params: MhaParams, offset: int | None = None
-) -> Tensor:
-    """Multi-head attention of ``x`` over projected per-head (keys, values)."""
-    outs = [attend(x, k, v, h, offset) for h, (k, v) in zip(params.heads, kv)]
-    return matmul(concat_cols(outs), params.wo)
+def attend(x: Tensor, k: Tensor, v: Tensor, params: MhaParams, offset: int | None = None) -> Tensor:
+    """Multi-head attention of queries projected from ``x`` over packed keys
+    and values from ``project_kv``; ``offset`` is as in ``attention_weights``."""
+    q = matmul(x, params.wq)
+    return matmul(heads_attention(q, k, v, params.heads, offset), params.wo)
 
 
 def multi_head_attention(x: Tensor, y: Tensor, params: MhaParams, causal: bool = False) -> Tensor:
-    return attend_heads(x, project_heads(y, params), params, 0 if causal else None)
+    """Queries from ``x``, keys and values from ``y``; causal masks position i
+    from every key after i, so ``x`` and ``y`` must have equal lengths."""
+    return attend(x, *project_kv(y, params), params, 0 if causal else None)
 
 
 @dataclass
@@ -197,18 +160,6 @@ class FfnParams:
             )
         if self.b1.shape != (1, self.w1.cols) or self.b2.shape != (1, self.w2.cols):
             raise ValueError("feed-forward biases must be row vectors matching their layer")
-
-    @classmethod
-    def create(cls, d: int, rng: np.random.Generator, multiplier: int = 4) -> "FfnParams":
-        if multiplier < 1:
-            raise ValueError(f"feed-forward multiplier must be >= 1, got {multiplier}")
-        inner = multiplier * d
-        return cls(
-            Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, inner))),
-            Tensor(np.zeros((1, inner))),
-            Tensor(rng.normal(0.0, 1.0 / math.sqrt(inner), (inner, d))),
-            Tensor(np.zeros((1, d))),
-        )
 
 
 def feed_forward(x: Tensor, params: FfnParams) -> Tensor:
@@ -253,21 +204,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.rows.cols
-
-    @classmethod
-    def create(
-        cls,
-        vocab_size: int,
-        dim: int,
-        rng: np.random.Generator,
-        learned_positions: int | None = None,
-    ) -> "EmbeddingTable":
-        std = 1.0 / math.sqrt(dim)
-        rows = Tensor(rng.normal(0.0, std, (vocab_size, dim)))
-        positions = None
-        if learned_positions is not None:
-            positions = Tensor(rng.normal(0.0, std, (learned_positions, dim)))
-        return cls(rows, positions)
 
 
 def embed_tokens(ids: Sequence[int], table: EmbeddingTable, start: int = 0) -> Tensor:

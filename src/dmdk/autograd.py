@@ -187,7 +187,8 @@ def canonical_matmul(a: Tensor, b: Tensor) -> Tensor:
 
     The result depends only on the multiset of products per output entry, so
     permuting the contraction axis (e.g. relabeling graph nodes) leaves the
-    output bitwise unchanged. Costs an n*k*m intermediate; fine at desk scale.
+    output bitwise unchanged. Costs an n*k*m intermediate, so use it only where
+    the contraction axis can be permuted: the GCN's ``A_hat @ H``.
     """
     if a.cols != b.rows:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")

@@ -3,7 +3,7 @@
 Byte layout (all integers little-endian):
 
     offset 0   magic bytes  b"DMDK"
-    offset 4   uint32       format version (currently 1)
+    offset 4   uint32       format version (currently 2)
     offset 8   uint64       header length H in bytes
     offset 16  H bytes      UTF-8 JSON header
     offset 16+H             payload: tensors concatenated, row-major float64 LE
@@ -11,7 +11,8 @@ Byte layout (all integers little-endian):
 The JSON header is ``{"meta": {...}, "tensors": [{"name", "rows", "cols",
 "offset"}, ...]}`` where each ``offset`` is relative to the payload start.
 Serialization is canonical (sorted keys, fixed separators), so identical
-models produce byte-identical files.
+models produce byte-identical files. Version 1 files named per-head attention
+weights (``dec.0.self.h0.wq``) and are refused with a request to retrain.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"DMDK"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(
@@ -71,6 +72,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if len(prefix) < 16 or prefix[:4] != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
         (version,) = struct.unpack_from("<I", prefix, 4)
+        if version == 1:
+            raise ValueError(
+                f"{path}: checkpoint version 1 stores per-head attention weights; "
+                f"retrain the model to write version {VERSION}"
+            )
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (header_len,) = struct.unpack_from("<Q", prefix, 8)

@@ -49,7 +49,6 @@ class DecodeSection:
 @dataclass
 class PathsSection:
     base_graph: str | None = None
-    lexicon: str | None = None
 
 
 @dataclass
@@ -93,7 +92,6 @@ _FIELD_TYPES: dict[str, type | tuple] = {
     "train.min_freq": int,
     "decode.max_length": int,
     "paths.base_graph": (str, type(None)),
-    "paths.lexicon": (str, type(None)),
     "labels.fallback": str,
     "features.fuse": str,
     "ablation": str,
@@ -238,7 +236,7 @@ def effective_dict(run: RunConfig) -> dict:
             "min_freq": run.train.min_freq,
         },
         "decode": {"max_length": run.decode.max_length},
-        "paths": {"base_graph": run.paths.base_graph, "lexicon": run.paths.lexicon},
+        "paths": {"base_graph": run.paths.base_graph},
         "labels": {"fallback": run.labels.fallback},
         "features": {"fuse": run.features.fuse},
         "ablation": run.ablation,

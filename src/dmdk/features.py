@@ -7,7 +7,6 @@ are fused by stacking rows, so the decoder sees one token sequence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,25 +64,6 @@ def save_features(path: str | Path, values: np.ndarray) -> None:
 
 
 @dataclass
-class FeatureMap:
-    """Projected visual tokens: an N x d matrix with N >= 1."""
-
-    values: Tensor
-
-    def __post_init__(self):
-        if self.values.rows < 1:
-            raise ValueError("a feature map needs at least one token row")
-
-    @property
-    def tokens(self) -> int:
-        return self.values.rows
-
-    @property
-    def dim(self) -> int:
-        return self.values.cols
-
-
-@dataclass
 class ProjectionParams:
     weight: Tensor  # d_in x d
     bias: Tensor  # 1 x d
@@ -94,36 +74,34 @@ class ProjectionParams:
                 f"projection bias must be 1x{self.weight.cols}, got {self.bias.shape}"
             )
 
-    @classmethod
-    def create(cls, d_in: int, d: int, rng: np.random.Generator) -> "ProjectionParams":
-        std = 1.0 / math.sqrt(d_in)
-        return cls(Tensor(rng.normal(0.0, std, (d_in, d))), Tensor(np.zeros((1, d))))
 
-
-def project_features(raw: np.ndarray, params: ProjectionParams) -> FeatureMap:
-    """Affine map raw @ W + b from the extractor width into the model width."""
+def project_features(raw: np.ndarray, params: ProjectionParams) -> Tensor:
+    """Affine map raw @ W + b from the extractor width into the model width:
+    the N x d visual tokens, N >= 1."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2:
         raise ValueError(f"raw features must be 2-D, got ndim={raw.ndim}")
+    if raw.shape[0] < 1:
+        raise ValueError("a feature map needs at least one token row")
     if raw.shape[1] != params.weight.rows:
         raise ValueError(
             f"feature width {raw.shape[1]} does not match projection input {params.weight.rows}"
         )
-    return FeatureMap(add(matmul(Tensor(raw), params.weight), params.bias))
+    return add(matmul(Tensor(raw), params.weight), params.bias)
 
 
-def fuse_views(a: FeatureMap, b: FeatureMap | None, mode: str = "concat") -> FeatureMap:
+def fuse_views(a: Tensor, b: Tensor | None, mode: str = "concat") -> Tensor:
     """Merge up to two projected views; 'concat' stacks rows, 'mean' averages."""
     if b is None:
         return a
-    if a.dim != b.dim:
-        raise ValueError(f"view width mismatch: {a.dim} vs {b.dim}")
+    if a.cols != b.cols:
+        raise ValueError(f"view width mismatch: {a.cols} vs {b.cols}")
     if mode == "concat":
-        return FeatureMap(concat_rows([a.values, b.values]))
+        return concat_rows([a, b])
     if mode == "mean":
-        if a.tokens != b.tokens:
+        if a.rows != b.rows:
             raise ValueError(
-                f"mean fusion needs equal token counts, got {a.tokens} and {b.tokens}"
+                f"mean fusion needs equal token counts, got {a.rows} and {b.rows}"
             )
-        return FeatureMap(scale(add(a.values, b.values), 0.5))
+        return scale(add(a, b), 0.5)
     raise ValueError(f"unknown fusion mode {mode!r}; expected 'concat' or 'mean'")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -18,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import MhaParams, multi_head_attention
-from .autograd import Tensor, canonical_matmul, embedding, relu
+from .autograd import Tensor, canonical_matmul, embedding, matmul, relu
 from .text import Entity, EntityType
 from .topics import DiseaseTopicLabels, anatomy_pairs
 
@@ -323,33 +321,18 @@ class GcnParams:
     def row_ids(self, names: Sequence[str]) -> list[int]:
         return [self._row.get(n, self.unk_row) for n in names]
 
-    @classmethod
-    def create(
-        cls, names: Sequence[str], d: int, rng: np.random.Generator, n_layers: int = 2
-    ) -> "GcnParams":
-        if n_layers < 1:
-            raise ValueError(f"GCN needs at least one layer, got {n_layers}")
-        std = 1.0 / math.sqrt(d)
-        emb = Tensor(rng.normal(0.0, std, (len(names) + 1, d)))
-        layers = [Tensor(rng.normal(0.0, std, (d, d))) for _ in range(n_layers)]
-        return cls(list(names), emb, layers)
-
 
 def gcn_forward(node_names: Sequence[str], a_hat: np.ndarray, params: GcnParams) -> Tensor:
-    """L rounds of ReLU(A_hat H W); contraction order is canonical, so the
-    encoding is bitwise equivariant under node relabeling."""
+    """L rounds of ReLU(A_hat H W), bitwise equivariant under node relabeling.
+
+    ``A_hat @ H`` sums over the node axis, so it takes ``canonical_matmul``,
+    whose sum does not depend on the node order. ``H @ W`` sums over the
+    feature axis: each output row comes from its own input row only, so a
+    plain matmul permutes along with the rows (tests pin this bit for bit at
+    d = 512 for up to 60 nodes).
+    """
     h = embedding(params.embeddings, params.row_ids(node_names))
     a = Tensor(a_hat)
     for w in params.layers:
-        h = relu(canonical_matmul(canonical_matmul(a, h), w))
+        h = relu(matmul(canonical_matmul(a, h), w))
     return h
-
-
-def gcn_encode(g: KnowledgeGraph, params: GcnParams) -> Tensor:
-    return gcn_forward(g.names, normalized_adjacency(g.adjacency()), params)
-
-
-def graph_attend(x, m: Tensor, params: MhaParams) -> Tensor:
-    """Cross-attention of the visual rows over the node encodings."""
-    x_t = getattr(x, "values", x)
-    return multi_head_attention(x_t, m, params)

@@ -6,10 +6,14 @@ X over the weighted mixture of the three, then decode autoregressively with
 stacked cross-attention over X', W', and M'. Ablation modes substitute X for
 the disabled knowledge branches, leaving parameter shapes untouched.
 
+Every attention block (label, graph and fusion attention, and four per decoder
+layer) is one packed ``MhaParams``: d x d tensors ``<block>.wq``, ``.wk``,
+``.wv`` and ``.wo``, with all heads attended in one autograd node.
+
 Training and greedy decoding share ``decoder_forward``. Training feeds the
 whole sequence at once. Decoding runs under ``no_grad`` and feeds one token
-per step through a ``DecoderCache``: the cross-attention keys and values over
-X', W' and M' are projected once per record and layer, and each layer's
+per step through a ``DecoderCache``: the packed cross-attention keys and values
+over X', W' and M' are projected once per record and layer, and each layer's
 self-attention keys and values grow by one row per token.
 """
 
@@ -41,13 +45,12 @@ from .autograd import (
 from .attention import (
     EmbeddingTable,
     FfnParams,
-    HeadParams,
     MhaParams,
-    attend_heads,
+    attend,
     embed_tokens,
     feed_forward,
     multi_head_attention,
-    project_heads,
+    project_kv,
 )
 from .features import ProjectionParams, fuse_views, load_features, project_features
 from .graph import (
@@ -100,16 +103,6 @@ class FusionWeights:
                 raise ValueError(f"raw fusion weights must be positive and finite, got {v}")
         s = raw1 + raw2 + raw3
         return cls(raw1 / s, raw2 / s, raw3 / s)
-
-
-@dataclass
-class GenerationConfig:
-    max_length: int
-    ablation: AblationMode = AblationMode.FULL
-
-    def __post_init__(self):
-        if self.max_length < 1:
-            raise ValueError(f"max_length must be >= 1, got {self.max_length}")
 
 
 @dataclass
@@ -299,16 +292,13 @@ class ReportModel:
         return t
 
     def _mha(self, prefix: str, d: int, n_heads: int) -> MhaParams:
-        dn = d // n_heads
-        heads = [
-            HeadParams(
-                self._param(f"{prefix}.h{k}.wq", d, dn, "weight"),
-                self._param(f"{prefix}.h{k}.wk", d, dn, "weight"),
-                self._param(f"{prefix}.h{k}.wv", d, dn, "weight"),
-            )
-            for k in range(n_heads)
-        ]
-        return MhaParams(heads, self._param(f"{prefix}.wo", d, d, "weight"))
+        return MhaParams(
+            self._param(f"{prefix}.wq", d, d, "weight"),
+            self._param(f"{prefix}.wk", d, d, "weight"),
+            self._param(f"{prefix}.wv", d, d, "weight"),
+            self._param(f"{prefix}.wo", d, d, "weight"),
+            n_heads,
+        )
 
     def _ffn(self, prefix: str, d: int, multiplier: int) -> FfnParams:
         inner = multiplier * d
@@ -327,15 +317,14 @@ class ReportModel:
 # forward passes
 
 
-def fuse_knowledge(x, w_enh: Tensor, m_enh: Tensor, weights: FusionWeights, params: MhaParams) -> Tensor:
+def fuse_knowledge(x: Tensor, w_enh: Tensor, m_enh: Tensor, weights: FusionWeights, params: MhaParams) -> Tensor:
     """X' = MHA(X, l1*X + l2*W' + l3*M'); all inputs must be N x d."""
-    x_t = getattr(x, "values", x)
-    if not (x_t.shape == w_enh.shape == m_enh.shape):
+    if not (x.shape == w_enh.shape == m_enh.shape):
         raise ValueError(
-            f"fusion inputs must share a shape: {x_t.shape}, {w_enh.shape}, {m_enh.shape}"
+            f"fusion inputs must share a shape: {x.shape}, {w_enh.shape}, {m_enh.shape}"
         )
-    mix = add(add(scale(x_t, weights.l1), scale(w_enh, weights.l2)), scale(m_enh, weights.l3))
-    return multi_head_attention(x_t, mix, params)
+    mix = add(add(scale(x, weights.l1), scale(w_enh, weights.l2)), scale(m_enh, weights.l3))
+    return multi_head_attention(x, mix, params)
 
 
 def _sublayer(h: Tensor, f, norm: LayerNormParams, pre_norm: bool) -> Tensor:
@@ -344,16 +333,16 @@ def _sublayer(h: Tensor, f, norm: LayerNormParams, pre_norm: bool) -> Tensor:
     return layer_norm(add(h, f(h)), norm.gain, norm.bias)
 
 
-KV = list[tuple[Tensor, Tensor]]  # per-head (keys, values) of one attention block
+KV = tuple[Tensor, Tensor]  # packed (keys, values) of one attention block
 
 
 @dataclass
 class DecoderCache:
     """What one record's incremental decode reuses from step to step.
 
-    ``cross[i]`` holds layer i's per-head keys and values over X', W' and M',
-    projected on the first step; ``self_kv[i]`` holds layer i's self-attention
-    keys and values, one row per token fed so far (``length`` of them).
+    ``cross[i]`` holds layer i's keys and values over X', W' and M', projected
+    on the first step; ``self_kv[i]`` holds layer i's self-attention keys and
+    values, one row per token fed so far (``length`` of them).
     """
 
     memories: tuple[Tensor, Tensor, Tensor] | None = None
@@ -364,25 +353,23 @@ class DecoderCache:
 
 def _cross_kv(layer: DecoderLayerParams, x_fused: Tensor, w_enh: Tensor, m_enh: Tensor):
     return (
-        project_heads(x_fused, layer.cross_fused),
-        project_heads(w_enh, layer.cross_labels),
-        project_heads(m_enh, layer.cross_graph),
+        project_kv(x_fused, layer.cross_fused),
+        project_kv(w_enh, layer.cross_labels),
+        project_kv(m_enh, layer.cross_graph),
     )
 
 
 def _self_kv(h: Tensor, layer_index: int, params: MhaParams, cache: DecoderCache | None) -> KV:
-    kv = project_heads(h, params)
+    k, v = project_kv(h, params)
     if cache is None:
-        return kv
+        return k, v
     if layer_index < len(cache.self_kv):
-        kv = [
-            (concat_rows([k0, k]), concat_rows([v0, v]))
-            for (k0, v0), (k, v) in zip(cache.self_kv[layer_index], kv)
-        ]
-        cache.self_kv[layer_index] = kv
+        k0, v0 = cache.self_kv[layer_index]
+        k, v = concat_rows([k0, k]), concat_rows([v0, v])
+        cache.self_kv[layer_index] = (k, v)
     else:
-        cache.self_kv.append(kv)
-    return kv
+        cache.self_kv.append((k, v))
+    return k, v
 
 
 def decoder_forward(
@@ -422,12 +409,12 @@ def decoder_forward(
         )
         norms, pre = layer.norms, dec.pre_norm
         h = _sublayer(
-            h, lambda t: attend_heads(t, _self_kv(t, i, layer.self_attn, cache), layer.self_attn, start),
+            h, lambda t: attend(t, *_self_kv(t, i, layer.self_attn, cache), layer.self_attn, start),
             norms[0], pre,
         )
-        h = _sublayer(h, lambda t: attend_heads(t, fused, layer.cross_fused), norms[1], pre)
-        h = _sublayer(h, lambda t: attend_heads(t, labels, layer.cross_labels), norms[2], pre)
-        h = _sublayer(h, lambda t: attend_heads(t, graph, layer.cross_graph), norms[3], pre)
+        h = _sublayer(h, lambda t: attend(t, *fused, layer.cross_fused), norms[1], pre)
+        h = _sublayer(h, lambda t: attend(t, *labels, layer.cross_labels), norms[2], pre)
+        h = _sublayer(h, lambda t: attend(t, *graph, layer.cross_graph), norms[3], pre)
         h = _sublayer(h, lambda t: feed_forward(t, layer.ffn), norms[4], pre)
     if cache is not None:
         cache.length += len(ids)
@@ -440,7 +427,7 @@ def generate_greedy(
     m_enh: Tensor,
     dec: DecoderParams,
     table: EmbeddingTable,
-    config: GenerationConfig,
+    max_length: int,
 ) -> list[int]:
     """Argmax decoding (ties break toward the lowest index) until EOS or the cap.
 
@@ -450,7 +437,7 @@ def generate_greedy(
     cache = DecoderCache()
     token = Vocabulary.BOS
     out: list[int] = []
-    while len(out) < config.max_length:
+    while len(out) < max_length:
         logits = decoder_forward([token], x_fused, w_enh, m_enh, dec, table, cache)
         token = int(np.argmax(logits.value[-1]))
         if token == Vocabulary.EOS:
@@ -530,8 +517,7 @@ def prepare_record(
 def encode_record(model: ReportModel, rec: PreparedRecord) -> tuple[Tensor, Tensor, Tensor]:
     """Produce (X', W', M') for one record under the model's ablation mode."""
     views = [project_features(v, model.proj) for v in rec.raw_views]
-    fmap = fuse_views(views[0], views[1] if len(views) > 1 else None, model.spec.fuse_mode)
-    x = fmap.values
+    x = fuse_views(views[0], views[1] if len(views) > 1 else None, model.spec.fuse_mode)
     mode = model.spec.ablation
     if mode in (AblationMode.FULL, AblationMode.DKE):
         w = pool_tag_embeddings(rec.tag_token_ids, model.embed)
@@ -647,13 +633,12 @@ def generate_for_records(
 ) -> list[tuple[str, str]]:
     """Greedy reports for each record, as (id, text) pairs in corpus order."""
     base_labels = fallback_labels(base_graph, fallback)
-    gen = GenerationConfig(model.spec.max_length, model.spec.ablation)
     out = []
     with no_grad():
         for rec in records:
             prep = prepare_record(rec, model.vocab, base_graph, base_labels, model.spec, with_report=False)
             x_fused, w_enh, m_enh = encode_record(model, prep)
-            ids = generate_greedy(x_fused, w_enh, m_enh, model.decoder, model.embed, gen)
+            ids = generate_greedy(x_fused, w_enh, m_enh, model.decoder, model.embed, model.spec.max_length)
             out.append((rec.id, " ".join(model.vocab.decode(ids))))
     return out
 

@@ -13,9 +13,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .attention import EmbeddingTable, MhaParams, embed_tokens, multi_head_attention
+from .attention import EmbeddingTable, embed_tokens
 from .autograd import Tensor, concat_rows, mean_rows
-from .text import Entity, EntitySequence, EntityType, Vocabulary
+from .text import Entity, EntitySequence, EntityType
 
 
 class LabelSource(Enum):
@@ -73,16 +73,3 @@ def pool_tag_embeddings(tag_token_ids: Sequence[Sequence[int]], table: Embedding
             raise ValueError("cannot embed an empty tag")
         rows.append(mean_rows(embed_tokens(ids, table)))
     return concat_rows(rows)
-
-
-def encode_labels(
-    labels: DiseaseTopicLabels, vocab: Vocabulary, table: EmbeddingTable
-) -> Tensor:
-    """m x d tag matrix; multi-word tags are mean-pooled, OOV tokens map to UNK."""
-    return pool_tag_embeddings([vocab.encode(tag.split()) for tag in labels.tags], table)
-
-
-def enhance_visual(x, w: Tensor, params: MhaParams) -> Tensor:
-    """Cross-attention of the visual rows over the tag matrix: same rows as x."""
-    x_t = getattr(x, "values", x)  # accept a FeatureMap or a bare Tensor
-    return multi_head_attention(x_t, w, params)

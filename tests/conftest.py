@@ -1,13 +1,17 @@
 """Shared fixture builders: small corpora with real feature files on disk."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dmdk.attention import MhaParams
+from dmdk.autograd import Tensor
 from dmdk.config import RunConfig, parse_config
 from dmdk.features import save_features
+from dmdk.graph import GcnParams
 
 # Eight short reports built from lexicon vocabulary. The entity lists mirror
 # what the bundled lexicon would produce; some records deliberately yield no
@@ -124,6 +128,18 @@ def make_config(
             "ablation": ablation,
         }
     )
+
+
+def random_mha(d: int, heads: int, rng: np.random.Generator) -> MhaParams:
+    """An attention block of normal(0, 1/sqrt(d)) wq, wk, wv, wo, drawn in that order."""
+    return MhaParams(*(Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, d))) for _ in range(4)), heads)
+
+
+def random_gcn(names, d: int, rng: np.random.Generator, n_layers: int = 2) -> GcnParams:
+    """GCN parameters of normal(0, 1/sqrt(d)) entries: the embeddings, then each layer."""
+    std = 1.0 / math.sqrt(d)
+    emb = Tensor(rng.normal(0.0, std, (len(names) + 1, d)))
+    return GcnParams(list(names), emb, [Tensor(rng.normal(0.0, std, (d, d))) for _ in range(n_layers)])
 
 
 @pytest.fixture

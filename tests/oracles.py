@@ -203,8 +203,8 @@ def oracle_layer_norm(x, gain, bias, eps=1e-5):
 def oracle_gcn_layer(a_hat, h, w):
     """relu((A_hat @ h) @ w) via plain float matmul.
 
-    The package sorts products before summing for bitwise permutation
-    equivariance; plain matmul agrees only to rounding, so comparisons
-    against this oracle use a numeric tolerance.
+    The package sorts the products of A_hat @ h before summing, for bitwise
+    permutation equivariance; a plain matmul there agrees only to rounding, so
+    comparisons against this oracle use a numeric tolerance.
     """
     return np.maximum((a_hat @ h) @ w, 0.0)

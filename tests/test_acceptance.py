@@ -18,12 +18,11 @@ from contextlib import contextmanager, redirect_stdout
 import numpy as np
 import pytest
 
-from dmdk.attention import MhaParams, multi_head_attention
+from dmdk.attention import multi_head_attention
 from dmdk.autograd import Tensor
 from dmdk.cli import main
 from dmdk.config import effective_dict
 from dmdk.graph import (
-    GcnParams,
     build_specific_graph,
     default_base_graph_path,
     entity_names,
@@ -49,6 +48,8 @@ from conftest import (
     OVERFIT_REPORTS,
     build_corpus,
     make_config,
+    random_gcn,
+    random_mha,
 )
 from oracles import oracle_bleu, oracle_cider, oracle_pairs, oracle_rouge, oracle_tags
 
@@ -201,7 +202,7 @@ def test_criterion_3_gradient_check():
         names = [name for name, _ in results]
         assert len(names) == len(set(names))
         for expected in ("proj.weight", "embed.tokens", "gcn.embeddings",
-                         "dec.0.self.h0.wq", "dec.0.ffn.w2", "head.bias"):
+                         "dec.0.self.wq", "dec.0.ffn.w2", "head.bias"):
             assert expected in names
         worst_name, worst = max(results, key=lambda item: item[1])
         print(f"  worst tensor {worst_name}: {worst:.3e}", flush=True)
@@ -277,7 +278,7 @@ def test_criterion_6_graph_invariants():
         types = list(EntityType)
 
         novel = [n for n in names if base.node_index(n) is None]
-        gcn = GcnParams.create(base.names + novel, 8, rng, n_layers=2)
+        gcn = random_gcn(base.names + novel, 8, rng, n_layers=2)
         for _ in range(100):
             seq = [
                 Entity(names[rng.integers(len(names))], types[rng.integers(len(types))])
@@ -338,7 +339,7 @@ def test_criterion_7_determinism(tmp_path):
 def test_criterion_8_fusion_invariances():
     with criterion(8, "raw-weight scale invariance and self-fusion collapse"):
         rng = np.random.default_rng(88)
-        params = MhaParams.create(16, 4, rng)
+        params = random_mha(16, 4, rng)
         x = Tensor(rng.normal(size=(6, 16)))
         w = Tensor(rng.normal(size=(6, 16)))
         m = Tensor(rng.normal(size=(6, 16)))

@@ -32,7 +32,7 @@ def test_byte_layout(tmp_path):
     save_checkpoint(p, [("w", arr)], {"v": 1})
     data = p.read_bytes()
     assert data[:4] == MAGIC == b"DMDK"
-    assert struct.unpack_from("<I", data, 4)[0] == VERSION == 1
+    assert struct.unpack_from("<I", data, 4)[0] == VERSION == 2
     hlen = struct.unpack_from("<Q", data, 8)[0]
     header = json.loads(data[16 : 16 + hlen])
     assert header["meta"] == {"v": 1}

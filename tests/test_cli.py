@@ -185,6 +185,14 @@ def test_train_missing_corpus_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_train_config_setting_paths_lexicon_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"paths": {"base_graph": None, "lexicon": None}}), encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--corpus", tagged_corpus(tmp_path), "--out", "m"])
+    assert code == 2
+    assert "paths.lexicon" in capsys.readouterr().err
+
+
 def test_train_invalid_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": {"d": 10, "heads": 4}}), encoding="utf-8")
@@ -225,6 +233,20 @@ def test_generate_malformed_checkpoint_exits_two(tmp_path, capsys):
     code = main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")])
     assert code == 2
     assert str(ckpt) in capsys.readouterr().err
+
+
+def test_generate_on_a_version_1_checkpoint_exits_two(tmp_path, capsys):
+    corpus = tagged_corpus(tmp_path, n=1)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
+    data = bytearray(ckpt.read_bytes())
+    data[4:8] = (1).to_bytes(4, "little")
+    ckpt.write_bytes(bytes(data))
+    capsys.readouterr()
+    code = main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "per-head attention weights" in err and "retrain" in err
 
 
 # ---------------------------------------------------------------------------

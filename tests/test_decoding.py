@@ -16,7 +16,6 @@ from dmdk.model import (
     AblationMode,
     DecoderCache,
     FusionWeights,
-    GenerationConfig,
     ModelSpec,
     ReportModel,
     decoder_forward,
@@ -58,7 +57,7 @@ def cached_rows(streams, dec, table, ids):
 
 def assert_cached_matches_recompute(streams, dec, table, cap):
     expected, full = recompute_greedy(streams, dec, table, cap)
-    ids = generate_greedy(*streams, dec, table, GenerationConfig(cap))
+    ids = generate_greedy(*streams, dec, table, cap)
     assert ids == expected
     cached = cached_rows(streams, dec, table, ids)[: len(full)]
     assert len(cached) == len(full)

@@ -3,7 +3,6 @@ import pytest
 
 from dmdk.autograd import Tensor
 from dmdk.features import (
-    FeatureMap,
     ProjectionParams,
     fuse_views,
     load_features,
@@ -90,8 +89,9 @@ def test_non_finite_values_rejected(tmp_path):
 
 
 def test_feature_map_needs_a_row():
+    params = ProjectionParams(Tensor(np.ones((4, 2))), Tensor(np.zeros((1, 2))))
     with pytest.raises(ValueError, match="at least one"):
-        FeatureMap(Tensor(np.zeros((0, 4))))
+        project_features(np.zeros((0, 4)), params)
 
 
 def test_projection_is_affine():
@@ -99,12 +99,12 @@ def test_projection_is_affine():
         Tensor(np.array([[1.0, 0.0], [0.0, 2.0]])), Tensor(np.array([[10.0, 20.0]]))
     )
     fm = project_features(np.array([[3.0, 4.0]]), params)
-    assert np.array_equal(fm.values.value, [[13.0, 28.0]])
-    assert fm.tokens == 1 and fm.dim == 2
+    assert np.array_equal(fm.value, [[13.0, 28.0]])
+    assert fm.shape == (1, 2)
 
 
 def test_projection_width_mismatch_rejected():
-    params = ProjectionParams.create(4, 8, RNG)
+    params = ProjectionParams(Tensor(RNG.normal(size=(4, 8))), Tensor(np.zeros((1, 8))))
     with pytest.raises(ValueError, match="feature width 3"):
         project_features(np.zeros((2, 3)), params)
 
@@ -115,41 +115,41 @@ def test_projection_bias_shape_validated():
 
 
 def test_fuse_concat_stacks_rows():
-    a = FeatureMap(Tensor(np.ones((2, 3))))
-    b = FeatureMap(Tensor(np.zeros((1, 3))))
+    a = Tensor(np.ones((2, 3)))
+    b = Tensor(np.zeros((1, 3)))
     out = fuse_views(a, b, "concat")
-    assert out.tokens == 3
-    assert np.array_equal(out.values.value, [[1, 1, 1], [1, 1, 1], [0, 0, 0]])
+    assert out.rows == 3
+    assert np.array_equal(out.value, [[1, 1, 1], [1, 1, 1], [0, 0, 0]])
 
 
 def test_fuse_mean_averages():
-    a = FeatureMap(Tensor(np.full((2, 2), 2.0)))
-    b = FeatureMap(Tensor(np.full((2, 2), 4.0)))
+    a = Tensor(np.full((2, 2), 2.0))
+    b = Tensor(np.full((2, 2), 4.0))
     out = fuse_views(a, b, "mean")
-    assert np.array_equal(out.values.value, np.full((2, 2), 3.0))
+    assert np.array_equal(out.value, np.full((2, 2), 3.0))
 
 
 def test_fuse_single_view_passthrough():
-    a = FeatureMap(Tensor(np.ones((2, 2))))
+    a = Tensor(np.ones((2, 2)))
     assert fuse_views(a, None, "mean") is a
 
 
 def test_fuse_width_mismatch_rejected():
-    a = FeatureMap(Tensor(np.ones((2, 3))))
-    b = FeatureMap(Tensor(np.ones((2, 4))))
+    a = Tensor(np.ones((2, 3)))
+    b = Tensor(np.ones((2, 4)))
     with pytest.raises(ValueError, match="width mismatch"):
         fuse_views(a, b)
 
 
 def test_fuse_mean_rejects_unequal_token_counts():
-    a = FeatureMap(Tensor(np.ones((2, 3))))
-    b = FeatureMap(Tensor(np.ones((3, 3))))
+    a = Tensor(np.ones((2, 3)))
+    b = Tensor(np.ones((3, 3)))
     with pytest.raises(ValueError, match="equal token counts"):
         fuse_views(a, b, "mean")
 
 
 def test_fuse_unknown_mode_rejected():
-    a = FeatureMap(Tensor(np.ones((1, 2))))
+    a = Tensor(np.ones((1, 2)))
     with pytest.raises(ValueError, match="unknown fusion mode"):
         fuse_views(a, a, "max")
 
@@ -157,11 +157,11 @@ def test_fuse_unknown_mode_rejected():
 def test_projection_gradients_flow():
     from dmdk.autograd import finite_diff_grad, parameter_gradients, relative_error, sum_all
 
-    params = ProjectionParams.create(3, 4, RNG)
+    params = ProjectionParams(Tensor(RNG.normal(size=(3, 4))), Tensor(np.zeros((1, 4))))
     raw = RNG.normal(size=(2, 3))
 
     def build():
-        return sum_all(project_features(raw, params).values)
+        return sum_all(project_features(raw, params))
 
     leaves = [params.weight, params.bias]
     grads = parameter_gradients(build(), leaves)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dmdk.attention import MhaParams
+from dmdk.attention import multi_head_attention
 from dmdk.autograd import (
     Tensor,
     finite_diff_grad,
@@ -22,9 +22,7 @@ from dmdk.graph import (
     entity_names,
     export_graph,
     extract_relations,
-    gcn_encode,
     gcn_forward,
-    graph_attend,
     graph_from_dict,
     graph_to_dict,
     load_base_graph,
@@ -33,6 +31,7 @@ from dmdk.graph import (
 from dmdk.text import Entity, EntityType
 from dmdk.topics import DiseaseTopicLabels, LabelSource, anatomy_pairs, extract_topic_labels
 
+from conftest import random_gcn, random_mha
 from oracles import oracle_gcn_layer, oracle_triples
 
 RNG = np.random.default_rng(23)
@@ -263,16 +262,16 @@ def test_normalized_adjacency_three_node_path_closed_form():
 
 
 def test_single_node_gcn_collapses_to_relu_linear():
-    params = GcnParams.create(["only"], 4, RNG, n_layers=1)
+    params = random_gcn(["only"], 4, RNG, n_layers=1)
     g = KnowledgeGraph([GraphNode("only", NodeKind.ROOT)])
-    out = gcn_encode(g, params).value
+    out = gcn_forward(g.names, normalized_adjacency(g.adjacency()), params).value
     h = params.embeddings.value[0]
     expected = np.maximum(h @ params.layers[0].value, 0.0)
     assert np.allclose(out, [expected], atol=1e-12)
 
 
 def test_disconnected_nodes_do_not_mix():
-    params = GcnParams.create(["r", "x"], 3, RNG, n_layers=1)
+    params = random_gcn(["r", "x"], 3, RNG, n_layers=1)
     a_hat = normalized_adjacency(np.zeros((2, 2)))  # identity
     out1 = gcn_forward(["r", "x"], a_hat, params).value
     swapped = GcnParams(
@@ -286,22 +285,22 @@ def test_disconnected_nodes_do_not_mix():
 
 def test_gcn_matches_plain_matmul_oracle():
     g = tiny_graph()
-    params = GcnParams.create(g.names, 4, RNG, n_layers=2)
+    params = random_gcn(g.names, 4, RNG, n_layers=2)
     a_hat = normalized_adjacency(g.adjacency())
     h = params.embeddings.value[:3]
     for w in params.layers:
         h = oracle_gcn_layer(a_hat, h, w.value)
-    assert np.allclose(gcn_encode(g, params).value, h, atol=1e-10)
+    assert np.allclose(gcn_forward(g.names, a_hat, params).value, h, atol=1e-10)
 
 
 def test_gcn_unknown_node_uses_unk_row():
-    params = GcnParams.create(["root", "lung"], 4, RNG, n_layers=1)
+    params = random_gcn(["root", "lung"], 4, RNG, n_layers=1)
     assert params.row_ids(["root", "mystery"]) == [0, params.unk_row]
 
 
 def test_gcn_permutation_equivariance_is_bitwise():
     g = load_base_graph(default_base_graph_path())
-    params = GcnParams.create(g.names, 8, RNG, n_layers=2)
+    params = random_gcn(g.names, 8, RNG, n_layers=2)
     a_hat = normalized_adjacency(g.adjacency())
     out = gcn_forward(g.names, a_hat, params).value
 
@@ -312,13 +311,29 @@ def test_gcn_permutation_equivariance_is_bitwise():
     assert np.array_equal(out_p, out[perm])
 
 
+def test_gcn_permutation_equivariance_is_bitwise_at_full_width():
+    # d = 512 exercises the BLAS kernels a d = 8 graph never reaches
+    rng = np.random.default_rng(512)
+    names = [f"n{i}" for i in range(60)]
+    params = random_gcn(names, 512, rng, n_layers=2)
+    for n in range(2, 61):
+        upper = np.triu(rng.random((n, n)) < 0.15, k=1)
+        adjacency = (upper | upper.T).astype(float)
+        out = gcn_forward(names[:n], normalized_adjacency(adjacency), params).value
+        perm = rng.permutation(n)
+        a_p = normalized_adjacency(adjacency[np.ix_(perm, perm)])
+        out_p = gcn_forward([names[i] for i in perm], a_p, params).value
+        assert np.array_equal(out_p, out[perm]), f"{n} nodes"
+
+
 def test_gcn_gradients_match_finite_differences():
     g = tiny_graph()
-    params = GcnParams.create(g.names, 3, RNG, n_layers=2)
+    params = random_gcn(g.names, 3, RNG, n_layers=2)
     leaves = [params.embeddings] + list(params.layers)
+    a_hat = normalized_adjacency(g.adjacency())
 
     def build():
-        return sum_all(gcn_encode(g, params))
+        return sum_all(gcn_forward(g.names, a_hat, params))
 
     grads = parameter_gradients(build(), leaves)
     numeric = finite_diff_grad(lambda: float(build().value[0, 0]), leaves)
@@ -327,8 +342,8 @@ def test_gcn_gradients_match_finite_differences():
 
 
 def test_graph_attend_single_node_constant_rows():
-    params = MhaParams.create(4, 2, RNG)
+    params = random_mha(4, 2, RNG)
     x = Tensor(RNG.normal(size=(5, 4)))
     m = Tensor(RNG.normal(size=(1, 4)))
-    out = graph_attend(x, m, params).value
+    out = multi_head_attention(x, m, params).value
     assert np.allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from dmdk.attention import MhaParams, multi_head_attention
+from dmdk.attention import multi_head_attention
 from dmdk.autograd import Tensor
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
     AblationMode,
     FusionWeights,
-    GenerationConfig,
     ModelSpec,
     ReportModel,
     DecoderCache,
@@ -27,7 +26,7 @@ from dmdk.model import (
 )
 from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, load_corpus, tokenize
 
-from conftest import build_corpus, make_config
+from conftest import build_corpus, make_config, random_mha
 
 RNG = np.random.default_rng(53)
 
@@ -108,9 +107,9 @@ def test_spec_rejects_indivisible_heads():
         small_spec(d=10, heads=4)
 
 
-def test_generation_config_rejects_nonpositive_cap():
-    with pytest.raises(ValueError):
-        GenerationConfig(0, AblationMode.FULL)
+def test_spec_rejects_nonpositive_max_length():
+    with pytest.raises(ValueError, match="max_length"):
+        small_spec(max_length=0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,9 @@ def test_parameter_count_and_naming():
     assert "proj.weight" in names
     assert "embed.tokens" in names
     assert "gcn.layer1.weight" in names
-    assert "dec.0.self.h0.wq" in names
+    for w in ("wq", "wk", "wv", "wo"):
+        assert f"dec.0.self.{w}" in names
+    assert not any(".h0." in n for n in names)  # one packed block, no per-head tensors
     assert "dec.0.norm4.bias" in names
     assert "head.weight" in names
     assert not any("embed.positions" == n for n in names)  # sinusoidal by default
@@ -186,7 +187,7 @@ def test_model_needs_rng_or_state():
 
 
 def test_fuse_knowledge_shape_mismatch_rejected():
-    params = MhaParams.create(4, 2, RNG)
+    params = random_mha(4, 2, RNG)
     x = Tensor(RNG.normal(size=(3, 4)))
     w = Tensor(RNG.normal(size=(2, 4)))
     with pytest.raises(ValueError, match="share a shape"):
@@ -195,7 +196,7 @@ def test_fuse_knowledge_shape_mismatch_rejected():
 
 def test_fuse_knowledge_self_collapse_matches_plain_attention():
     # when both enhanced streams equal X the mix is exactly X again
-    params = MhaParams.create(8, 2, RNG)
+    params = random_mha(8, 2, RNG)
     x = Tensor(RNG.normal(size=(5, 8)))
     fused = fuse_knowledge(x, x, x, FusionWeights.from_raw(2.0, 3.0, 7.0), params)
     plain = multi_head_attention(x, x, params)
@@ -203,7 +204,7 @@ def test_fuse_knowledge_self_collapse_matches_plain_attention():
 
 
 def test_fuse_knowledge_raw_scale_invariance_end_to_end():
-    params = MhaParams.create(8, 2, RNG)
+    params = random_mha(8, 2, RNG)
     x = Tensor(RNG.normal(size=(4, 8)))
     w = Tensor(RNG.normal(size=(4, 8)))
     m = Tensor(RNG.normal(size=(4, 8)))
@@ -260,9 +261,7 @@ def test_greedy_respects_cap_and_strips_specials():
     model = small_model()
     x, w, m = fixture_streams(model)
     for cap in (1, 3, 8):
-        ids = generate_greedy(
-            x, w, m, model.decoder, model.embed, GenerationConfig(cap, AblationMode.FULL)
-        )
+        ids = generate_greedy(x, w, m, model.decoder, model.embed, cap)
         assert len(ids) <= cap
         assert Vocabulary.BOS not in ids and Vocabulary.EOS not in ids
 
@@ -270,9 +269,8 @@ def test_greedy_respects_cap_and_strips_specials():
 def test_greedy_is_deterministic():
     model = small_model()
     x, w, m = fixture_streams(model)
-    cfg = GenerationConfig(8, AblationMode.FULL)
-    a = generate_greedy(x, w, m, model.decoder, model.embed, cfg)
-    b = generate_greedy(x, w, m, model.decoder, model.embed, cfg)
+    a = generate_greedy(x, w, m, model.decoder, model.embed, 8)
+    b = generate_greedy(x, w, m, model.decoder, model.embed, 8)
     assert a == b
 
 

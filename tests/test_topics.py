@@ -3,19 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from dmdk.attention import EmbeddingTable, MhaParams, scaled_dot_attention, sinusoidal_encoding
-from dmdk.autograd import Tensor
+from dmdk.attention import EmbeddingTable, heads_attention, multi_head_attention, project_kv, sinusoidal_encoding
+from dmdk.autograd import Tensor, matmul
 from dmdk.text import Entity, EntityType, Vocabulary
 from dmdk.topics import (
     DiseaseTopicLabels,
     LabelSource,
     anatomy_pairs,
-    encode_labels,
-    enhance_visual,
     extract_topic_labels,
     pool_tag_embeddings,
 )
 
+from conftest import random_mha
 from oracles import oracle_pairs, oracle_tags
 
 RNG = np.random.default_rng(13)
@@ -111,11 +110,20 @@ def make_vocab():
     return Vocabulary.build([["heart", "cardiomegaly", "left", "lung"] * 2], min_freq=1)
 
 
+def make_table(vocab_size, d):
+    return EmbeddingTable(Tensor(RNG.normal(0.0, 1.0 / np.sqrt(d), (vocab_size, d))))
+
+
+def tag_ids(labels, vocab):
+    """Token ids per tag, as ``prepare_record`` encodes them."""
+    return [vocab.encode(tag.split()) for tag in labels.tags]
+
+
 def test_single_tag_embeds_to_its_token_row_plus_position_zero():
     vocab = make_vocab()
-    table = EmbeddingTable.create(len(vocab), 6, RNG)
+    table = make_table(len(vocab), 6)
     labels = DiseaseTopicLabels(["heart"], LabelSource.DYNAMIC)
-    out = encode_labels(labels, vocab, table).value
+    out = pool_tag_embeddings(tag_ids(labels, vocab), table).value
     tid = vocab.encode(["heart"])[0]
     expected = table.rows.value[tid] + sinusoidal_encoding(1, 6)[0]
     assert np.allclose(out, [expected], atol=1e-12)
@@ -123,7 +131,7 @@ def test_single_tag_embeds_to_its_token_row_plus_position_zero():
 
 def test_multi_word_tag_mean_pools_its_rows():
     vocab = make_vocab()
-    table = EmbeddingTable.create(len(vocab), 4, RNG)
+    table = make_table(len(vocab), 4)
     ids = vocab.encode(["left", "lung"])
     out = pool_tag_embeddings([ids], table).value
     rows = table.rows.value[ids] + sinusoidal_encoding(2, 4)
@@ -132,22 +140,22 @@ def test_multi_word_tag_mean_pools_its_rows():
 
 def test_label_matrix_shape_is_tags_by_d():
     vocab = make_vocab()
-    table = EmbeddingTable.create(len(vocab), 4, RNG)
+    table = make_table(len(vocab), 4)
     labels = DiseaseTopicLabels(["heart", "left lung", "cardiomegaly"], LabelSource.DYNAMIC)
-    assert encode_labels(labels, vocab, table).shape == (3, 4)
+    assert pool_tag_embeddings(tag_ids(labels, vocab), table).shape == (3, 4)
 
 
 def test_oov_tag_tokens_map_to_unk():
     vocab = make_vocab()
-    table = EmbeddingTable.create(len(vocab), 4, RNG)
+    table = make_table(len(vocab), 4)
     labels = DiseaseTopicLabels(["zzz"], LabelSource.DYNAMIC)
-    out = encode_labels(labels, vocab, table).value
+    out = pool_tag_embeddings(tag_ids(labels, vocab), table).value
     unk = table.rows.value[Vocabulary.UNK] + sinusoidal_encoding(1, 4)[0]
     assert np.allclose(out, [unk], atol=1e-12)
 
 
 def test_empty_tag_rejected():
-    table = EmbeddingTable.create(8, 4, RNG)
+    table = make_table(8, 4)
     with pytest.raises(ValueError):
         pool_tag_embeddings([[]], table)
     with pytest.raises(ValueError):
@@ -157,27 +165,28 @@ def test_empty_tag_rejected():
 def test_single_tag_enhancement_is_constant_rows():
     # with one key row, every pre-projection attention row is that value row,
     # so the mixed output rows are all identical
-    params = MhaParams.create(4, 2, RNG)
+    params = random_mha(4, 2, RNG)
     x = Tensor(RNG.normal(size=(5, 4)))
     w = Tensor(RNG.normal(size=(1, 4)))
-    out = enhance_visual(x, w, params).value
+    out = multi_head_attention(x, w, params).value
     assert np.allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)
 
 
 def test_enhancement_shape_independent_of_tag_count():
-    params = MhaParams.create(4, 2, RNG)
+    params = random_mha(4, 2, RNG)
     x = Tensor(RNG.normal(size=(5, 4)))
     for m in (1, 3, 9):
         w = Tensor(RNG.normal(size=(m, 4)))
-        assert enhance_visual(x, w, params).shape == (5, 4)
+        assert multi_head_attention(x, w, params).shape == (5, 4)
 
 
 def test_enhancement_rows_in_projected_tag_hull_per_head():
-    params = MhaParams.create(4, 1, RNG)
-    head = params.heads[0]
+    # before wo, every column belongs to one head and mixes that column of w @ wv
+    params = random_mha(4, 2, RNG)
     x = Tensor(RNG.normal(size=(3, 4)))
     w = Tensor(RNG.normal(size=(4, 4)))
-    pre = scaled_dot_attention(x, w, head).value
-    projected = w.value @ head.wv.value
+    k, v = project_kv(w, params)
+    pre = heads_attention(matmul(x, params.wq), k, v, params.heads).value
+    projected = v.value
     assert (pre <= projected.max(axis=0) + 1e-12).all()
     assert (pre >= projected.min(axis=0) - 1e-12).all()
