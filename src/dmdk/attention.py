@@ -13,6 +13,12 @@ Attention is two steps: ``project_kv`` projects the keys and values of ``y``,
 and ``attend`` attends queries from ``x`` over them, causally from a position
 offset if asked. Incremental decoding projects a memory once and attends over
 it at every step; ``multi_head_attention`` runs the two steps back to back.
+
+A training batch packs its records' rows into one matrix, records stacked in
+order. ``Spans`` gives each record's query and key row counts: attention then
+runs per record inside the one autograd node, so no record sees another's
+rows and no batch-sized mask is ever built. ``embed_tokens`` restarts the
+positions for each span in the same way.
 """
 
 from __future__ import annotations
@@ -20,10 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
 
 from .autograd import NonFiniteError, Tensor, add, embedding, matmul, relu
+
+# Query and key row counts of each record of a packed batch, records in order.
+Spans = tuple[Sequence[int], Sequence[int]]
 
 # Finite stand-in for -inf: keeps every tensor finite while exp() underflows
 # masked scores to exactly 0 after max subtraction.
@@ -100,30 +110,56 @@ def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, offset: int | No
     return e / e.sum(axis=2, keepdims=True)
 
 
-def heads_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int | None = None) -> Tensor:
+def _span_bounds(spans: Spans | None, q_rows: int, k_rows: int) -> list[tuple[int, int, int, int]]:
+    """(query start, query stop, key start, key stop) of each record."""
+    if spans is None:
+        return [(0, q_rows, 0, k_rows)]
+    qs, ks = spans
+    if len(qs) != len(ks) or sum(qs) != q_rows or sum(ks) != k_rows or min(*qs, *ks) < 1:
+        raise ValueError(
+            f"spans {list(qs)} and {list(ks)} do not split {q_rows} query and {k_rows} key rows"
+        )
+    q_ends, k_ends = list(accumulate(qs)), list(accumulate(ks))
+    return [(qe - qn, qe, ke - kn, ke) for qn, qe, kn, ke in zip(qs, q_ends, ks, k_ends)]
+
+
+def _join_records(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """heads x rows x d_n blocks of consecutive records, stacked along the rows."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def heads_attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int | None = None, spans: Spans | None = None
+) -> Tensor:
     """Every head's softmax(q_h k_h^T / sqrt(d_n)) v_h as one autograd node.
 
     ``q``, ``k`` and ``v`` are packed (head h in columns h*d_n .. (h+1)*d_n - 1);
     the output holds the heads' results in the same column order. ``offset``
-    is as in ``attention_weights``.
+    is as in ``attention_weights``. With ``spans`` the rows are records stacked
+    in order: each record's queries attend its own keys only, causally from
+    ``offset`` within the record when one is given.
     """
     if v.shape != k.shape:
         raise ValueError(f"keys {k.shape} and values {v.shape} must share a shape")
-    w = attention_weights(q.value, k.value, heads, offset)
-    qh, kh, vh = (_split_heads(t.value, heads) for t in (q, k, v))
+    bounds = _span_bounds(spans, q.rows, k.rows)
+    qh, kh, vh = _split_heads(q.value, heads), _split_heads(k.value, heads), _split_heads(v.value, heads)
     c = 1.0 / math.sqrt(q.cols // heads)
+    weights, out = [], []
+    for qa, qb, ka, kb in bounds:
+        weights.append(attention_weights(q.value[qa:qb], k.value[ka:kb], heads, offset))
+        out.append(weights[-1] @ vh[:, ka:kb])
 
     def grad_fn(g: np.ndarray):
         gh = _split_heads(g, heads)
-        dw = gh @ vh.transpose(0, 2, 1)
-        ds = (dw - (dw * w).sum(axis=2, keepdims=True)) * w * c
-        return (
-            _merge_heads(ds @ kh),
-            _merge_heads(ds.transpose(0, 2, 1) @ qh),
-            _merge_heads(w.transpose(0, 2, 1) @ gh),
-        )
+        parts = []  # (dq, dk, dv) of each record; the records tile the rows in order
+        for w, (qa, qb, ka, kb) in zip(weights, bounds):
+            g_r, k_r, v_r = gh[:, qa:qb], kh[:, ka:kb], vh[:, ka:kb]
+            dw = g_r @ v_r.transpose(0, 2, 1)
+            ds = (dw - (dw * w).sum(axis=2, keepdims=True)) * w * c
+            parts.append((ds @ k_r, ds.transpose(0, 2, 1) @ qh[:, qa:qb], w.transpose(0, 2, 1) @ g_r))
+        return tuple(_merge_heads(_join_records(d)) for d in zip(*parts))
 
-    return Tensor(_merge_heads(w @ vh), (q, k, v), grad_fn)
+    return Tensor(_merge_heads(_join_records(out)), (q, k, v), grad_fn)
 
 
 def project_kv(y: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
@@ -131,17 +167,23 @@ def project_kv(y: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
     return matmul(y, params.wk), matmul(y, params.wv)
 
 
-def attend(x: Tensor, k: Tensor, v: Tensor, params: MhaParams, offset: int | None = None) -> Tensor:
+def attend(
+    x: Tensor, k: Tensor, v: Tensor, params: MhaParams, offset: int | None = None, spans: Spans | None = None
+) -> Tensor:
     """Multi-head attention of queries projected from ``x`` over packed keys
-    and values from ``project_kv``; ``offset`` is as in ``attention_weights``."""
+    and values from ``project_kv``; ``offset`` and ``spans`` are as in
+    ``heads_attention``."""
     q = matmul(x, params.wq)
-    return matmul(heads_attention(q, k, v, params.heads, offset), params.wo)
+    return matmul(heads_attention(q, k, v, params.heads, offset, spans), params.wo)
 
 
-def multi_head_attention(x: Tensor, y: Tensor, params: MhaParams, causal: bool = False) -> Tensor:
+def multi_head_attention(
+    x: Tensor, y: Tensor, params: MhaParams, causal: bool = False, spans: Spans | None = None
+) -> Tensor:
     """Queries from ``x``, keys and values from ``y``; causal masks position i
-    from every key after i, so ``x`` and ``y`` must have equal lengths."""
-    return attend(x, *project_kv(y, params), params, 0 if causal else None)
+    from every key after i, so ``x`` and ``y`` must have equal lengths (per
+    record, with ``spans``)."""
+    return attend(x, *project_kv(y, params), params, 0 if causal else None, spans)
 
 
 @dataclass
@@ -206,23 +248,33 @@ class EmbeddingTable:
         return self.rows.cols
 
 
-def embed_tokens(ids: Sequence[int], table: EmbeddingTable, start: int = 0) -> Tensor:
+def embed_tokens(
+    ids: Sequence[int], table: EmbeddingTable, start: int = 0, spans: Sequence[int] | None = None
+) -> Tensor:
     """len(ids) x d matrix of token embedding + the encoding of positions
-    start, start + 1, ..."""
+    start, start + 1, ...; with ``spans`` (row counts summing to len(ids))
+    the positions restart at ``start`` for each span."""
     tok = embedding(table.rows, ids)
-    n = len(tok.value)
+    n = tok.rows
     if n == 0:
         return tok
     if start < 0:
         raise ValueError(f"start position must be >= 0, got {start}")
-    stop = start + n
+    if spans is None:
+        stop, index = start + n, slice(start, start + n)
+    else:
+        spans = np.asarray(spans, dtype=np.intp)
+        if spans.sum() != n or spans.min() < 1:
+            raise ValueError(f"spans {spans.tolist()} do not split {n} tokens")
+        stop = start + int(spans.max())
+        index = np.arange(n) - np.repeat(np.cumsum(spans) - spans, spans) + start
     if table.positions is None:
-        pos = Tensor(sinusoidal_rows(start, stop, table.dim))
+        pos = Tensor(sinusoidal_rows(0, stop, table.dim)[index])
     else:
         if stop > table.positions.rows:
             raise ValueError(
                 f"sequence length {stop} exceeds learned positional table "
                 f"({table.positions.rows} rows)"
             )
-        pos = embedding(table.positions, range(start, stop))
+        pos = embedding(table.positions, np.arange(stop)[index])
     return add(tok, pos)

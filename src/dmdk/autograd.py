@@ -3,9 +3,14 @@
 Every quantity in this package is a 2-D float64 array wrapped in a
 :class:`Tensor` node. Ops build a DAG as a side effect of the forward pass;
 ``backward`` walks it once in reverse topological order, accumulating
-gradients additively across fan-out. Inside ``no_grad()`` ops compute the
-same values but keep no graph, for inference. ``finite_diff_grad`` is the
+gradients additively across fan-out and dropping each interior gradient once
+it has reached the node's parents. Inside ``no_grad()`` ops compute the same
+values but keep no graph, for inference. ``finite_diff_grad`` is the
 independent central-difference estimator used to audit every backward rule.
+
+``SparseRows`` holds a constant sparse matrix as a Tensor of its nonzero
+entries; ``canonical_matmul`` multiplies it into a tensor, summing each output
+entry's products in value-sorted order.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 __all__ = [
     "Adam",
     "NonFiniteError",
+    "SparseRows",
     "Tensor",
     "add",
     "backward",
@@ -31,7 +37,6 @@ __all__ = [
     "finite_diff_grad",
     "layer_norm",
     "matmul",
-    "mean_rows",
     "mul",
     "no_grad",
     "parameter_gradients",
@@ -65,6 +70,9 @@ def no_grad() -> Iterator[None]:
         _grad_enabled.reset(token)
 
 
+_all_true = np.logical_and.reduce  # ndarray.all without its Python-level wrapper
+
+
 def _as_matrix(value) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
@@ -79,7 +87,7 @@ def _as_matrix(value) -> np.ndarray:
 class Tensor:
     """One node of the computation graph holding a rows x cols float64 matrix."""
 
-    __slots__ = ("value", "grad", "_parents", "_grad_fn")
+    __slots__ = ("value", "_parents", "_grad_fn")
 
     def __init__(
         self,
@@ -88,9 +96,8 @@ class Tensor:
         _grad_fn: Callable[[np.ndarray], tuple] | None = None,
     ):
         self.value = _as_matrix(value)
-        if not np.isfinite(self.value).all():
+        if not _all_true(np.isfinite(self.value), axis=None):
             raise NonFiniteError("tensor contains non-finite values")
-        self.grad: np.ndarray | None = None
         if _grad_enabled.get():
             self._parents = _parents
             self._grad_fn = _grad_fn
@@ -144,11 +151,10 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     grads: dict[int, np.ndarray] = {id(output): np.ones((1, 1))}
     by_id: dict[int, Tensor] = {id(n): n for n in order}
     for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        node.grad = g
         if node._grad_fn is None:
+            continue  # a leaf keeps its gradient for the caller
+        g = grads.pop(id(node), None)
+        if g is None:
             continue
         for parent, pg in zip(node._parents, node._grad_fn(g)):
             if pg is None:
@@ -182,25 +188,79 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(av @ bv, (a, b), grad_fn)
 
 
-def canonical_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matmul whose contraction sums addends in value-sorted order.
+class SparseRows(Tensor):
+    """A constant ``n_rows`` x ``n_cols`` sparse matrix: a Tensor of its
+    nonzero entries, one per row (so ``rows * cols`` products are formed per
+    column of the right operand of ``canonical_matmul``).
 
-    The result depends only on the multiset of products per output entry, so
-    permuting the contraction axis (e.g. relabeling graph nodes) leaves the
-    output bitwise unchanged. Costs an n*k*m intermediate, so use it only where
-    the contraction axis can be permuted: the GCN's ``A_hat @ H``.
+    Rows are grouped by their entry count, which makes each group one dense
+    gather; the transpose is grouped the same way for the gradient.
     """
-    if a.cols != b.rows:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    av, bv = a.value, b.value
-    prod = av[:, :, None] * bv[None, :, :]
-    prod.sort(axis=1)
-    out = prod.sum(axis=1)
+
+    __slots__ = ("n_rows", "n_cols", "groups", "t_groups")
+
+    def __init__(self, row: np.ndarray, col: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
+        n, m = shape
+        super().__init__(vals.reshape(-1, 1))
+        self.n_rows, self.n_cols = n, m
+        self.groups = _groups_by_count(row, col, self.value[:, 0], n)
+        self.t_groups = _groups_by_count(col, row, self.value[:, 0], m)
+
+    @classmethod
+    def block_diagonal(cls, blocks: Sequence[np.ndarray]) -> "SparseRows":
+        """The nonzero entries of dense ``blocks`` placed along the diagonal."""
+        at = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0)
+        entries = [np.nonzero(b) for b in blocks]
+        return cls(
+            np.concatenate([i + r for (i, _), (r, _) in zip(entries, at)]),
+            np.concatenate([j + c for (_, j), (_, c) in zip(entries, at)]),
+            np.concatenate([b[e] for b, e in zip(blocks, entries)]),
+            tuple(at[-1]),
+        )
+
+
+def _groups_by_count(row, col, vals, n: int) -> list:
+    """(rows, their entries' columns, their values) for each entry count."""
+    order = np.lexsort((col, row))
+    col, vals = col[order], vals[order]
+    counts = np.bincount(row, minlength=n)
+    starts = np.cumsum(counts) - counts
+    groups = []
+    for c in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == c)
+        entries = starts[rows][:, None] + np.arange(c)
+        groups.append((rows, col[entries], vals[entries][:, :, None]))
+    return groups
+
+
+def _sparse_product(groups: list, n: int, h: np.ndarray, sort: bool) -> np.ndarray:
+    out = np.zeros((n, h.shape[1]))
+    for rows, cols, vals in groups:
+        prod = vals * h[cols]
+        if sort and prod.shape[1] > 2:  # two addends sum alike in either order
+            prod.sort(axis=1)
+        out[rows] = prod.sum(axis=1)
+    return out
+
+
+def canonical_matmul(a: SparseRows, h: Tensor) -> Tensor:
+    """``a @ h`` for a constant sparse ``a``, summing addends in value-sorted order.
+
+    Each output entry sums its row's products sorted by value, so it depends
+    only on the multiset of those products: permuting the rows of ``h`` along
+    with the columns of ``a`` (relabeling graph nodes) leaves the result
+    bitwise unchanged. Only each row's own entries are sorted, yet on rows
+    with an entry the result equals sorting and summing all of a dense row's
+    products, zeros included, bit for bit whenever ``h`` holds no -0.0.
+    Only ``h`` gets a gradient.
+    """
+    if a.n_cols != h.rows:
+        raise ValueError(f"canonical_matmul shape mismatch: {a.n_rows}x{a.n_cols} sparse x {h.shape}")
 
     def grad_fn(g: np.ndarray):
-        return g @ bv.T, av.T @ g
+        return (_sparse_product(a.t_groups, a.n_cols, g, sort=False),)
 
-    return Tensor(out, (a, b), grad_fn)
+    return Tensor(_sparse_product(a.groups, a.n_rows, h.value, sort=True), (h,), grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -329,17 +389,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return Tensor(np.concatenate([p.value for p in parts], axis=1), tuple(parts), grad_fn)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    if a.rows == 0:
-        raise ValueError("mean_rows of an empty matrix")
-    n = a.rows
-
-    def grad_fn(g: np.ndarray):
-        return (np.broadcast_to(g / n, (n, g.shape[1])).copy(),)
-
-    return Tensor(a.value.mean(axis=0, keepdims=True), (a,), grad_fn)
-
-
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
 
@@ -366,28 +415,35 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     return Tensor(out, (table,), grad_fn)
 
 
-def cross_entropy_logits(logits: Tensor, targets: Sequence[int]) -> Tensor:
-    """Mean negative log-likelihood of ``targets`` under row-wise softmax(logits)."""
-    targets = [int(t) for t in targets]
+def cross_entropy_logits(
+    logits: Tensor, targets: Sequence[int], weights: Sequence[float] | None = None
+) -> Tensor:
+    """Sum over rows of weights[i] times row i's negative log-likelihood of
+    targets[i] under softmax(logits); the weights default to 1/rows, a mean."""
     n = logits.rows
-    if n == 0 or len(targets) != n:
-        raise ValueError(f"cross entropy needs one target per row: {n} rows, {len(targets)} targets")
-    for t in targets:
-        if not 0 <= t < logits.cols:
-            raise ValueError(f"target index {t} out of range [0, {logits.cols})")
+    targets = np.asarray(targets, dtype=np.intp).reshape(-1)
+    w = np.full(n, 1.0 / max(n, 1)) if weights is None else np.asarray(weights, dtype=np.float64)
+    if n == 0 or len(targets) != n or len(w) != n:
+        raise ValueError(
+            f"cross entropy needs one target and weight per row: {n} rows, "
+            f"{len(targets)} targets, {len(w)} weights"
+        )
+    bad = (targets < 0) | (targets >= logits.cols)
+    if bad.any():
+        raise ValueError(f"target index {targets[bad][0]} out of range [0, {logits.cols})")
+    w = w.reshape(-1, 1)
     v = logits.value
     m = v.max(axis=1, keepdims=True)
     z = v - m
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True)) + m
-    gold = v[np.arange(n), targets][:, None]
     idx = np.arange(n)
 
     def grad_fn(g: np.ndarray):
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         p[idx, targets] -= 1.0
-        return (g[0, 0] * p / n,)
+        return (g[0, 0] * w * p,)
 
-    return Tensor([[float((lse - gold).mean())]], (logits,), grad_fn)
+    return Tensor([[float(((lse - v[idx, targets][:, None]) * w).sum())]], (logits,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +477,9 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = {name: np.zeros_like(p.value) for name, p in self.params}
-        self._v = {name: np.zeros_like(p.value) for name, p in self.params}
+        # np.zeros maps untouched pages; zeros_like would write every page up front
+        self._m = {name: np.zeros(p.value.shape) for name, p in self.params}
+        self._v = {name: np.zeros(p.value.shape) for name, p in self.params}
 
     def step(self, grads: Mapping[Tensor, np.ndarray]) -> None:
         self.t += 1

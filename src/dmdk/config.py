@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 
 @dataclass
@@ -73,29 +74,17 @@ class RunConfig:
     ablation: str = "full"
 
 
-_FIELD_TYPES: dict[str, type | tuple] = {
-    "model.d": int,
-    "model.heads": int,
-    "model.decoder_layers": int,
-    "model.gcn_layers": int,
-    "model.ffn_multiplier": int,
-    "model.positional": str,
-    "model.pre_norm": bool,
-    "fusion.lambda1": float,
-    "fusion.lambda2": float,
-    "fusion.lambda3": float,
-    "train.lr": float,
-    "train.batch": int,
-    "train.weight_decay": float,
-    "train.epochs": int,
-    "train.seed": int,
-    "train.min_freq": int,
-    "decode.max_length": int,
-    "paths.base_graph": (str, type(None)),
-    "labels.fallback": str,
-    "features.fuse": str,
-    "ablation": str,
-}
+def _field_types() -> dict[str, object]:
+    """Dotted "section.key" (and the top-level "ablation") -> annotated type."""
+    out: dict[str, object] = {"ablation": str}
+    for section in fields(RunConfig):
+        if section.name != "ablation":
+            for key, hint in get_type_hints(section.default_factory).items():
+                out[f"{section.name}.{key}"] = hint
+    return out
+
+
+_FIELD_TYPES = _field_types()
 
 
 def _checked(name: str, value):
@@ -131,15 +120,7 @@ def parse_config(obj: dict) -> RunConfig:
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
     run = RunConfig()
-    sections = {
-        "model": run.model,
-        "fusion": run.fusion,
-        "train": run.train,
-        "decode": run.decode,
-        "paths": run.paths,
-        "labels": run.labels,
-        "features": run.features,
-    }
+    sections = {f.name: getattr(run, f.name) for f in fields(run) if f.name != "ablation"}
     for key, value in obj.items():
         if key == "ablation":
             run.ablation = _checked("ablation", value)
@@ -212,32 +193,4 @@ def load_config(path: str | Path) -> RunConfig:
 
 def effective_dict(run: RunConfig) -> dict:
     """The fully resolved configuration (input plus defaults), round-trippable."""
-    return {
-        "model": {
-            "d": run.model.d,
-            "heads": run.model.heads,
-            "decoder_layers": run.model.decoder_layers,
-            "gcn_layers": run.model.gcn_layers,
-            "ffn_multiplier": run.model.ffn_multiplier,
-            "positional": run.model.positional,
-            "pre_norm": run.model.pre_norm,
-        },
-        "fusion": {
-            "lambda1": run.fusion.lambda1,
-            "lambda2": run.fusion.lambda2,
-            "lambda3": run.fusion.lambda3,
-        },
-        "train": {
-            "lr": run.train.lr,
-            "batch": run.train.batch,
-            "weight_decay": run.train.weight_decay,
-            "epochs": run.train.epochs,
-            "seed": run.train.seed,
-            "min_freq": run.train.min_freq,
-        },
-        "decode": {"max_length": run.decode.max_length},
-        "paths": {"base_graph": run.paths.base_graph},
-        "labels": {"fallback": run.labels.fallback},
-        "features": {"fuse": run.features.fuse},
-        "ablation": run.ablation,
-    }
+    return asdict(run)

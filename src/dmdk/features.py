@@ -18,19 +18,32 @@ FMAT_MAGIC = "FMAT"
 FMAT_VERSION = "v1"
 
 
+def _read_header(fh, path: Path) -> tuple[int, int]:
+    """Rows and columns from the header line `FMAT v1 <rows> <cols>`."""
+    header = fh.readline().split()
+    if len(header) != 4 or header[0] != FMAT_MAGIC or header[1] != FMAT_VERSION:
+        raise ValueError(f"{path}: expected header 'FMAT v1 <rows> <cols>'")
+    try:
+        rows, cols = int(header[2]), int(header[3])
+    except ValueError:
+        raise ValueError(f"{path}: non-integer dimensions in header") from None
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: dimensions must be positive, got {rows}x{cols}")
+    return rows, cols
+
+
+def feature_width(path: str | Path) -> int:
+    """The column count an FMAT file's header declares; the rows are not read."""
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        return _read_header(fh, path)[1]
+
+
 def load_features(path: str | Path) -> np.ndarray:
     """Read an FMAT v1 file: header `FMAT v1 <rows> <cols>`, then the rows."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != FMAT_MAGIC or header[1] != FMAT_VERSION:
-            raise ValueError(f"{path}: expected header 'FMAT v1 <rows> <cols>'")
-        try:
-            rows, cols = int(header[2]), int(header[3])
-        except ValueError:
-            raise ValueError(f"{path}: non-integer dimensions in header") from None
-        if rows < 1 or cols < 1:
-            raise ValueError(f"{path}: dimensions must be positive, got {rows}x{cols}")
+        rows, cols = _read_header(fh, path)
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if len(lines) != rows:
         raise ValueError(f"{path}: header promises {rows} rows, file has {len(lines)}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor, canonical_matmul, embedding, matmul, relu
+from .autograd import SparseRows, Tensor, canonical_matmul, embedding, matmul, relu
 from .text import Entity, EntityType
 from .topics import DiseaseTopicLabels, anatomy_pairs
 
@@ -322,17 +322,22 @@ class GcnParams:
         return [self._row.get(n, self.unk_row) for n in names]
 
 
-def gcn_forward(node_names: Sequence[str], a_hat: np.ndarray, params: GcnParams) -> Tensor:
+def gcn_forward(
+    node_names: Sequence[str], a_hat: np.ndarray | SparseRows, params: GcnParams
+) -> Tensor:
     """L rounds of ReLU(A_hat H W), bitwise equivariant under node relabeling.
 
-    ``A_hat @ H`` sums over the node axis, so it takes ``canonical_matmul``,
-    whose sum does not depend on the node order. ``H @ W`` sums over the
-    feature axis: each output row comes from its own input row only, so a
-    plain matmul permutes along with the rows (tests pin this bit for bit at
-    d = 512 for up to 60 nodes).
+    ``a_hat`` is one graph's dense normalized adjacency, or a batch's graphs as
+    one block-diagonal ``SparseRows`` over their nodes stacked in order; no
+    node mixes with another graph's. ``A_hat @ H`` sums over the node axis, so
+    it takes ``canonical_matmul``, whose sum does not depend on the node order.
+    ``H @ W`` sums over the feature axis: each output row comes from its own
+    input row only, so a plain matmul permutes along with the rows (tests pin
+    this bit for bit at d = 512 for up to 60 nodes).
     """
+    if isinstance(a_hat, np.ndarray):
+        a_hat = SparseRows.block_diagonal([a_hat])
     h = embedding(params.embeddings, params.row_ids(node_names))
-    a = Tensor(a_hat)
     for w in params.layers:
-        h = relu(matmul(canonical_matmul(a, h), w))
+        h = relu(matmul(canonical_matmul(a_hat, h), w))
     return h

@@ -14,15 +14,14 @@ Conventions, all deliberate:
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .text import tokenize
+from .text import read_json_lines, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -211,20 +210,7 @@ class MetricReport:
     samples: list[SampleScores]
 
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "rouge_l": self.rouge_l,
-            "cider": self.cider,
-            "samples": [
-                {
-                    "id": s.id,
-                    "bleu4_smoothed": s.bleu4_smoothed,
-                    "rouge_l": s.rouge_l,
-                    "cider": s.cider,
-                }
-                for s in self.samples
-            ],
-        }
+        return asdict(self)
 
     def table(self) -> str:
         lines = []
@@ -245,30 +231,14 @@ class MetricReport:
 
 def _load_pairs(path: str | Path, role: str) -> dict[str, str]:
     """JSON-lines of {id, text}; empty text is rejected with its id."""
-    path = Path(path)
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{where}: malformed JSON: {e}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where}: each line must be a JSON object")
-            rid = obj.get("id")
-            if not isinstance(rid, str) or not rid:
-                raise ValueError(f"{where}: missing required field 'id'")
-            if rid in out:
-                raise ValueError(f"{where}: duplicate {role} id {rid!r}")
-            text = obj.get("text")
-            if not isinstance(text, str):
-                raise ValueError(f"{where}: missing required field 'text'")
-            if not text.strip():
-                raise ValueError(f"{where}: empty {role} text for id {rid!r}")
-            out[rid] = text
+    for where, rid, obj in read_json_lines(path, role):
+        text = obj.get("text")
+        if not isinstance(text, str):
+            raise ValueError(f"{where}: missing required field 'text'")
+        if not text.strip():
+            raise ValueError(f"{where}: empty {role} text for id {rid!r}")
+        out[rid] = text
     if not out:
         raise ValueError(f"{path}: no {role} records")
     return out

@@ -10,11 +10,15 @@ Every attention block (label, graph and fusion attention, and four per decoder
 layer) is one packed ``MhaParams``: d x d tensors ``<block>.wq``, ``.wk``,
 ``.wv`` and ``.wo``, with all heads attended in one autograd node.
 
-Training and greedy decoding share ``decoder_forward``. Training feeds the
-whole sequence at once. Decoding runs under ``no_grad`` and feeds one token
-per step through a ``DecoderCache``: the packed cross-attention keys and values
-over X', W' and M' are projected once per record and layer, and each layer's
-self-attention keys and values grow by one row per token.
+Training and greedy decoding share ``encode_batch`` and ``decoder_forward``.
+Training runs one forward per batch: the records' visual rows, tags, graph
+nodes and tokens are each stacked in record order, the graphs form one
+block-diagonal sparse adjacency, and every attention block attends within
+each record's rows (``attention.Spans``). Decoding encodes a batch of one
+record, runs under ``no_grad`` and feeds one token per step through a
+``DecoderCache``: the packed cross-attention keys and values over X', W' and
+M' are projected once per record and layer, and each layer's self-attention
+keys and values grow by one row per token.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 from .autograd import (
     Adam,
     NonFiniteError,
+    SparseRows,
     Tensor,
     add,
     cross_entropy_logits,
@@ -46,13 +51,14 @@ from .attention import (
     EmbeddingTable,
     FfnParams,
     MhaParams,
+    Spans,
     attend,
     embed_tokens,
     feed_forward,
     multi_head_attention,
     project_kv,
 )
-from .features import ProjectionParams, fuse_views, load_features, project_features
+from .features import ProjectionParams, feature_width, fuse_views, load_features, project_features
 from .graph import (
     GcnParams,
     GraphNode,
@@ -141,38 +147,17 @@ class ModelSpec:
             raise ValueError(f"unknown fuse_mode {self.fuse_mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "heads": self.heads,
-            "decoder_layers": self.decoder_layers,
-            "gcn_layers": self.gcn_layers,
-            "ffn_multiplier": self.ffn_multiplier,
-            "feature_dim": self.feature_dim,
-            "fusion": [self.fusion.l1, self.fusion.l2, self.fusion.l3],
-            "ablation": self.ablation.value,
-            "max_length": self.max_length,
-            "pre_norm": self.pre_norm,
-            "learned_positions": self.learned_positions,
-            "fuse_mode": self.fuse_mode,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["fusion"] = [self.fusion.l1, self.fusion.l2, self.fusion.l3]
+        out["ablation"] = self.ablation.value
+        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelSpec":
-        l1, l2, l3 = obj["fusion"]
-        return cls(
-            d=obj["d"],
-            heads=obj["heads"],
-            decoder_layers=obj["decoder_layers"],
-            gcn_layers=obj["gcn_layers"],
-            ffn_multiplier=obj["ffn_multiplier"],
-            feature_dim=obj["feature_dim"],
-            fusion=FusionWeights(l1, l2, l3),
-            ablation=AblationMode(obj["ablation"]),
-            max_length=obj["max_length"],
-            pre_norm=obj["pre_norm"],
-            learned_positions=obj["learned_positions"],
-            fuse_mode=obj["fuse_mode"],
-        )
+        args = {f.name: obj[f.name] for f in fields(cls)}
+        args["fusion"] = FusionWeights(*obj["fusion"])
+        args["ablation"] = AblationMode(obj["ablation"])
+        return cls(**args)
 
 
 @dataclass
@@ -317,14 +302,18 @@ class ReportModel:
 # forward passes
 
 
-def fuse_knowledge(x: Tensor, w_enh: Tensor, m_enh: Tensor, weights: FusionWeights, params: MhaParams) -> Tensor:
-    """X' = MHA(X, l1*X + l2*W' + l3*M'); all inputs must be N x d."""
+def fuse_knowledge(
+    x: Tensor, w_enh: Tensor, m_enh: Tensor, weights: FusionWeights, params: MhaParams,
+    rows: Sequence[int] | None = None,
+) -> Tensor:
+    """X' = MHA(X, l1*X + l2*W' + l3*M'); all inputs must be N x d. ``rows``
+    splits N into records stacked in order, each attending its own rows."""
     if not (x.shape == w_enh.shape == m_enh.shape):
         raise ValueError(
             f"fusion inputs must share a shape: {x.shape}, {w_enh.shape}, {m_enh.shape}"
         )
     mix = add(add(scale(x, weights.l1), scale(w_enh, weights.l2)), scale(m_enh, weights.l3))
-    return multi_head_attention(x, mix, params)
+    return multi_head_attention(x, mix, params, spans=None if rows is None else (rows, rows))
 
 
 def _sublayer(h: Tensor, f, norm: LayerNormParams, pre_norm: bool) -> Tensor:
@@ -380,6 +369,7 @@ def decoder_forward(
     dec: DecoderParams,
     table: EmbeddingTable,
     cache: DecoderCache | None = None,
+    spans: Spans | None = None,
 ) -> Tensor:
     """Logits for every position of ``ids``: masked self-attention, then stacked
     cross-attention over X', W', M', then feed-forward, then the affine head.
@@ -389,12 +379,18 @@ def decoder_forward(
     keys and values come from the cache (projected on its first call, so every
     call with one cache must pass the same memories), and each layer's
     self-attention keys and values grow by len(ids) rows.
+
+    ``spans`` packs a batch without a cache: (token rows, memory rows) of each
+    record, stacked in order. Each record's tokens take positions from 0 and
+    attend only their own tokens and memory rows.
     """
     ids = list(ids)
     if not ids:
         raise ValueError("decoder prefix must be nonempty")
     start = 0
     if cache is not None:
+        if spans is not None:
+            raise ValueError("a decoder cache serves one record and takes no spans")
         start = cache.length
         memories = (x_fused, w_enh, m_enh)
         if cache.memories is None:
@@ -402,19 +398,22 @@ def decoder_forward(
             cache.cross = [_cross_kv(layer, *memories) for layer in dec.layers]
         elif any(a is not b for a, b in zip(cache.memories, memories)):
             raise ValueError("a decoder cache serves the memories of one record only")
-    h = embed_tokens(ids, table, start)
+    tokens = None if spans is None else spans[0]
+    self_spans = None if spans is None else (tokens, tokens)
+    h = embed_tokens(ids, table, start, tokens)
     for i, layer in enumerate(dec.layers):
         fused, labels, graph = (
             cache.cross[i] if cache is not None else _cross_kv(layer, x_fused, w_enh, m_enh)
         )
         norms, pre = layer.norms, dec.pre_norm
+        self_attn = layer.self_attn
         h = _sublayer(
-            h, lambda t: attend(t, *_self_kv(t, i, layer.self_attn, cache), layer.self_attn, start),
+            h, lambda t: attend(t, *_self_kv(t, i, self_attn, cache), self_attn, start, self_spans),
             norms[0], pre,
         )
-        h = _sublayer(h, lambda t: attend(t, *fused, layer.cross_fused), norms[1], pre)
-        h = _sublayer(h, lambda t: attend(t, *labels, layer.cross_labels), norms[2], pre)
-        h = _sublayer(h, lambda t: attend(t, *graph, layer.cross_graph), norms[3], pre)
+        h = _sublayer(h, lambda t: attend(t, *fused, layer.cross_fused, spans=spans), norms[1], pre)
+        h = _sublayer(h, lambda t: attend(t, *labels, layer.cross_labels, spans=spans), norms[2], pre)
+        h = _sublayer(h, lambda t: attend(t, *graph, layer.cross_graph, spans=spans), norms[3], pre)
         h = _sublayer(h, lambda t: feed_forward(t, layer.ffn), norms[4], pre)
     if cache is not None:
         cache.length += len(ids)
@@ -479,14 +478,23 @@ def prepare_record(
     base_labels: Sequence[str],
     spec: ModelSpec,
     with_report: bool = True,
+    raw_views: list[np.ndarray] | None = None,
 ) -> PreparedRecord:
-    raw_views = [load_features(p) for p in rec.features]
+    """Read the record's feature files (unless its ``raw_views`` are given),
+    mine its tags, build its graph and encode its report."""
+    if raw_views is None:
+        raw_views = [load_features(p) for p in rec.features]
     for v in raw_views:
         if v.shape[1] != spec.feature_dim:
             raise ValueError(
                 f"record {rec.id!r}: feature width {v.shape[1]} does not match "
                 f"configured feature_dim {spec.feature_dim}"
             )
+    if spec.fuse_mode == "mean" and len({len(v) for v in raw_views}) > 1:
+        raise ValueError(
+            f"record {rec.id!r}: mean fusion needs equal token counts, got "
+            f"{[len(v) for v in raw_views]}"
+        )
     mode = spec.ablation
     tag_token_ids: list[list[int]] = []
     node_names: list[str] = []
@@ -514,42 +522,80 @@ def prepare_record(
     return PreparedRecord(rec.id, raw_views, tag_token_ids, node_names, a_hat, input_ids, target_ids)
 
 
+def encode_batch(
+    model: ReportModel, batch: Sequence[PreparedRecord]
+) -> tuple[Tensor, Tensor, Tensor, list[int]]:
+    """(X', W', M') of every record under the model's ablation mode, stacked in
+    record order, and each record's row count in them. One projection covers
+    every view; tags and graph nodes (under one block-diagonal adjacency) are
+    stacked the same way, and each record attends its own rows only."""
+    spec = model.spec
+    views = [rec.raw_views for rec in batch]
+    if spec.fuse_mode == "concat":
+        x = project_features(np.concatenate([v for vs in views for v in vs]), model.proj)
+        rows = [sum(map(len, vs)) for vs in views]
+    else:  # a one-view record averages its view with itself, which is that view
+        first, last = (np.concatenate([vs[i] for vs in views]) for i in (0, -1))
+        x = project_features(first, model.proj)
+        if any(len(vs) > 1 for vs in views):
+            x = fuse_views(x, project_features(last, model.proj), "mean")
+        rows = [len(vs[0]) for vs in views]
+    w_enh = m_enh = x
+    if spec.ablation in (AblationMode.FULL, AblationMode.DKE):
+        w = pool_tag_embeddings([ids for rec in batch for ids in rec.tag_token_ids], model.embed)
+        tags = [len(rec.tag_token_ids) for rec in batch]
+        w_enh = multi_head_attention(x, w, model.label_attn, spans=(rows, tags))
+    if spec.ablation in (AblationMode.FULL, AblationMode.SKE):
+        a_hat = SparseRows.block_diagonal([rec.a_hat for rec in batch])
+        m = gcn_forward([name for rec in batch for name in rec.node_names], a_hat, model.gcn)
+        nodes = [len(rec.node_names) for rec in batch]
+        m_enh = multi_head_attention(x, m, model.graph_attn, spans=(rows, nodes))
+    x_fused = fuse_knowledge(x, w_enh, m_enh, spec.fusion, model.fusion_attn, rows)
+    return x_fused, w_enh, m_enh, rows
+
+
 def encode_record(model: ReportModel, rec: PreparedRecord) -> tuple[Tensor, Tensor, Tensor]:
     """Produce (X', W', M') for one record under the model's ablation mode."""
-    views = [project_features(v, model.proj) for v in rec.raw_views]
-    x = fuse_views(views[0], views[1] if len(views) > 1 else None, model.spec.fuse_mode)
-    mode = model.spec.ablation
-    if mode in (AblationMode.FULL, AblationMode.DKE):
-        w = pool_tag_embeddings(rec.tag_token_ids, model.embed)
-        w_enh = multi_head_attention(x, w, model.label_attn)
-    else:
-        w_enh = x
-    if mode in (AblationMode.FULL, AblationMode.SKE):
-        m = gcn_forward(rec.node_names, rec.a_hat, model.gcn)
-        m_enh = multi_head_attention(x, m, model.graph_attn)
-    else:
-        m_enh = x
-    x_fused = fuse_knowledge(x, w_enh, m_enh, model.spec.fusion, model.fusion_attn)
-    return x_fused, w_enh, m_enh
+    return encode_batch(model, [rec])[:3]
 
 
 def teacher_forcing_loss(batch: Sequence[PreparedRecord], model: ReportModel) -> Tensor:
-    """Mean over records of the per-record mean token NLL (BOS-fed, EOS-terminated)."""
+    """Mean over records of the per-record mean token NLL (BOS-fed, EOS-terminated),
+    from one forward over the whole batch: row i of record r weighs 1 / (B n_r)."""
     if not batch:
         raise ValueError("teacher forcing needs a nonempty batch")
-    total = None
     for rec in batch:
         if rec.input_ids is None or rec.target_ids is None:
             raise ValueError(f"record {rec.id!r} was prepared without a report")
-        x_fused, w_enh, m_enh = encode_record(model, rec)
-        logits = decoder_forward(rec.input_ids, x_fused, w_enh, m_enh, model.decoder, model.embed)
-        loss = cross_entropy_logits(logits, rec.target_ids)
-        total = loss if total is None else add(total, loss)
-    return scale(total, 1.0 / len(batch))
+    x_fused, w_enh, m_enh, rows = encode_batch(model, batch)
+    ids = [i for rec in batch for i in rec.input_ids]
+    lengths = np.array([len(rec.input_ids) for rec in batch])
+    logits = decoder_forward(ids, x_fused, w_enh, m_enh, model.decoder, model.embed, spans=(lengths, rows))
+    weights = np.repeat(1.0 / (len(batch) * lengths), lengths)
+    return cross_entropy_logits(logits, [t for rec in batch for t in rec.target_ids], weights)
 
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def _spec_for_run(run, feature_dim: int, **fixed) -> ModelSpec:
+    """The structural spec a run configuration asks for; ``fixed`` overrides fields."""
+    m = run.model
+    args = dict(
+        d=m.d,
+        heads=m.heads,
+        decoder_layers=m.decoder_layers,
+        gcn_layers=m.gcn_layers,
+        ffn_multiplier=m.ffn_multiplier,
+        feature_dim=feature_dim,
+        fusion=FusionWeights.from_raw(run.fusion.lambda1, run.fusion.lambda2, run.fusion.lambda3),
+        ablation=AblationMode(run.ablation),
+        max_length=run.decode.max_length,
+        pre_norm=m.pre_norm,
+        fuse_mode=run.features.fuse,
+    )
+    return ModelSpec(**{**args, **fixed})
 
 
 def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
@@ -575,26 +621,13 @@ def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
         }
     )
     node_names = base_graph.names + novel
-    feature_dim = load_features(records[0].features[0]).shape[1]
+    feature_dim = feature_width(records[0].features[0])
 
     learned_positions = None
     if run.model.positional == "learned":
         longest = max(len(tokenize(r.report)) for r in records) + 1
         learned_positions = max(longest, run.decode.max_length + 1)
-    spec = ModelSpec(
-        d=run.model.d,
-        heads=run.model.heads,
-        decoder_layers=run.model.decoder_layers,
-        gcn_layers=run.model.gcn_layers,
-        ffn_multiplier=run.model.ffn_multiplier,
-        feature_dim=feature_dim,
-        fusion=FusionWeights.from_raw(run.fusion.lambda1, run.fusion.lambda2, run.fusion.lambda3),
-        ablation=AblationMode(run.ablation),
-        max_length=run.decode.max_length,
-        pre_norm=run.model.pre_norm,
-        learned_positions=learned_positions,
-        fuse_mode=run.features.fuse,
-    )
+    spec = _spec_for_run(run, feature_dim, learned_positions=learned_positions)
     model = ReportModel(vocab, node_names, spec, rng=np.random.default_rng([run.train.seed, 0]))
     prepared = [
         prepare_record(r, vocab, base_graph, base_labels, spec, with_report=True)
@@ -615,9 +648,9 @@ def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
             for start in range(0, len(prepared), run.train.batch):
                 batch = [prepared[i] for i in order[start : start + run.train.batch]]
                 loss = teacher_forcing_loss(batch, model)
-                grads = parameter_gradients(loss, tensors)
-                opt.step(grads)
+                opt.step(parameter_gradients(loss, tensors))
                 epoch_total += float(loss.value[0, 0]) * len(batch)
+                del loss  # frees this step's graph before the next step builds its own
         except NonFiniteError as e:
             raise TrainingDiverged(f"training diverged at epoch {epoch + 1}: {e}") from e
         trace.append(epoch_total / len(prepared))
@@ -745,40 +778,19 @@ def run_gradient_check(run, h: float = 1e-5) -> list[tuple[str, float]]:
     # vocab is forced to min_freq=1 so every fixture token survives
     vocab = Vocabulary.build((tokenize(r) for r in reports), min_freq=1)
     feature_dim = 4
-    fusion = FusionWeights.from_raw(run.fusion.lambda1, run.fusion.lambda2, run.fusion.lambda3)
-    spec = ModelSpec(
-        d=run.model.d,
-        heads=run.model.heads,
-        decoder_layers=run.model.decoder_layers,
-        gcn_layers=run.model.gcn_layers,
-        ffn_multiplier=run.model.ffn_multiplier,
-        feature_dim=feature_dim,
-        fusion=fusion,
-        ablation=AblationMode.FULL,
-        max_length=run.decode.max_length,
-        pre_norm=run.model.pre_norm,
-    )
+    spec = _spec_for_run(run, feature_dim, ablation=AblationMode.FULL, fuse_mode="concat")
     novel = sorted({e.text for ents in entity_sets for e in ents} - set(base_graph.names))
     node_names = base_graph.names + novel
     model = ReportModel(vocab, node_names, spec, rng=np.random.default_rng([run.train.seed, 0]))
 
     feat_rng = np.random.default_rng([run.train.seed, 2])
-    prepared = []
-    for i, (report, entities) in enumerate(zip(reports, entity_sets)):
-        labels = extract_topic_labels(entities, base_labels)
-        g = build_specific_graph(base_graph, labels, extract_relations(entities))
-        ids = vocab.encode(tokenize(report))
-        prepared.append(
-            PreparedRecord(
-                id=f"fixture-{i}",
-                raw_views=[feat_rng.normal(0.0, 1.0, (2, feature_dim))],
-                tag_token_ids=[vocab.encode(tag.split()) for tag in labels.tags],
-                node_names=g.names,
-                a_hat=normalized_adjacency(g.adjacency()),
-                input_ids=[Vocabulary.BOS] + ids,
-                target_ids=ids + [Vocabulary.EOS],
-            )
+    prepared = [
+        prepare_record(
+            CorpusRecord(f"fixture-{i}", [], report, entities), vocab, base_graph, base_labels, spec,
+            raw_views=[feat_rng.normal(0.0, 1.0, (2, feature_dim))],
         )
+        for i, (report, entities) in enumerate(zip(reports, entity_sets))
+    ]
 
     loss = teacher_forcing_loss(prepared, model)
     tensors = [p for _, p in model.parameters()]

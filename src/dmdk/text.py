@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -120,14 +120,12 @@ def _parse_entities(raw, where: str) -> EntitySequence:
     return out
 
 
-def load_corpus(path: str | Path, require_report: bool = False) -> list[CorpusRecord]:
-    """Read a JSON-lines corpus; errors carry the file name and line number.
+def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[str, str, dict]]:
+    """(location, id, object) for each nonblank line of a JSON-lines file.
 
-    Relative feature paths are resolved against the corpus file's directory.
+    Every line must be an object with a unique nonempty string ``id``; errors
+    name the file and line, and a duplicate is called a duplicate ``what`` id.
     """
-    path = Path(path)
-    base = path.parent
-    records: list[CorpusRecord] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -144,23 +142,34 @@ def load_corpus(path: str | Path, require_report: bool = False) -> list[CorpusRe
             if not isinstance(rid, str) or not rid:
                 raise ValueError(f"{where}: missing required field 'id'")
             if rid in seen:
-                raise ValueError(f"{where}: duplicate record id {rid!r}")
+                raise ValueError(f"{where}: duplicate {what} id {rid!r}")
             seen.add(rid)
-            feats = obj.get("features")
-            if not isinstance(feats, list) or not (1 <= len(feats) <= 2) or not all(
-                isinstance(f, str) and f for f in feats
-            ):
-                raise ValueError(f"{where}: 'features' must list 1 or 2 file paths")
-            feats = [str(base / f) if not Path(f).is_absolute() else f for f in feats]
-            report = obj.get("report")
-            if report is not None and not isinstance(report, str):
-                raise ValueError(f"{where}: 'report' must be a string")
-            if require_report and not (report and report.strip()):
-                raise ValueError(f"{where}: missing required field 'report'")
-            entities = None
-            if "entities" in obj and obj["entities"] is not None:
-                entities = _parse_entities(obj["entities"], where)
-            records.append(CorpusRecord(rid, feats, report, entities))
+            yield where, rid, obj
+
+
+def load_corpus(path: str | Path, require_report: bool = False) -> list[CorpusRecord]:
+    """Read a JSON-lines corpus; errors carry the file name and line number.
+
+    Relative feature paths are resolved against the corpus file's directory.
+    """
+    path = Path(path)
+    records: list[CorpusRecord] = []
+    for where, rid, obj in read_json_lines(path, "record"):
+        feats = obj.get("features")
+        if not isinstance(feats, list) or not (1 <= len(feats) <= 2) or not all(
+            isinstance(f, str) and f for f in feats
+        ):
+            raise ValueError(f"{where}: 'features' must list 1 or 2 file paths")
+        feats = [str(path.parent / f) if not Path(f).is_absolute() else f for f in feats]
+        report = obj.get("report")
+        if report is not None and not isinstance(report, str):
+            raise ValueError(f"{where}: 'report' must be a string")
+        if require_report and not (report and report.strip()):
+            raise ValueError(f"{where}: missing required field 'report'")
+        entities = None
+        if "entities" in obj and obj["entities"] is not None:
+            entities = _parse_entities(obj["entities"], where)
+        records.append(CorpusRecord(rid, feats, report, entities))
     return records
 
 

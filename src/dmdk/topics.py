@@ -13,8 +13,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .attention import EmbeddingTable, embed_tokens
-from .autograd import Tensor, concat_rows, mean_rows
+from .autograd import SparseRows, Tensor, canonical_matmul
 from .text import Entity, EntitySequence, EntityType
 
 
@@ -64,12 +66,17 @@ def extract_topic_labels(
 
 
 def pool_tag_embeddings(tag_token_ids: Sequence[Sequence[int]], table: EmbeddingTable) -> Tensor:
-    """One row per tag: mean of the tag's embedded (token + position) rows."""
+    """One row per tag: mean of the tag's embedded (token + position) rows.
+
+    Every tag's tokens are embedded at once, positions restarting at 0 for
+    each tag, and pooled by one constant sparse product.
+    """
     if not tag_token_ids:
         raise ValueError("cannot embed an empty tag list")
-    rows = []
-    for ids in tag_token_ids:
-        if not ids:
-            raise ValueError("cannot embed an empty tag")
-        rows.append(mean_rows(embed_tokens(ids, table)))
-    return concat_rows(rows)
+    lengths = [len(ids) for ids in tag_token_ids]
+    if min(lengths) == 0:
+        raise ValueError("cannot embed an empty tag")
+    rows = embed_tokens([i for ids in tag_token_ids for i in ids], table, spans=lengths)
+    tag = np.repeat(np.arange(len(lengths)), lengths)
+    pool = SparseRows(tag, np.arange(len(tag)), 1.0 / np.asarray(lengths)[tag], (len(lengths), len(tag)))
+    return canonical_matmul(pool, rows)

@@ -208,3 +208,15 @@ def oracle_gcn_layer(a_hat, h, w):
     comparisons against this oracle use a numeric tolerance.
     """
     return np.maximum((a_hat @ h) @ w, 0.0)
+
+
+def oracle_canonical_matmul(a, b):
+    """Dense A @ B summing each entry's products in value-sorted order.
+
+    Forms every product, zeros of the absent edges included, as an
+    n x k x m array, sorts it along k and sums it in that order. The package
+    sorts only each row's nonzero entries; the two must agree bit for bit.
+    """
+    prod = a[:, :, None] * b[None, :, :]
+    prod.sort(axis=1)
+    return prod.sum(axis=1)

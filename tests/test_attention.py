@@ -356,3 +356,72 @@ def test_non_finite_scores_are_refused():
     q = Tensor(np.full((2, 4), 1e200))
     with pytest.raises(NonFiniteError, match="attention scores"):
         heads_attention(q, q, q, heads=2)
+
+
+# ---------------------------------------------------------------------------
+# packed records: row spans
+
+
+def split_rows(a, counts):
+    return np.split(a, np.cumsum(counts)[:-1])
+
+
+@pytest.mark.parametrize("offset", [None, 0])
+@pytest.mark.parametrize("d,heads", [(8, 2), (512, 8)])
+def test_spans_attend_each_record_alone(offset, d, heads):
+    rng = np.random.default_rng(d)
+    q_rows = [3, 1, 5, 2]
+    k_rows = q_rows if offset == 0 else [4, 2, 1, 6]
+    q = rng.normal(size=(sum(q_rows), d))
+    k, v = rng.normal(size=(2, sum(k_rows), d))
+    packed = heads_attention(Tensor(q), Tensor(k), Tensor(v), heads, offset, (q_rows, k_rows)).value
+    parts = zip(split_rows(q, q_rows), split_rows(k, k_rows), split_rows(v, k_rows))
+    alone = [heads_attention(Tensor(a), Tensor(b), Tensor(c), heads, offset).value for a, b, c in parts]
+    assert np.array_equal(packed, np.concatenate(alone))
+
+
+def test_spans_keep_the_causal_offset_within_each_record():
+    rng = np.random.default_rng(4)
+    params = random_mha(8, 2, rng)
+    rows = [3, 5]
+    x = Tensor(rng.normal(size=(8, 8)))
+    packed = multi_head_attention(x, x, params, causal=True, spans=(rows, rows)).value
+    for part, (a, b) in zip(split_rows(packed, rows), ((0, 3), (3, 8))):
+        seq = Tensor(x.value[a:b])
+        np.testing.assert_allclose(part, multi_head_attention(seq, seq, params, causal=True).value, **TOL)
+
+
+def test_span_attention_gradients_match_finite_differences():
+    rng = np.random.default_rng(12)
+    spans = ([2, 3], [2, 3])
+    q, k, v = (Tensor(rng.normal(size=(5, 8))) for _ in range(3))
+    probe = Tensor(rng.normal(size=(5, 8)))
+
+    def build():
+        return sum_all(mul(heads_attention(q, k, v, 2, 0, spans), probe))
+
+    grads = parameter_gradients(build(), [q, k, v])
+    numeric = finite_diff_grad(lambda: float(build().value[0, 0]), [q, k, v])
+    for name, leaf, num in zip("qkv", (q, k, v), numeric):
+        assert relative_error(num, grads[leaf]).max() < 1e-6, name
+
+
+def test_spans_must_split_the_rows():
+    q = Tensor(RNG.normal(size=(4, 4)))
+    for spans in (([2, 2], [3, 2]), ([2, 2], [4]), ([4, 0], [2, 2]), ([1, 3], [0, 4])):
+        with pytest.raises(ValueError, match="do not split"):
+            heads_attention(q, q, q, 2, None, spans)
+
+
+def test_embed_tokens_restarts_positions_for_each_span():
+    rng = np.random.default_rng(6)
+    for positions in (None, Tensor(rng.normal(size=(4, 4)))):
+        table = EmbeddingTable(Tensor(rng.normal(size=(7, 4))), positions)
+        ids = [1, 4, 4, 6, 2, 5]
+        packed = embed_tokens(ids, table, spans=[2, 1, 3]).value
+        alone = [embed_tokens(ids[:2], table), embed_tokens(ids[2:3], table), embed_tokens(ids[3:], table)]
+        assert np.array_equal(packed, np.vstack([t.value for t in alone]))
+        with pytest.raises(ValueError, match="do not split"):
+            embed_tokens(ids, table, spans=[2, 2])
+    with pytest.raises(ValueError, match="exceeds learned positional table"):
+        embed_tokens(ids, table, spans=[1, 5])

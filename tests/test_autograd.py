@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from dmdk.autograd import (
     Adam,
     NonFiniteError,
+    SparseRows,
     Tensor,
     add,
     backward,
@@ -20,7 +21,6 @@ from dmdk.autograd import (
     finite_diff_grad,
     layer_norm,
     matmul,
-    mean_rows,
     mul,
     no_grad,
     parameter_gradients,
@@ -98,10 +98,14 @@ def test_matmul_associativity():
     assert np.allclose(left, right, atol=1e-9)
 
 
+def sparse(a):
+    return SparseRows.block_diagonal([a])
+
+
 def test_canonical_matmul_matches_matmul():
-    a = Tensor(RNG.normal(size=(4, 5)))
+    a = RNG.normal(size=(4, 5)) * (RNG.random((4, 5)) < 0.6)
     b = Tensor(RNG.normal(size=(5, 3)))
-    assert np.allclose(canonical_matmul(a, b).value, matmul(a, b).value, atol=1e-12)
+    assert np.allclose(canonical_matmul(sparse(a), b).value, a @ b.value, atol=1e-12)
 
 
 def test_canonical_matmul_is_bitwise_permutation_stable():
@@ -110,9 +114,38 @@ def test_canonical_matmul_is_bitwise_permutation_stable():
     a = RNG.normal(size=(1, 6))
     b = RNG.normal(size=(6, 3))
     perm = RNG.permutation(6)
-    out = canonical_matmul(Tensor(a), Tensor(b)).value
-    out_p = canonical_matmul(Tensor(a[:, perm]), Tensor(b[perm])).value
+    out = canonical_matmul(sparse(a), Tensor(b)).value
+    out_p = canonical_matmul(sparse(a[:, perm]), Tensor(b[perm])).value
     assert np.array_equal(out, out_p)
+
+
+def test_sparse_rows_group_rows_by_entry_count():
+    a = np.array([[0.0, 2.0, 5.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0], [0.0, 0.0, 6.0]])
+    s = sparse(a)
+    # a Tensor of the nonzero entries, one per row
+    assert s.shape == (5, 1) and (s.n_rows, s.n_cols) == (4, 3)
+    assert sorted(s.value[:, 0].tolist()) == [2.0, 3.0, 4.0, 5.0, 6.0]
+    (one, one_cols, one_vals), (two, two_cols, two_vals) = s.groups
+    assert one.tolist() == [3] and one_cols.tolist() == [[2]] and one_vals[:, :, 0].tolist() == [[6.0]]
+    assert two.tolist() == [0, 2] and two_cols.tolist() == [[1, 2], [0, 2]]
+    assert two_vals[:, :, 0].tolist() == [[2.0, 5.0], [3.0, 4.0]]
+    assert [g[0].tolist() for g in s.t_groups] == [[0, 1], [2]]  # column 2 has three entries
+    out = canonical_matmul(s, Tensor(np.ones((3, 2)))).value
+    assert np.array_equal(out, [[7.0, 7.0], [0.0, 0.0], [7.0, 7.0], [6.0, 6.0]])
+
+
+def test_sparse_rows_block_diagonal_offsets_blocks():
+    blocks = [RNG.normal(size=(2, 2)), RNG.normal(size=(3, 3))]
+    dense = np.zeros((5, 5))
+    dense[:2, :2], dense[2:, 2:] = blocks
+    h = RNG.normal(size=(5, 4))
+    out = canonical_matmul(SparseRows.block_diagonal(blocks), Tensor(h)).value
+    assert np.allclose(out, dense @ h, atol=1e-12)
+
+
+def test_canonical_matmul_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        canonical_matmul(sparse(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
 
 def test_softmax_rows_examples():
@@ -219,9 +252,9 @@ def test_matmul_gradients_match_fd():
 
 
 def test_canonical_matmul_gradients_match_fd():
-    a = Tensor(RNG.normal(size=(2, 5)))
+    a = sparse(RNG.normal(size=(4, 5)) * (RNG.random((4, 5)) < 0.6))
     b = Tensor(RNG.normal(size=(5, 3)))
-    fd_check(lambda: sum_all(mul(canonical_matmul(a, b), canonical_matmul(a, b))), [a, b])
+    fd_check(lambda: sum_all(mul(canonical_matmul(a, b), canonical_matmul(a, b))), [b])
 
 
 def test_elementwise_op_gradients_match_fd():
@@ -258,7 +291,7 @@ def test_concat_and_reduction_gradients_match_fd():
     def build():
         stacked = concat_rows([a, b])
         wide = concat_cols([a, c])
-        return add(sum_all(mul(stacked, stacked)), sum_all(mean_rows(wide)))
+        return add(sum_all(mul(stacked, stacked)), sum_all(scale(wide, 0.5)))
 
     fd_check(build, [a, b, c])
 

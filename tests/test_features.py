@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from dmdk.autograd import Tensor
 from dmdk.features import (
     ProjectionParams,
+    feature_width,
     fuse_views,
     load_features,
     project_features,
@@ -17,6 +20,16 @@ def write(tmp_path, text, name="f.fmat"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def test_feature_width_reads_the_header_alone(tmp_path):
+    p = write(tmp_path, "FMAT v1 2 3\n1 2 3\n4 five 6\n")
+    assert feature_width(p) == 3  # the malformed row is never read
+    with pytest.raises(ValueError, match="non-numeric value 'five'"):
+        load_features(p)
+    for header in ("FMAT v2 2 3\n", "FMAT v1 2 x\n", "FMAT v1 2 0\n"):
+        with pytest.raises(ValueError, match=re.escape(f"{p}: ")):
+            feature_width(write(tmp_path, header))
 
 
 def test_round_trip_preserves_exact_floats(tmp_path):

@@ -6,8 +6,11 @@ import pytest
 
 from dmdk.attention import multi_head_attention
 from dmdk.autograd import (
+    SparseRows,
     Tensor,
+    canonical_matmul,
     finite_diff_grad,
+    mul,
     parameter_gradients,
     relative_error,
     sum_all,
@@ -32,7 +35,7 @@ from dmdk.text import Entity, EntityType
 from dmdk.topics import DiseaseTopicLabels, LabelSource, anatomy_pairs, extract_topic_labels
 
 from conftest import random_gcn, random_mha
-from oracles import oracle_gcn_layer, oracle_triples
+from oracles import oracle_canonical_matmul, oracle_gcn_layer, oracle_triples
 
 RNG = np.random.default_rng(23)
 
@@ -347,3 +350,93 @@ def test_graph_attend_single_node_constant_rows():
     m = Tensor(RNG.normal(size=(1, 4)))
     out = multi_head_attention(x, m, params).value
     assert np.allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sparse sorted propagation against the dense sorted oracle
+
+
+def random_tree(n, rng):
+    adjacency = np.zeros((n, n))
+    for i in range(1, n):
+        j = rng.integers(0, i)
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    return adjacency
+
+
+def random_graph(n, rng, p=0.15):
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return (upper | upper.T).astype(float)
+
+
+def dense_block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = np.zeros((n, n)), 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def oracle_by_chunks(a, h, chunk=16):
+    """The dense oracle a few rows at a time: its n x n x d array stays small."""
+    return np.concatenate([oracle_canonical_matmul(a[i : i + chunk], h) for i in range(0, len(a), chunk)])
+
+
+def propagation_cases(rng):
+    """(name, block list) pairs: trees, a block-diagonal batch, dense graphs."""
+    base = normalized_adjacency(load_base_graph(default_base_graph_path()).adjacency())
+    return [
+        ("tree-1", [normalized_adjacency(random_tree(1, rng))]),
+        ("tree-17", [normalized_adjacency(random_tree(17, rng))]),
+        ("tree-240", [normalized_adjacency(random_tree(240, rng))]),
+        ("batch", [base] + [normalized_adjacency(random_graph(n, rng)) for n in (1, 5, 29, 60, 117)]),
+        ("dense-40", [normalized_adjacency(np.ones((40, 40)) - np.eye(40))]),
+        ("dense-random", [rng.normal(size=(33, 33))]),
+    ]
+
+
+@pytest.mark.parametrize("d", [8, 32, 512])
+def test_sparse_propagation_equals_the_dense_sorted_oracle_bitwise(d):
+    rng = np.random.default_rng(d)
+    for name, blocks in propagation_cases(rng):
+        a = SparseRows.block_diagonal(blocks)
+        dense = dense_block_diagonal(blocks)
+        n = len(dense)
+        relu_h = np.maximum(rng.normal(size=(n, d)), 0.0)  # about half ReLU zeros
+        signed_h = np.where(rng.random((n, d)) < 0.3, 0.0, rng.normal(size=(n, d)))
+        for h in (relu_h, signed_h):
+            out = canonical_matmul(a, Tensor(h)).value
+            expected = oracle_by_chunks(dense, h)
+            assert np.array_equal(out, expected), name
+            assert np.array_equal(np.signbit(out), np.signbit(expected)), name  # zeros too
+
+
+def test_sparse_propagation_gradient_matches_finite_differences():
+    rng = np.random.default_rng(3)
+    blocks = [normalized_adjacency(random_tree(5, rng)), normalized_adjacency(random_graph(6, rng, 0.5))]
+    a = SparseRows.block_diagonal(blocks)
+    h = Tensor(rng.normal(size=(11, 3)))
+    probe = Tensor(rng.normal(size=(11, 3)))
+
+    def build():
+        return sum_all(mul(canonical_matmul(a, h), probe))
+
+    grads = parameter_gradients(build(), [h])
+    numeric = finite_diff_grad(lambda: float(build().value[0, 0]), [h])[0]
+    assert relative_error(numeric, grads[h]).max() < 1e-6
+    assert np.allclose(grads[h], dense_block_diagonal(blocks).T @ probe.value, atol=1e-12)
+
+
+def test_batched_gcn_keeps_each_graph_to_itself():
+    g = load_base_graph(default_base_graph_path())
+    params = random_gcn(g.names + ["x"], 8, RNG, n_layers=2)
+    small = normalized_adjacency(random_graph(4, RNG, 0.6))
+    names = g.names + ["x", "lung", "heart", "mystery"]
+    a = SparseRows.block_diagonal([normalized_adjacency(g.adjacency()), small])
+    out = gcn_forward(names, a, params).value
+    alone = [
+        gcn_forward(g.names, normalized_adjacency(g.adjacency()), params).value,
+        gcn_forward(names[g.node_count() :], small, params).value,
+    ]
+    assert np.allclose(out, np.concatenate(alone), rtol=1e-12, atol=1e-12)

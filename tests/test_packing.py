@@ -1,0 +1,164 @@
+"""One packed forward per batch against one forward per record.
+
+``teacher_forcing_loss`` stacks a batch's visual rows, tags, graph nodes and
+tokens in record order and attends within each record's rows. Its loss and
+every parameter gradient must equal the mean over one-record batches, and no
+record's logits may depend on the values of another record in the batch.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from dmdk.autograd import parameter_gradients
+from dmdk.features import save_features
+from dmdk.graph import default_base_graph_path, load_base_graph
+from dmdk.model import (
+    AblationMode,
+    FusionWeights,
+    ModelSpec,
+    ReportModel,
+    decoder_forward,
+    encode_batch,
+    fallback_labels,
+    prepare_record,
+    teacher_forcing_loss,
+)
+from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, tokenize
+
+TOL = dict(rtol=1e-12, atol=1e-12)
+A, O = EntityType.ANATOMY, EntityType.OBSERVATION
+FEATURES = 6
+
+# (report, entities, rows of each view). Record 0 mines dynamic tags and adds
+# the novel node "enlarged"; record 1 has no anatomy pair, so it falls back to
+# the base labels and keeps the base graph; record 2 adds "trachea", which the
+# model knows, and "deviated", which maps to the GCN's UNK row.
+RECORDS = [
+    ("the heart is enlarged .", [Entity("heart", A), Entity("enlarged", O)], [3]),
+    ("lungs are clear", [Entity("clear", O)], [2, 2]),
+    (
+        "a small trachea nodule is deviated in the left lung .",
+        [Entity("trachea", A), Entity("nodule", O), Entity("lung", A), Entity("deviated", O)],
+        [4],
+    ),
+]
+
+CONFIGS = {
+    "full": dict(d=8, heads=2, decoder_layers=1),
+    "dke": dict(d=8, heads=2, decoder_layers=1, ablation=AblationMode.DKE),
+    "ske": dict(d=8, heads=2, decoder_layers=1, ablation=AblationMode.SKE),
+    "base": dict(d=8, heads=2, decoder_layers=1, ablation=AblationMode.BASE),
+    "mean": dict(d=8, heads=2, decoder_layers=2, fuse_mode="mean"),
+    "pre-norm-learned": dict(d=8, heads=2, decoder_layers=2, pre_norm=True, learned_positions=16),
+    "d512": dict(d=512, heads=8, decoder_layers=3, ffn_multiplier=1),
+}
+
+
+def batch_logits(batch, model):
+    """The packed forward of ``teacher_forcing_loss``, up to the logits."""
+    x_fused, w_enh, m_enh, rows = encode_batch(model, batch)
+    ids = [i for rec in batch for i in rec.input_ids]
+    spans = ([len(rec.input_ids) for rec in batch], rows)
+    return decoder_forward(ids, x_fused, w_enh, m_enh, model.decoder, model.embed, spans=spans)
+
+
+def build(tmp_path, config):
+    """A seeded model and the three records prepared under its spec."""
+    base = load_base_graph(default_base_graph_path())
+    vocab = Vocabulary.build((tokenize(r) for r, _, _ in RECORDS), min_freq=1)
+    args = dict(
+        gcn_layers=2,
+        ffn_multiplier=2,
+        feature_dim=FEATURES,
+        fusion=FusionWeights.from_raw(1.0, 2.0, 3.0),
+    )
+    args.update(config)
+    spec = ModelSpec(**args)
+    model = ReportModel(vocab, base.names + ["enlarged", "trachea"], spec, rng=np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    preps = []
+    for i, (report, entities, rows) in enumerate(RECORDS):
+        paths = []
+        for v, n in enumerate(rows):
+            paths.append(tmp_path / f"r{i}-{v}.fmat")
+            save_features(paths[-1], rng.normal(size=(n, FEATURES)))
+        rec = CorpusRecord(f"r{i}", paths, report=report, entities=entities)
+        preps.append(prepare_record(rec, vocab, base, fallback_labels(base), spec))
+    return model, preps
+
+
+def test_the_records_cover_the_cases(tmp_path):
+    model, preps = build(tmp_path, CONFIGS["full"])
+    base_names = load_base_graph(default_base_graph_path()).names
+    assert [len(p.raw_views) for p in preps] == [1, 2, 1]
+    assert len(preps[1].tag_token_ids) == len(fallback_labels(load_base_graph(default_base_graph_path())))
+    assert preps[1].node_names == base_names
+    assert preps[0].node_names == base_names + ["enlarged"]
+    assert model.gcn.row_ids(preps[2].node_names)[-2:] == [len(base_names) + 1, model.gcn.unk_row]
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_packed_loss_and_gradients_equal_the_mean_of_one_record_batches(tmp_path, name):
+    model, preps = build(tmp_path, CONFIGS[name])
+    params = [p for _, p in model.parameters()]
+    solo_loss = 0.0
+    solo = None
+    for prep in preps:
+        loss = teacher_forcing_loss([prep], model)
+        solo_loss += loss.value[0, 0] / len(preps)
+        grads = parameter_gradients(loss, params)
+        if solo is None:
+            solo = grads
+        else:
+            for p in params:
+                solo[p] += grads[p]
+        del loss, grads
+    packed = teacher_forcing_loss(preps, model)
+    np.testing.assert_allclose(packed.value[0, 0], solo_loss, **TOL)
+    grads = parameter_gradients(packed, params)
+    for (pname, p) in model.parameters():
+        np.testing.assert_allclose(grads[p], solo[p] / len(preps), **TOL, err_msg=pname)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_packed_logits_equal_one_record_logits(tmp_path, name):
+    model, preps = build(tmp_path, CONFIGS[name])
+    packed = batch_logits(preps, model).value
+    solo = np.concatenate([batch_logits([p], model).value for p in preps])
+    np.testing.assert_allclose(packed, solo, **TOL)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_a_record_never_sees_another_records_values(tmp_path, name):
+    model, preps = build(tmp_path, CONFIGS[name])
+    rng = np.random.default_rng(7)
+    other = dataclasses.replace(
+        preps[1],
+        raw_views=[rng.normal(size=v.shape) for v in preps[1].raw_views],
+        input_ids=[(i + 3) % len(model.vocab) for i in preps[1].input_ids],
+        target_ids=[(i + 5) % len(model.vocab) for i in preps[1].target_ids],
+    )
+    assert other.input_ids != preps[1].input_ids
+    before = batch_logits(preps, model).value
+    after = batch_logits([preps[0], other, preps[2]], model).value
+    first, second = len(preps[0].input_ids), len(preps[0].input_ids) + len(preps[1].input_ids)
+    assert np.array_equal(after[:first], before[:first])
+    assert np.array_equal(after[second:], before[second:])
+    assert not np.array_equal(after[first:second], before[first:second])
+
+
+def test_mean_fusion_refuses_views_of_unequal_length(tmp_path):
+    base = load_base_graph(default_base_graph_path())
+    vocab = Vocabulary.build([tokenize("lungs are clear")], min_freq=1)
+    spec = ModelSpec(
+        d=8, heads=2, decoder_layers=1, gcn_layers=1, ffn_multiplier=1, feature_dim=FEATURES,
+        fusion=FusionWeights.from_raw(1.0, 1.0, 1.0), fuse_mode="mean",
+    )
+    paths = [tmp_path / "a.fmat", tmp_path / "b.fmat"]
+    save_features(paths[0], np.ones((2, FEATURES)))
+    save_features(paths[1], np.ones((3, FEATURES)))
+    rec = CorpusRecord("r", paths, report="lungs are clear", entities=[])
+    with pytest.raises(ValueError, match="'r': mean fusion needs equal token counts"):
+        prepare_record(rec, vocab, base, fallback_labels(base), spec)
