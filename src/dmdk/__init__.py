@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import RunConfig, default_config, load_config, parse_config
+from .config import RunConfig, load_config, parse_config
 from .graph import KnowledgeGraph, build_specific_graph, load_base_graph
 from .metrics import MetricReport, bleu, cider, evaluate_corpus, rouge_l
 from .model import (
@@ -37,8 +37,8 @@ __all__ = [
     "bleu",
     "build_specific_graph",
     "cider",
-    "default_config",
     "evaluate_corpus",
+    "extract_topic_labels",
     "generate_for_records",
     "load_base_graph",
     "load_config",

@@ -240,10 +240,6 @@ class EmbeddingTable:
     positions: Tensor | None = None  # learned positional table, else sinusoidal
 
     @property
-    def vocab_size(self) -> int:
-        return self.rows.rows
-
-    @property
     def dim(self) -> int:
         return self.rows.cols
 

@@ -30,7 +30,6 @@ __all__ = [
     "add",
     "backward",
     "canonical_matmul",
-    "concat_cols",
     "concat_rows",
     "cross_entropy_logits",
     "embedding",
@@ -43,9 +42,7 @@ __all__ = [
     "relative_error",
     "relu",
     "scale",
-    "softmax_rows",
     "sum_all",
-    "transpose",
 ]
 
 
@@ -298,13 +295,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.value * c, (a,), grad_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def grad_fn(g: np.ndarray):
-        return (g.T,)
-
-    return Tensor(a.value.T, (a,), grad_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     av = a.value
     mask = av > 0.0
@@ -313,21 +303,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return Tensor(np.where(mask, av, 0.0), (a,), grad_fn)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; each row sums to 1."""
-    if a.cols == 0:
-        raise ValueError("softmax_rows needs at least one column")
-    v = a.value
-    e = np.exp(v - v.max(axis=1, keepdims=True)) if a.rows else np.zeros_like(v)
-    y = e / e.sum(axis=1, keepdims=True) if a.rows else e
-
-    def grad_fn(g: np.ndarray):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return ((g - dot) * y,)
-
-    return Tensor(y, (a,), grad_fn)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -372,21 +347,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(np.split(g, splits, axis=0))
 
     return Tensor(np.concatenate([p.value for p in parts], axis=0), tuple(parts), grad_fn)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ValueError("concat_cols needs at least one part")
-    rows = parts[0].rows
-    for p in parts:
-        if p.rows != rows:
-            raise ValueError(f"concat_cols row mismatch: {rows} vs {p.rows}")
-    splits = np.cumsum([p.cols for p in parts])[:-1]
-
-    def grad_fn(g: np.ndarray):
-        return tuple(np.split(g, splits, axis=1))
-
-    return Tensor(np.concatenate([p.value for p in parts], axis=1), tuple(parts), grad_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:

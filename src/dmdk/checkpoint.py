@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .text import decode_utf8, parse_json
+
 MAGIC = b"DMDK"
 VERSION = 2
 
@@ -83,10 +85,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         header_end = 16 + header_len
         if header_end > size:
             raise ValueError(f"{path}: truncated header")
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ValueError(f"{path}: malformed checkpoint header: {e}") from None
+        where = f"{path}: checkpoint header"
+        header = parse_json(decode_utf8(fh.read(header_len), where), where)
         meta, entries = _checked_header(path, header, size - header_end)
         tensors: dict[str, np.ndarray] = {}
         for name, rows, cols, offset in entries:

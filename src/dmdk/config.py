@@ -6,11 +6,12 @@ is no silent coercion beyond accepting JSON integers for float fields.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
+
+from .text import decode_utf8, parse_json
 
 
 @dataclass
@@ -111,10 +112,6 @@ def _checked(name: str, value):
     return value
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 def parse_config(obj: dict) -> RunConfig:
     """Overlay a parsed JSON object onto the defaults, then validate."""
     if not isinstance(obj, dict):
@@ -182,13 +179,11 @@ def validate_config(run: RunConfig) -> None:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
+    obj = parse_json(decode_utf8(path.read_bytes(), str(path)), str(path))
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: malformed JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return parse_config(obj)
+        return parse_config(obj)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def effective_dict(run: RunConfig) -> dict:

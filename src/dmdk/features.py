@@ -1,8 +1,8 @@
 """Visual feature files and the learned projection into the model width.
 
 Feature maps arrive as plain-text matrices (one file per view, at most two
-views per record) and pass through a trainable affine projection. Two views
-are fused by stacking rows, so the decoder sees one token sequence.
+views per record) and pass through a trainable affine projection.
+``model.encode_batch`` stacks two views' rows, or averages them under mean fusion.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor, add, concat_rows, matmul, scale
+from .autograd import Tensor, add, matmul
+from .text import decode_utf8
 
 FMAT_MAGIC = "FMAT"
 FMAT_VERSION = "v1"
@@ -20,7 +21,7 @@ FMAT_VERSION = "v1"
 
 def _read_header(fh, path: Path) -> tuple[int, int]:
     """Rows and columns from the header line `FMAT v1 <rows> <cols>`."""
-    header = fh.readline().split()
+    header = decode_utf8(fh.readline(), str(path)).split()
     if len(header) != 4 or header[0] != FMAT_MAGIC or header[1] != FMAT_VERSION:
         raise ValueError(f"{path}: expected header 'FMAT v1 <rows> <cols>'")
     try:
@@ -35,16 +36,16 @@ def _read_header(fh, path: Path) -> tuple[int, int]:
 def feature_width(path: str | Path) -> int:
     """The column count an FMAT file's header declares; the rows are not read."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return _read_header(fh, path)[1]
 
 
 def load_features(path: str | Path) -> np.ndarray:
     """Read an FMAT v1 file: header `FMAT v1 <rows> <cols>`, then the rows."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         rows, cols = _read_header(fh, path)
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [ln for ln in decode_utf8(fh.read(), str(path)).splitlines() if ln.strip()]
     if len(lines) != rows:
         raise ValueError(f"{path}: header promises {rows} rows, file has {len(lines)}")
     out = np.empty((rows, cols))
@@ -102,19 +103,3 @@ def project_features(raw: np.ndarray, params: ProjectionParams) -> Tensor:
         )
     return add(matmul(Tensor(raw), params.weight), params.bias)
 
-
-def fuse_views(a: Tensor, b: Tensor | None, mode: str = "concat") -> Tensor:
-    """Merge up to two projected views; 'concat' stacks rows, 'mean' averages."""
-    if b is None:
-        return a
-    if a.cols != b.cols:
-        raise ValueError(f"view width mismatch: {a.cols} vs {b.cols}")
-    if mode == "concat":
-        return concat_rows([a, b])
-    if mode == "mean":
-        if a.rows != b.rows:
-            raise ValueError(
-                f"mean fusion needs equal token counts, got {a.rows} and {b.rows}"
-            )
-        return scale(add(a, b), 0.5)
-    raise ValueError(f"unknown fusion mode {mode!r}; expected 'concat' or 'mean'")

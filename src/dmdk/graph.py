@@ -1,9 +1,9 @@
 """Static base graph, per-record specific graphs, and the GCN encoder.
 
 The base graph is a fixed organ/finding hierarchy loaded from JSON config.
-Each tagged record extends a copy of it: relation triples from the entity
-scan add edges (labeled with the target's entity type) and may introduce new
-finding nodes for dynamic tags that participate in at least one triple.
+Each tagged record extends a copy of it: the entity scan's (source, target,
+relation) triples add edges (labeled with the target's entity type) and may
+introduce new finding nodes for dynamic tags that occur in at least one triple.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import SparseRows, Tensor, canonical_matmul, embedding, matmul, relu
-from .text import Entity, EntityType
+from .text import Entity, EntityType, decode_utf8, parse_json
 from .topics import DiseaseTopicLabels, anatomy_pairs
 
 logger = logging.getLogger(__name__)
@@ -89,24 +89,6 @@ class KnowledgeGraph:
             return
         self.edges[(min(a, b), max(a, b))] = relation
 
-    def has_edge(self, a_name: str, b_name: str) -> bool:
-        a, b = self._index[a_name], self._index[b_name]
-        return (min(a, b), max(a, b)) in self.edges
-
-    def relation(self, a_name: str, b_name: str) -> EntityType | None:
-        a, b = self._index[a_name], self._index[b_name]
-        return self.edges[(min(a, b), max(a, b))]
-
-    def neighbors(self, name: str) -> list[str]:
-        i = self._index[name]
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(self.nodes[b].name)
-            elif b == i:
-                out.append(self.nodes[a].name)
-        return sorted(out)
-
     def adjacency(self) -> np.ndarray:
         """Symmetric 0/1 matrix with zero diagonal."""
         n = len(self.nodes)
@@ -136,8 +118,8 @@ def entity_names(g: KnowledgeGraph, kinds: Sequence[NodeKind] | None = None) -> 
 
 
 def graph_from_dict(obj: dict, where: str = "graph config") -> KnowledgeGraph:
-    if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
-        raise ValueError(f"{where}: expected an object with 'nodes' and 'edges'")
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(k), list) for k in ("nodes", "edges"))):
+        raise ValueError(f"{where}: expected an object with 'nodes' and 'edges' lists")
     nodes: list[GraphNode] = []
     for k, item in enumerate(obj["nodes"]):
         if not isinstance(item, dict) or "name" not in item or "kind" not in item:
@@ -157,7 +139,7 @@ def graph_from_dict(obj: dict, where: str = "graph config") -> KnowledgeGraph:
             raise ValueError(f"{where}: edges[{k}] must be [source, target] or [source, target, relation]")
         src, tgt = item[0], item[1]
         for name in (src, tgt):
-            if name not in index:
+            if not isinstance(name, str) or name not in index:
                 raise ValueError(f"{where}: edges[{k}] references unknown node {name!r}")
         rel = None
         if len(item) == 3 and item[2] is not None:
@@ -169,19 +151,18 @@ def graph_from_dict(obj: dict, where: str = "graph config") -> KnowledgeGraph:
                 ) from None
         a, b = index[src], index[tgt]
         edges[(min(a, b), max(a, b))] = rel
-    return KnowledgeGraph(nodes, edges)
+    try:
+        return KnowledgeGraph(nodes, edges)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def load_base_graph(path: str | Path) -> KnowledgeGraph:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = decode_utf8(path.read_bytes(), str(path))
     if not text.strip():
         raise ValueError(f"{path}: empty graph config")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: malformed JSON: {e}") from None
-    return graph_from_dict(obj, where=str(path))
+    return graph_from_dict(parse_json(text, str(path)), where=str(path))
 
 
 def default_base_graph_path() -> Path:
@@ -196,10 +177,6 @@ def graph_to_dict(g: KnowledgeGraph) -> dict:
             for (a, b), rel in sorted(g.edges.items())
         ],
     }
-
-
-def graph_to_json(g: KnowledgeGraph) -> str:
-    return json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n"
 
 
 def graph_to_dot(g: KnowledgeGraph) -> str:
@@ -217,7 +194,7 @@ def export_graph(g: KnowledgeGraph, fmt: str) -> str:
     if fmt == "dot":
         return graph_to_dot(g)
     if fmt == "json":
-        return graph_to_json(g)
+        return json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
 
 
@@ -225,37 +202,16 @@ def export_graph(g: KnowledgeGraph, fmt: str) -> str:
 # relation extraction and the specific graph
 
 
-@dataclass
-class RelationTriples:
-    """Parallel (source, target, relation) lists; relation is the target's type."""
-
-    sources: list[str]
-    targets: list[str]
-    relations: list[EntityType]
-
-    def __post_init__(self):
-        if not (len(self.sources) == len(self.targets) == len(self.relations)):
-            raise ValueError("relation triple lists must have equal lengths")
-
-    def __len__(self) -> int:
-        return len(self.sources)
-
-    def __iter__(self):
-        return iter(zip(self.sources, self.targets, self.relations))
+Triple = tuple[str, str, EntityType]  # (source, target, relation); relation is the target's type
 
 
-def extract_relations(entities: Sequence[Entity]) -> RelationTriples:
-    """Same scan as the topic-label miner: one triple per (anatomy, next) pair."""
-    pairs = anatomy_pairs(entities)
-    return RelationTriples(
-        [a.text for a, _ in pairs],
-        [b.text for _, b in pairs],
-        [b.type for _, b in pairs],
-    )
+def extract_relations(entities: Sequence[Entity]) -> list[Triple]:
+    """Same scan as the topic-label miner: one triple per (anatomy, next) pair, in order."""
+    return [(a.text, b.text, b.type) for a, b in anatomy_pairs(entities)]
 
 
 def build_specific_graph(
-    base: KnowledgeGraph, labels: DiseaseTopicLabels, triples: RelationTriples
+    base: KnowledgeGraph, labels: DiseaseTopicLabels, triples: Sequence[Triple]
 ) -> KnowledgeGraph:
     """Copy of the base graph extended with this record's tags and relations.
 
@@ -264,7 +220,7 @@ def build_specific_graph(
     whose endpoints resolved to nodes, labeled with the target's entity type.
     """
     g = base.copy()
-    associated = set(triples.sources) | set(triples.targets)
+    associated = {name for src, tgt, _ in triples for name in (src, tgt)}
     for tag in labels.tags:
         if g.node_index(tag) is None and tag in associated:
             g.add_node(tag, NodeKind.FINDING)

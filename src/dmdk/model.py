@@ -58,7 +58,7 @@ from .attention import (
     multi_head_attention,
     project_kv,
 )
-from .features import ProjectionParams, feature_width, fuse_views, load_features, project_features
+from .features import ProjectionParams, feature_width, load_features, project_features
 from .graph import (
     GcnParams,
     GraphNode,
@@ -224,6 +224,8 @@ class ReportModel:
                 for i in range(spec.gcn_layers)
             ],
         )
+        if state is None:  # no training graph has an UNK node, so a zero row stays zero
+            self.gcn.embeddings.value[-1] = 0.0
         layers = []
         for i in range(spec.decoder_layers):
             layers.append(
@@ -538,7 +540,7 @@ def encode_batch(
         first, last = (np.concatenate([vs[i] for vs in views]) for i in (0, -1))
         x = project_features(first, model.proj)
         if any(len(vs) > 1 for vs in views):
-            x = fuse_views(x, project_features(last, model.proj), "mean")
+            x = scale(add(x, project_features(last, model.proj)), 0.5)
         rows = [len(vs[0]) for vs in views]
     w_enh = m_enh = x
     if spec.ablation in (AblationMode.FULL, AblationMode.DKE):
@@ -743,10 +745,7 @@ def load_model(path) -> tuple[ReportModel, KnowledgeGraph, str]:
         model = ReportModel(vocab, node_names, spec, state=state)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    try:
-        base_graph = graph_from_dict(meta["base_graph"], where=f"{path}: checkpoint base graph")
-    except TypeError as e:
-        raise bad(f"'base_graph' is malformed: {e}") from None
+    base_graph = graph_from_dict(meta["base_graph"], where=f"{path}: checkpoint base graph")
     return model, base_graph, meta["labels_fallback"]
 
 

@@ -73,9 +73,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.index.get(t, self.UNK) for t in tokens]
 
@@ -120,6 +117,22 @@ def _parse_entities(raw, where: str) -> EntitySequence:
     return out
 
 
+def decode_utf8(data: bytes, where: str) -> str:
+    """``data`` as UTF-8 text; undecodable bytes raise a ValueError naming ``where``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{where}: not UTF-8 text: {e}") from None
+
+
+def parse_json(text: str, where: str):
+    """``json.loads``; malformed or too deeply nested JSON raises a ValueError naming ``where``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ValueError(f"{where}: malformed JSON: {e}") from None
+
+
 def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[str, str, dict]]:
     """(location, id, object) for each nonblank line of a JSON-lines file.
 
@@ -127,15 +140,13 @@ def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[str, str, dic
     name the file and line, and a duplicate is called a duplicate ``what`` id.
     """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            line = decode_utf8(raw, where)
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{where}: malformed JSON: {e}") from None
+            obj = parse_json(line, where)
             if not isinstance(obj, dict):
                 raise ValueError(f"{where}: each line must be a JSON object")
             rid = obj.get("id")
@@ -184,19 +195,6 @@ def save_corpus(path: str | Path, records: Iterable[CorpusRecord]) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def partition(
-    records: Sequence[CorpusRecord], ratios: tuple[int, int, int] = (7, 1, 2)
-) -> tuple[list[CorpusRecord], list[CorpusRecord], list[CorpusRecord]]:
-    """Deterministic train/val/test split in corpus order; 10 records -> 7/1/2."""
-    if any(r <= 0 for r in ratios):
-        raise ValueError(f"split ratios must be positive, got {ratios}")
-    n = len(records)
-    total = sum(ratios)
-    a = n * ratios[0] // total
-    b = n * (ratios[0] + ratios[1]) // total
-    return list(records[:a]), list(records[a:b]), list(records[b:])
-
-
 @dataclass
 class Lexicon:
     """Longest-match term table mapping lowercase token tuples to entity types."""
@@ -211,9 +209,9 @@ class Lexicon:
     def load(cls, path: str | Path) -> "Lexicon":
         """Parse `term<TAB>TYPE` lines; '#' starts a comment, blanks ignored."""
         terms: dict[tuple[str, ...], EntityType] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = decode_utf8(raw, f"{path}:{lineno}").strip()
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split("\t")

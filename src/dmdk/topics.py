@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import EmbeddingTable, embed_tokens
 from .autograd import SparseRows, Tensor, canonical_matmul
-from .text import Entity, EntitySequence, EntityType
+from .text import Entity, EntityType
 
 
 class LabelSource(Enum):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -233,6 +234,34 @@ def test_generate_malformed_checkpoint_exits_two(tmp_path, capsys):
     code = main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")])
     assert code == 2
     assert str(ckpt) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "tag", "build-graph", "generate"])
+def test_json_nested_too_deeply_exits_two(tmp_path, capsys, command):
+    from dmdk.checkpoint import MAGIC, VERSION
+
+    deep = b"[" * 100_000
+    path = tmp_path / "deep"
+    if command == "generate":  # a checkpoint whose JSON header nests too deeply
+        deep = MAGIC + struct.pack("<IQ", VERSION, len(deep)) + deep
+    path.write_bytes(deep)
+    corpus, out = tagged_corpus(tmp_path, n=1), str(tmp_path / "out")
+    argv = {
+        "train": ["--config", str(path), "--corpus", corpus, "--out", out],
+        "tag": ["--in", str(path), "--out", out],
+        "build-graph": ["--base", str(path), "--in", corpus, "--out-dir", out],
+        "generate": ["--model", str(path), "--corpus", corpus, "--out", out],
+    }[command]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "malformed JSON" in err
+
+
+def test_tag_on_a_corpus_that_is_not_utf8_exits_two(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(b"\xff\xfe" + '{"id": "a", "features": ["x"]}\n'.encode("utf-16-le"))
+    assert main(["tag", "--in", str(corpus), "--out", str(tmp_path / "o")]) == 2
+    assert f"{corpus}:1: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_generate_on_a_version_1_checkpoint_exits_two(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from dmdk.config import (
     RunConfig,
-    default_config,
     effective_dict,
     load_config,
     parse_config,
@@ -13,7 +12,7 @@ from dmdk.config import (
 
 
 def test_defaults_match_documented_values():
-    run = default_config()
+    run = RunConfig()
     assert run.model.d == 512
     assert run.model.heads == 8
     assert run.model.decoder_layers == 3
@@ -132,7 +131,7 @@ def test_effective_dict_round_trips():
 
 
 def test_effective_dict_is_json_serializable():
-    json.dumps(effective_dict(default_config()))
+    json.dumps(effective_dict(RunConfig()))
 
 
 def test_load_config_reads_file(tmp_path):

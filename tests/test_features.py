@@ -7,11 +7,20 @@ from dmdk.autograd import Tensor
 from dmdk.features import (
     ProjectionParams,
     feature_width,
-    fuse_views,
     load_features,
     project_features,
     save_features,
 )
+from dmdk.model import (
+    AblationMode,
+    FusionWeights,
+    ModelSpec,
+    PreparedRecord,
+    ReportModel,
+    encode_batch,
+    prepare_record,
+)
+from dmdk.text import CorpusRecord, Vocabulary
 
 RNG = np.random.default_rng(31)
 
@@ -127,44 +136,69 @@ def test_projection_bias_shape_validated():
         ProjectionParams(Tensor(np.zeros((4, 8))), Tensor(np.zeros((1, 4))))
 
 
+# How encode_batch fuses a record's two views. Under the base ablation W' is
+# the fused visual rows themselves, so the tests read the fusion from it.
+
+
+def base_model(fuse_mode):
+    spec = ModelSpec(
+        d=4, heads=2, decoder_layers=1, gcn_layers=1, ffn_multiplier=1, feature_dim=3,
+        fusion=FusionWeights.from_raw(1.0, 1.0, 1.0), ablation=AblationMode.BASE, fuse_mode=fuse_mode,
+    )
+    return ReportModel(Vocabulary(list(Vocabulary.SPECIALS), 1), ["root"], spec, rng=np.random.default_rng(3))
+
+
+def fused(model, *views_of_each_record):
+    """The fused visual rows of a batch and each record's row count in them."""
+    batch = [PreparedRecord(f"r{i}", list(v), [], [], None) for i, v in enumerate(views_of_each_record)]
+    _, w_enh, _, rows = encode_batch(model, batch)
+    return w_enh.value, rows
+
+
+def projected(raw, model):
+    return raw @ model.proj.weight.value + model.proj.bias.value
+
+
 def test_fuse_concat_stacks_rows():
-    a = Tensor(np.ones((2, 3)))
-    b = Tensor(np.zeros((1, 3)))
-    out = fuse_views(a, b, "concat")
-    assert out.rows == 3
-    assert np.array_equal(out.value, [[1, 1, 1], [1, 1, 1], [0, 0, 0]])
+    model = base_model("concat")
+    a, b, c = RNG.normal(size=(2, 3)), RNG.normal(size=(1, 3)), RNG.normal(size=(2, 3))
+    x, rows = fused(model, [a, b], [c])
+    assert rows == [3, 2]
+    assert np.array_equal(x, projected(np.concatenate([a, b, c]), model))
 
 
 def test_fuse_mean_averages():
-    a = Tensor(np.full((2, 2), 2.0))
-    b = Tensor(np.full((2, 2), 4.0))
-    out = fuse_views(a, b, "mean")
-    assert np.array_equal(out.value, np.full((2, 2), 3.0))
+    model = base_model("mean")
+    views = [
+        [RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3))],
+        [RNG.normal(size=(3, 3))],  # one view averages with itself, which is that view
+        [RNG.normal(size=(1, 3)), RNG.normal(size=(1, 3))],
+    ]
+    x, rows = fused(model, *views)
+    first, last = (np.concatenate([v[i] for v in views]) for i in (0, -1))
+    assert rows == [2, 3, 1]
+    assert np.array_equal(x, (projected(first, model) + projected(last, model)) * 0.5)
 
 
 def test_fuse_single_view_passthrough():
-    a = Tensor(np.ones((2, 2)))
-    assert fuse_views(a, None, "mean") is a
+    model = base_model("mean")
+    a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(1, 3))
+    x, rows = fused(model, [a], [b])
+    assert rows == [2, 1]
+    assert np.array_equal(x, projected(np.concatenate([a, b]), model))
 
 
 def test_fuse_width_mismatch_rejected():
-    a = Tensor(np.ones((2, 3)))
-    b = Tensor(np.ones((2, 4)))
-    with pytest.raises(ValueError, match="width mismatch"):
-        fuse_views(a, b)
-
-
-def test_fuse_mean_rejects_unequal_token_counts():
-    a = Tensor(np.ones((2, 3)))
-    b = Tensor(np.ones((3, 3)))
-    with pytest.raises(ValueError, match="equal token counts"):
-        fuse_views(a, b, "mean")
+    model = base_model("concat")
+    rec = CorpusRecord("r", [])
+    views = [np.ones((2, 3)), np.ones((2, 4))]
+    with pytest.raises(ValueError, match="'r': feature width 4 does not match configured feature_dim 3"):
+        prepare_record(rec, model.vocab, None, [], model.spec, with_report=False, raw_views=views)
 
 
 def test_fuse_unknown_mode_rejected():
-    a = Tensor(np.ones((1, 2)))
-    with pytest.raises(ValueError, match="unknown fusion mode"):
-        fuse_views(a, a, "max")
+    with pytest.raises(ValueError, match="unknown fuse_mode 'max'"):
+        base_model("max")
 
 
 def test_projection_gradients_flow():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmdk.attention import multi_head_attention
-from dmdk.autograd import Tensor
+from dmdk.autograd import Tensor, embedding
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
     AblationMode,
@@ -491,6 +491,24 @@ def test_train_vocab_includes_novel_graph_nodes(overfit_corpus):
     model, _ = train(records, make_config(epochs=0), base_graph())
     assert "trachea" in model.node_names  # r06 mentions it; base graph lacks it
     assert model.node_names[: base_graph().node_count()] == base_graph().names
+
+
+def test_gcn_unk_row_starts_and_stays_zero(overfit_corpus):
+    assert not small_model().gcn.embeddings.value[-1].any()
+    records = load_corpus(overfit_corpus)
+    base = base_graph()
+    model, _ = train(records, make_config(epochs=3, weight_decay=0.1), base)
+    gcn = model.gcn
+    assert not gcn.embeddings.value[gcn.unk_row].any()
+    # at generate time a tag the model never saw enters the GCN on the UNK row
+    rec = CorpusRecord(
+        "new", records[0].features,
+        entities=[Entity("carina", EntityType.ANATOMY), Entity("widened", EntityType.OBSERVATION)],
+    )
+    prep = prepare_record(rec, model.vocab, base, fallback_labels(base), model.spec, with_report=False)
+    rows, widened = gcn.row_ids(prep.node_names), prep.node_names.index("widened")
+    assert rows[widened] == gcn.unk_row
+    assert not embedding(gcn.embeddings, rows).value[widened].any()
 
 
 def test_train_learned_positions_sized_for_decode(overfit_corpus):

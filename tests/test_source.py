@@ -1,0 +1,51 @@
+"""Static checks over the package source, using only the standard library."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dmdk"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``file:line: name`` for each name the module imports and never reads.
+
+    In a package ``__init__`` an import re-exports a name, so it counts as
+    read only when ``__all__`` lists it.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    if path.name == "__init__.py":
+        used = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+    else:
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_check_flags_what_it_should(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import json\nimport numpy as np\nfrom os import path, sep\n"
+        "def f(x: np.ndarray):\n    return sep\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["m.py:2: json", "m.py:4: path"]
+    init = tmp_path / "__init__.py"
+    init.write_text("from .m import f, g\nf()\n__all__ = ['g']\n", encoding="utf-8")
+    assert unused_imports(init) == ["__init__.py:1: f"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)]
+    assert hits == []

@@ -11,7 +11,6 @@ from dmdk.text import (
     Vocabulary,
     lexicon_tag,
     load_corpus,
-    partition,
     save_corpus,
     tokenize,
 )
@@ -182,18 +181,6 @@ def test_corpus_round_trip_preserves_records(tmp_path):
     save_corpus(q, records)
     again = load_corpus(q)
     assert again == records
-
-
-def test_partition_ratio_7_1_2():
-    records = list(range(10))  # partition only slices, element type is irrelevant
-    train, val, test = partition(records)
-    assert (len(train), len(val), len(test)) == (7, 1, 2)
-    assert train + val + test == records
-
-
-def test_partition_small_corpus_keeps_everything():
-    train, val, test = partition(list(range(4)))
-    assert train + val + test == list(range(4))
 
 
 # ---------------------------------------------------------------------------
