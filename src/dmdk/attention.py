@@ -177,13 +177,10 @@ def attend(
     return matmul(heads_attention(q, k, v, params.heads, offset, spans), params.wo)
 
 
-def multi_head_attention(
-    x: Tensor, y: Tensor, params: MhaParams, causal: bool = False, spans: Spans | None = None
-) -> Tensor:
-    """Queries from ``x``, keys and values from ``y``; causal masks position i
-    from every key after i, so ``x`` and ``y`` must have equal lengths (per
-    record, with ``spans``)."""
-    return attend(x, *project_kv(y, params), params, 0 if causal else None, spans)
+def multi_head_attention(x: Tensor, y: Tensor, params: MhaParams, spans: Spans | None = None) -> Tensor:
+    """Queries from ``x``, keys and values from ``y``, every query seeing every
+    key (of its own record, with ``spans``)."""
+    return attend(x, *project_kv(y, params), params, None, spans)
 
 
 @dataclass
@@ -232,25 +229,14 @@ def sinusoidal_rows(start: int, stop: int, dim: int) -> np.ndarray:
     return table[start:stop]
 
 
-@dataclass
-class EmbeddingTable:
-    """Token rows plus a positional signal (sinusoidal unless a table is given)."""
-
-    rows: Tensor
-    positions: Tensor | None = None  # learned positional table, else sinusoidal
-
-    @property
-    def dim(self) -> int:
-        return self.rows.cols
-
-
 def embed_tokens(
-    ids: Sequence[int], table: EmbeddingTable, start: int = 0, spans: Sequence[int] | None = None
+    ids: Sequence[int], table: Tensor, start: int = 0, spans: Sequence[int] | None = None
 ) -> Tensor:
-    """len(ids) x d matrix of token embedding + the encoding of positions
-    start, start + 1, ...; with ``spans`` (row counts summing to len(ids))
-    the positions restart at ``start`` for each span."""
-    tok = embedding(table.rows, ids)
+    """len(ids) x d matrix of the ids' rows of the token ``table`` + the
+    sinusoidal encoding of positions start, start + 1, ...; with ``spans``
+    (row counts summing to len(ids)) the positions restart at ``start`` for
+    each span."""
+    tok = embedding(table, ids)
     n = tok.rows
     if n == 0:
         return tok
@@ -264,13 +250,4 @@ def embed_tokens(
             raise ValueError(f"spans {spans.tolist()} do not split {n} tokens")
         stop = start + int(spans.max())
         index = np.arange(n) - np.repeat(np.cumsum(spans) - spans, spans) + start
-    if table.positions is None:
-        pos = Tensor(sinusoidal_rows(0, stop, table.dim)[index])
-    else:
-        if stop > table.positions.rows:
-            raise ValueError(
-                f"sequence length {stop} exceeds learned positional table "
-                f"({table.positions.rows} rows)"
-            )
-        pos = embedding(table.positions, np.arange(stop)[index])
-    return add(tok, pos)
+    return add(tok, Tensor(sinusoidal_rows(0, stop, table.cols)[index]))

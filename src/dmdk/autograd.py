@@ -410,6 +410,12 @@ def cross_entropy_logits(
 # optimization and the finite-difference oracle
 
 
+# Adam's moment decay rates and the floor under its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction; optional L2 acts through the gradient.
 
@@ -421,9 +427,6 @@ class Adam:
         self,
         params: Sequence[tuple[str, Tensor]],
         lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         if lr <= 0:
@@ -432,9 +435,6 @@ class Adam:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         # np.zeros maps untouched pages; zeros_like would write every page up front
@@ -443,18 +443,18 @@ class Adam:
 
     def step(self, grads: Mapping[Tensor, np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params:
             g = grads.get(p)
             if g is None:
                 g = np.zeros_like(p.value)
             if self.weight_decay:
                 g = g + self.weight_decay * p.value
-            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * (g * g)
+            m = self._m[name] = ADAM_BETA1 * self._m[name] + (1.0 - ADAM_BETA1) * g
+            v = self._v[name] = ADAM_BETA2 * self._v[name] + (1.0 - ADAM_BETA2) * (g * g)
             # rebind rather than mutate: closures from the last graph stay valid
-            p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def finite_diff_grad(

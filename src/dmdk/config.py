@@ -21,8 +21,6 @@ class ModelSection:
     decoder_layers: int = 3
     gcn_layers: int = 2
     ffn_multiplier: int = 4
-    positional: str = "sinusoidal"
-    pre_norm: bool = False
 
 
 @dataclass
@@ -59,11 +57,6 @@ class LabelsSection:
 
 
 @dataclass
-class FeaturesSection:
-    fuse: str = "concat"  # how two projected views combine: concat | mean
-
-
-@dataclass
 class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
     fusion: FusionSection = field(default_factory=FusionSection)
@@ -71,7 +64,6 @@ class RunConfig:
     decode: DecodeSection = field(default_factory=DecodeSection)
     paths: PathsSection = field(default_factory=PathsSection)
     labels: LabelsSection = field(default_factory=LabelsSection)
-    features: FeaturesSection = field(default_factory=FeaturesSection)
     ablation: str = "full"
 
 
@@ -90,10 +82,6 @@ _FIELD_TYPES = _field_types()
 
 def _checked(name: str, value):
     expected = _FIELD_TYPES[name]
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"config field {name!r} must be a boolean, got {value!r}")
-        return value
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
@@ -138,26 +126,23 @@ def parse_config(obj: dict) -> RunConfig:
 
 def validate_config(run: RunConfig) -> None:
     m, f, t, d = run.model, run.fusion, run.train, run.decode
-    checks = [
-        ("model.d", m.d >= 1),
-        ("model.heads", m.heads >= 1),
-        ("model.decoder_layers", m.decoder_layers >= 1),
-        ("model.gcn_layers", m.gcn_layers >= 1),
-        ("model.ffn_multiplier", m.ffn_multiplier >= 1),
-        ("train.batch", t.batch >= 1),
-        ("train.epochs", t.epochs >= 0),
-        ("train.min_freq", t.min_freq >= 1),
-        ("decode.max_length", d.max_length >= 1),
+    checks = [  # (field, value, least allowed, most allowed or None for no bound)
+        ("model.d", m.d, 1, 4096),
+        ("model.heads", m.heads, 1, None),
+        ("model.decoder_layers", m.decoder_layers, 1, 32),
+        ("model.gcn_layers", m.gcn_layers, 1, 32),
+        ("model.ffn_multiplier", m.ffn_multiplier, 1, 16),
+        ("train.batch", t.batch, 1, None),
+        ("train.epochs", t.epochs, 0, None),
+        ("train.min_freq", t.min_freq, 1, None),
+        ("decode.max_length", d.max_length, 1, None),
     ]
-    for name, ok in checks:
-        if not ok:
-            raise ValueError(f"config field {name!r} is out of range")
+    for name, value, least, most in checks:
+        if value < least or (most is not None and value > most):
+            allowed = f">= {least}" if most is None else f"{least}..{most}"
+            raise ValueError(f"config field {name!r} is out of range: {value} (allowed {allowed})")
     if m.d % m.heads != 0:
         raise ValueError(f"model.d={m.d} is not divisible by model.heads={m.heads}")
-    if m.positional not in ("sinusoidal", "learned"):
-        raise ValueError(
-            f"model.positional must be 'sinusoidal' or 'learned', got {m.positional!r}"
-        )
     for name, v in (("lambda1", f.lambda1), ("lambda2", f.lambda2), ("lambda3", f.lambda3)):
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"fusion.{name} must be positive and finite, got {v}")
@@ -169,8 +154,6 @@ def validate_config(run: RunConfig) -> None:
         raise ValueError(
             f"labels.fallback must be 'all' or 'findings', got {run.labels.fallback!r}"
         )
-    if run.features.fuse not in ("concat", "mean"):
-        raise ValueError(f"features.fuse must be 'concat' or 'mean', got {run.features.fuse!r}")
     if run.ablation not in ("base", "dke", "ske", "full"):
         raise ValueError(
             f"ablation must be one of base, dke, ske, full; got {run.ablation!r}"

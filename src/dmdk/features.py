@@ -2,7 +2,7 @@
 
 Feature maps arrive as plain-text matrices (one file per view, at most two
 views per record) and pass through a trainable affine projection.
-``model.encode_batch`` stacks two views' rows, or averages them under mean fusion.
+``model.encode_batch`` stacks a record's views by rows.
 """
 
 from __future__ import annotations

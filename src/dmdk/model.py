@@ -48,7 +48,6 @@ from .autograd import (
     scale,
 )
 from .attention import (
-    EmbeddingTable,
     FfnParams,
     MhaParams,
     Spans,
@@ -124,9 +123,6 @@ class ModelSpec:
     fusion: FusionWeights
     ablation: AblationMode = AblationMode.FULL
     max_length: int = 64
-    pre_norm: bool = False
-    learned_positions: int | None = None
-    fuse_mode: str = "concat"
 
     def __post_init__(self):
         for name in (
@@ -135,16 +131,8 @@ class ModelSpec:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"model spec field {name!r} out of range")
-        if self.learned_positions is not None and (
-            type(self.learned_positions) is not int or self.learned_positions < 1
-        ):
-            raise ValueError("model spec field 'learned_positions' out of range")
-        if type(self.pre_norm) is not bool:
-            raise ValueError("model spec field 'pre_norm' must be a boolean")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} is not divisible by heads={self.heads}")
-        if self.fuse_mode not in ("concat", "mean"):
-            raise ValueError(f"unknown fuse_mode {self.fuse_mode!r}")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -181,7 +169,6 @@ class DecoderParams:
     layers: list[DecoderLayerParams]
     head_w: Tensor  # d x vocab
     head_b: Tensor  # 1 x vocab
-    pre_norm: bool = False
 
 
 class ReportModel:
@@ -209,10 +196,7 @@ class ReportModel:
             self._param("proj.weight", spec.feature_dim, d, "weight"),
             self._param("proj.bias", 1, d, "zeros"),
         )
-        positions = None
-        if spec.learned_positions is not None:
-            positions = self._param("embed.positions", spec.learned_positions, d, "embed")
-        self.embed = EmbeddingTable(self._param("embed.tokens", len(vocab), d, "embed"), positions)
+        self.embed = self._param("embed.tokens", len(vocab), d, "embed")
         self.label_attn = self._mha("label_attn", d, spec.heads)
         self.graph_attn = self._mha("graph_attn", d, spec.heads)
         self.fusion_attn = self._mha("fusion_attn", d, spec.heads)
@@ -248,7 +232,6 @@ class ReportModel:
             layers,
             self._param("head.weight", d, len(vocab), "weight"),
             self._param("head.bias", 1, len(vocab), "zeros"),
-            pre_norm=spec.pre_norm,
         )
         if self._state:
             raise ValueError(f"checkpoint has unexpected tensors: {sorted(self._state)}")
@@ -318,9 +301,8 @@ def fuse_knowledge(
     return multi_head_attention(x, mix, params, spans=None if rows is None else (rows, rows))
 
 
-def _sublayer(h: Tensor, f, norm: LayerNormParams, pre_norm: bool) -> Tensor:
-    if pre_norm:
-        return add(h, f(layer_norm(h, norm.gain, norm.bias)))
+def _sublayer(h: Tensor, f, norm: LayerNormParams) -> Tensor:
+    """Post-norm residual sublayer: LayerNorm(h + f(h))."""
     return layer_norm(add(h, f(h)), norm.gain, norm.bias)
 
 
@@ -369,7 +351,7 @@ def decoder_forward(
     w_enh: Tensor,
     m_enh: Tensor,
     dec: DecoderParams,
-    table: EmbeddingTable,
+    table: Tensor,
     cache: DecoderCache | None = None,
     spans: Spans | None = None,
 ) -> Tensor:
@@ -407,16 +389,15 @@ def decoder_forward(
         fused, labels, graph = (
             cache.cross[i] if cache is not None else _cross_kv(layer, x_fused, w_enh, m_enh)
         )
-        norms, pre = layer.norms, dec.pre_norm
+        norms = layer.norms
         self_attn = layer.self_attn
         h = _sublayer(
-            h, lambda t: attend(t, *_self_kv(t, i, self_attn, cache), self_attn, start, self_spans),
-            norms[0], pre,
+            h, lambda t: attend(t, *_self_kv(t, i, self_attn, cache), self_attn, start, self_spans), norms[0]
         )
-        h = _sublayer(h, lambda t: attend(t, *fused, layer.cross_fused, spans=spans), norms[1], pre)
-        h = _sublayer(h, lambda t: attend(t, *labels, layer.cross_labels, spans=spans), norms[2], pre)
-        h = _sublayer(h, lambda t: attend(t, *graph, layer.cross_graph, spans=spans), norms[3], pre)
-        h = _sublayer(h, lambda t: feed_forward(t, layer.ffn), norms[4], pre)
+        h = _sublayer(h, lambda t: attend(t, *fused, layer.cross_fused, spans=spans), norms[1])
+        h = _sublayer(h, lambda t: attend(t, *labels, layer.cross_labels, spans=spans), norms[2])
+        h = _sublayer(h, lambda t: attend(t, *graph, layer.cross_graph, spans=spans), norms[3])
+        h = _sublayer(h, lambda t: feed_forward(t, layer.ffn), norms[4])
     if cache is not None:
         cache.length += len(ids)
     return add(matmul(h, dec.head_w), dec.head_b)
@@ -427,7 +408,7 @@ def generate_greedy(
     w_enh: Tensor,
     m_enh: Tensor,
     dec: DecoderParams,
-    table: EmbeddingTable,
+    table: Tensor,
     max_length: int,
 ) -> list[int]:
     """Argmax decoding (ties break toward the lowest index) until EOS or the cap.
@@ -492,11 +473,6 @@ def prepare_record(
                 f"record {rec.id!r}: feature width {v.shape[1]} does not match "
                 f"configured feature_dim {spec.feature_dim}"
             )
-    if spec.fuse_mode == "mean" and len({len(v) for v in raw_views}) > 1:
-        raise ValueError(
-            f"record {rec.id!r}: mean fusion needs equal token counts, got "
-            f"{[len(v) for v in raw_views]}"
-        )
     mode = spec.ablation
     tag_token_ids: list[list[int]] = []
     node_names: list[str] = []
@@ -532,16 +508,8 @@ def encode_batch(
     every view; tags and graph nodes (under one block-diagonal adjacency) are
     stacked the same way, and each record attends its own rows only."""
     spec = model.spec
-    views = [rec.raw_views for rec in batch]
-    if spec.fuse_mode == "concat":
-        x = project_features(np.concatenate([v for vs in views for v in vs]), model.proj)
-        rows = [sum(map(len, vs)) for vs in views]
-    else:  # a one-view record averages its view with itself, which is that view
-        first, last = (np.concatenate([vs[i] for vs in views]) for i in (0, -1))
-        x = project_features(first, model.proj)
-        if any(len(vs) > 1 for vs in views):
-            x = scale(add(x, project_features(last, model.proj)), 0.5)
-        rows = [len(vs[0]) for vs in views]
+    x = project_features(np.concatenate([v for rec in batch for v in rec.raw_views]), model.proj)
+    rows = [sum(map(len, rec.raw_views)) for rec in batch]
     w_enh = m_enh = x
     if spec.ablation in (AblationMode.FULL, AblationMode.DKE):
         w = pool_tag_embeddings([ids for rec in batch for ids in rec.tag_token_ids], model.embed)
@@ -594,8 +562,6 @@ def _spec_for_run(run, feature_dim: int, **fixed) -> ModelSpec:
         fusion=FusionWeights.from_raw(run.fusion.lambda1, run.fusion.lambda2, run.fusion.lambda3),
         ablation=AblationMode(run.ablation),
         max_length=run.decode.max_length,
-        pre_norm=m.pre_norm,
-        fuse_mode=run.features.fuse,
     )
     return ModelSpec(**{**args, **fixed})
 
@@ -624,12 +590,7 @@ def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
     )
     node_names = base_graph.names + novel
     feature_dim = feature_width(records[0].features[0])
-
-    learned_positions = None
-    if run.model.positional == "learned":
-        longest = max(len(tokenize(r.report)) for r in records) + 1
-        learned_positions = max(longest, run.decode.max_length + 1)
-    spec = _spec_for_run(run, feature_dim, learned_positions=learned_positions)
+    spec = _spec_for_run(run, feature_dim)
     model = ReportModel(vocab, node_names, spec, rng=np.random.default_rng([run.train.seed, 0]))
     prepared = [
         prepare_record(r, vocab, base_graph, base_labels, spec, with_report=True)
@@ -729,13 +690,17 @@ def load_model(path) -> tuple[ReportModel, KnowledgeGraph, str]:
         raise bad("'vocab' needs a 'tokens' list of strings and an integer 'min_freq'")
     if not isinstance(spec, dict):
         raise bad("'spec' must be an object")
-    missing = [f.name for f in fields(ModelSpec) if f.name not in spec]
+    names = [f.name for f in fields(ModelSpec)]
+    missing = [n for n in names if n not in spec]
     if missing:
         raise bad(f"'spec' is missing {', '.join(map(repr, missing))}")
+    unknown = [k for k in spec if k not in names]
+    if unknown:  # such as options an older version had
+        raise bad(f"'spec' has unknown fields {', '.join(map(repr, unknown))}; retrain the model")
     if not (isinstance(node_names, list) and all(isinstance(n, str) for n in node_names)):
         raise bad("'node_names' must be a list of strings")
-    if not isinstance(meta["labels_fallback"], str):
-        raise bad("'labels_fallback' must be a string")
+    if meta["labels_fallback"] not in ("all", "findings"):
+        raise bad(f"'labels_fallback' must be 'all' or 'findings', got {meta['labels_fallback']!r}")
     try:
         spec = ModelSpec.from_dict(spec)
     except (TypeError, ValueError) as e:
@@ -777,7 +742,7 @@ def run_gradient_check(run, h: float = 1e-5) -> list[tuple[str, float]]:
     # vocab is forced to min_freq=1 so every fixture token survives
     vocab = Vocabulary.build((tokenize(r) for r in reports), min_freq=1)
     feature_dim = 4
-    spec = _spec_for_run(run, feature_dim, ablation=AblationMode.FULL, fuse_mode="concat")
+    spec = _spec_for_run(run, feature_dim, ablation=AblationMode.FULL)
     novel = sorted({e.text for ents in entity_sets for e in ents} - set(base_graph.names))
     node_names = base_graph.names + novel
     model = ReportModel(vocab, node_names, spec, rng=np.random.default_rng([run.train.seed, 0]))

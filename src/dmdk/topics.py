@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .attention import EmbeddingTable, embed_tokens
+from .attention import embed_tokens
 from .autograd import SparseRows, Tensor, canonical_matmul
 from .text import Entity, EntityType
 
@@ -65,7 +65,7 @@ def extract_topic_labels(
     return DiseaseTopicLabels(list(dict.fromkeys(base_labels)), LabelSource.BASE_FALLBACK)
 
 
-def pool_tag_embeddings(tag_token_ids: Sequence[Sequence[int]], table: EmbeddingTable) -> Tensor:
+def pool_tag_embeddings(tag_token_ids: Sequence[Sequence[int]], table: Tensor) -> Tensor:
     """One row per tag: mean of the tag's embedded (token + position) rows.
 
     Every tag's tokens are embedded at once, positions restarting at 0 for

@@ -92,9 +92,6 @@ def make_config(
     min_freq: int = 1,
     max_length: int = 16,
     ablation: str = "full",
-    positional: str = "sinusoidal",
-    pre_norm: bool = False,
-    fuse: str = "concat",
     fallback: str = "all",
     lambdas=(1.0, 1.0, 1.0),
 ) -> RunConfig:
@@ -106,8 +103,6 @@ def make_config(
                 "decoder_layers": decoder_layers,
                 "gcn_layers": gcn_layers,
                 "ffn_multiplier": ffn_multiplier,
-                "positional": positional,
-                "pre_norm": pre_norm,
             },
             "fusion": {
                 "lambda1": lambdas[0],
@@ -124,7 +119,6 @@ def make_config(
             },
             "decode": {"max_length": max_length},
             "labels": {"fallback": fallback},
-            "features": {"fuse": fuse},
             "ablation": ablation,
         }
     )

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from dmdk.text import Entity, EntityType
+from dmdk.text import EntityType
 
 
 # ---------------------------------------------------------------------------

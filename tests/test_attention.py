@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dmdk.attention import (
-    EmbeddingTable,
     FfnParams,
     MhaParams,
     attend,
@@ -79,18 +78,28 @@ def test_quarter_three_quarter_split_closed_form():
     assert np.allclose(out.value, [[0.75 * math.log(3.0), 4.0]], atol=1e-12)
 
 
-def test_attention_weights_are_stochastic_and_output_in_value_hull():
-    params = random_mha(4, 2, RNG)
-    x = Tensor(RNG.normal(size=(5, 4)))
-    y = Tensor(RNG.normal(size=(7, 4)))
+def assert_stochastic_in_value_hull(d, heads, q_rows, k_rows, rng):
+    params = random_mha(d, heads, rng)
+    x = Tensor(rng.normal(size=(q_rows, d)))
+    y = Tensor(rng.normal(size=(k_rows, d)))
     q = matmul(x, params.wq)
     k, v = project_kv(y, params)
     w = attention_weights(q.value, k.value, params.heads)
-    assert w.shape == (2, 5, 7)
+    assert w.shape == (heads, q_rows, k_rows)
     assert (w >= 0).all() and np.allclose(w.sum(axis=2), 1.0, atol=1e-9)
     out = heads_attention(q, k, v, params.heads).value  # every column is one head's
     assert (out <= v.value.max(axis=0) + 1e-12).all()
     assert (out >= v.value.min(axis=0) - 1e-12).all()
+
+
+def test_attention_weights_are_stochastic_and_output_in_value_hull():
+    assert_stochastic_in_value_hull(4, 2, 5, 7, RNG)
+
+
+@pytest.mark.parametrize("k_rows", [49, 98])
+def test_value_hull_holds_at_paper_width(k_rows):
+    # d=512 and 8 heads over one or two 49-row views, as the paper's model attends
+    assert_stochastic_in_value_hull(512, 8, 49, k_rows, np.random.default_rng(k_rows))
 
 
 def test_causal_mask_layout():
@@ -101,18 +110,17 @@ def test_causal_mask_layout():
 def test_causal_suffix_change_leaves_prefix_rows_bit_identical():
     params = random_mha(4, 2, RNG)
     seq = RNG.normal(size=(5, 4))
-    full = multi_head_attention(Tensor(seq), Tensor(seq), params, causal=True).value
+    full = attend(Tensor(seq), *project_kv(Tensor(seq), params), params, 0).value
     bumped = seq.copy()
     bumped[-1] += 3.5
-    redone = multi_head_attention(Tensor(bumped), Tensor(bumped), params, causal=True).value
+    redone = attend(Tensor(bumped), *project_kv(Tensor(bumped), params), params, 0).value
     assert np.array_equal(full[:-1], redone[:-1])
 
 
 def test_causal_requires_equal_lengths():
+    params = identity_block(2)
     with pytest.raises(ValueError, match="needs 2 key rows, got 3"):
-        multi_head_attention(
-            Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))), identity_block(2), causal=True
-        )
+        attend(Tensor(np.zeros((2, 2))), *project_kv(Tensor(np.zeros((3, 2))), params), params, 0)
 
 
 def test_head_param_shapes_must_agree():
@@ -160,7 +168,7 @@ def test_causal_mha_matches_loop_oracle():
     params = random_mha(4, 2, RNG)
     x = RNG.normal(size=(4, 4))
     expected = oracle_mha(x, x, oracle_heads(params), params.wo.value, causal=True)
-    got = multi_head_attention(Tensor(x), Tensor(x), params, causal=True).value
+    got = attend(Tensor(x), *project_kv(Tensor(x), params), params, 0).value
     assert np.allclose(got, expected, atol=1e-10)
 
 
@@ -176,10 +184,8 @@ def test_packed_heads_match_the_per_head_oracle(d, heads):
         multi_head_attention(Tensor(x), Tensor(y), params).value, oracle_mha(x, y, per_head, wo), **TOL
     )
     causal = oracle_mha(x, x, per_head, wo, causal=True)
-    np.testing.assert_allclose(
-        multi_head_attention(Tensor(x), Tensor(x), params, causal=True).value, causal, **TOL
-    )
     k, v = project_kv(Tensor(x), params)
+    np.testing.assert_allclose(attend(Tensor(x), k, v, params, 0).value, causal, **TOL)
     for offset in (1, 4, 5):
         tail = attend(Tensor(x[offset:]), k, v, params, offset).value
         np.testing.assert_allclose(tail, causal[offset:], **TOL, err_msg=f"offset {offset}")
@@ -294,22 +300,15 @@ def test_sinusoidal_row_zero_alternates_zero_one():
 
 
 def test_embed_empty_sequence_gives_zero_rows():
-    table = EmbeddingTable(Tensor(RNG.normal(size=(5, 4))))
+    table = Tensor(RNG.normal(size=(5, 4)))
     assert embed_tokens([], table).shape == (0, 4)
 
 
 def test_repeated_token_rows_differ_by_positional_rows():
-    table = EmbeddingTable(Tensor(RNG.normal(size=(5, 4))))
+    table = Tensor(RNG.normal(size=(5, 4)))
     out = embed_tokens([2, 2], table).value
     enc = sinusoidal_encoding(2, 4)
     assert np.allclose(out[1] - out[0], enc[1] - enc[0], atol=1e-12)
-
-
-def test_learned_positions_cap_sequence_length():
-    table = EmbeddingTable(Tensor(RNG.normal(size=(5, 4))), Tensor(RNG.normal(size=(3, 4))))
-    assert embed_tokens([0, 1, 2], table).shape == (3, 4)
-    with pytest.raises(ValueError, match="exceeds learned positional table"):
-        embed_tokens([0, 1, 2, 3], table)
 
 
 def test_sinusoidal_rows_slice_equals_fresh_table_bitwise():
@@ -326,13 +325,11 @@ def test_sinusoidal_rows_are_read_only():
 
 
 def test_embed_tokens_from_a_start_position_matches_the_full_sequence():
-    rng = np.random.default_rng(5)
-    for positions in (None, Tensor(rng.normal(size=(6, 4)))):
-        table = EmbeddingTable(Tensor(rng.normal(size=(7, 4))), positions)
-        ids = [1, 4, 4, 6, 2]
-        full = embed_tokens(ids, table).value
-        parts = [embed_tokens(ids[:2], table).value, embed_tokens(ids[2:], table, start=2).value]
-        assert np.array_equal(np.vstack(parts), full)
+    table = Tensor(np.random.default_rng(5).normal(size=(7, 4)))
+    ids = [1, 4, 4, 6, 2]
+    full = embed_tokens(ids, table).value
+    parts = [embed_tokens(ids[:2], table).value, embed_tokens(ids[2:], table, start=2).value]
+    assert np.array_equal(np.vstack(parts), full)
 
 
 def test_causal_mask_at_offset_is_the_bottom_of_the_full_mask():
@@ -343,8 +340,8 @@ def test_attend_at_offset_matches_the_full_causal_rows():
     rng = np.random.default_rng(8)
     params = random_mha(6, 2, rng)
     seq = Tensor(rng.normal(size=(5, 6)))
-    full = multi_head_attention(seq, seq, params, causal=True).value
     k, v = project_kv(seq, params)
+    full = attend(seq, k, v, params, 0).value
     tail = attend(Tensor(seq.value[3:]), k, v, params, offset=3).value
     np.testing.assert_allclose(tail, full[3:], **TOL)
     with pytest.raises(ValueError, match="needs 4 key rows, got 5"):
@@ -385,10 +382,10 @@ def test_spans_keep_the_causal_offset_within_each_record():
     params = random_mha(8, 2, rng)
     rows = [3, 5]
     x = Tensor(rng.normal(size=(8, 8)))
-    packed = multi_head_attention(x, x, params, causal=True, spans=(rows, rows)).value
+    packed = attend(x, *project_kv(x, params), params, 0, (rows, rows)).value
     for part, (a, b) in zip(split_rows(packed, rows), ((0, 3), (3, 8))):
         seq = Tensor(x.value[a:b])
-        np.testing.assert_allclose(part, multi_head_attention(seq, seq, params, causal=True).value, **TOL)
+        np.testing.assert_allclose(part, attend(seq, *project_kv(seq, params), params, 0).value, **TOL)
 
 
 def test_span_attention_gradients_match_finite_differences():
@@ -414,14 +411,10 @@ def test_spans_must_split_the_rows():
 
 
 def test_embed_tokens_restarts_positions_for_each_span():
-    rng = np.random.default_rng(6)
-    for positions in (None, Tensor(rng.normal(size=(4, 4)))):
-        table = EmbeddingTable(Tensor(rng.normal(size=(7, 4))), positions)
-        ids = [1, 4, 4, 6, 2, 5]
-        packed = embed_tokens(ids, table, spans=[2, 1, 3]).value
-        alone = [embed_tokens(ids[:2], table), embed_tokens(ids[2:3], table), embed_tokens(ids[3:], table)]
-        assert np.array_equal(packed, np.vstack([t.value for t in alone]))
-        with pytest.raises(ValueError, match="do not split"):
-            embed_tokens(ids, table, spans=[2, 2])
-    with pytest.raises(ValueError, match="exceeds learned positional table"):
-        embed_tokens(ids, table, spans=[1, 5])
+    table = Tensor(np.random.default_rng(6).normal(size=(7, 4)))
+    ids = [1, 4, 4, 6, 2, 5]
+    packed = embed_tokens(ids, table, spans=[2, 1, 3]).value
+    alone = [embed_tokens(ids[:2], table), embed_tokens(ids[2:3], table), embed_tokens(ids[3:], table)]
+    assert np.array_equal(packed, np.vstack([t.value for t in alone]))
+    with pytest.raises(ValueError, match="do not split"):
+        embed_tokens(ids, table, spans=[2, 2])

@@ -203,6 +203,21 @@ def test_train_invalid_config_exits_two(tmp_path, capsys):
     assert "model.d" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, allowed",
+    [("d", 10**30, "1..4096"), ("decoder_layers", 33, "1..32"), ("gcn_layers", 33, "1..32"),
+     ("ffn_multiplier", 17, "1..16")],
+    ids=["d", "decoder_layers", "gcn_layers", "ffn_multiplier"],
+)
+def test_train_config_beyond_a_model_bound_exits_two(tmp_path, capsys, field, value, allowed):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"model": {"heads": 1, field: value}}), encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--corpus", tagged_corpus(tmp_path), "--out", "m"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and f"model.{field}" in err and allowed in err
+
+
 def test_generate_round_trip(tmp_path, capsys):
     corpus = tagged_corpus(tmp_path)
     cfg = write_config(tmp_path, epochs=2)
@@ -276,6 +291,32 @@ def test_generate_on_a_version_1_checkpoint_exits_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "per-head attention weights" in err and "retrain" in err
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        # the spec layout of files saved while the model still had these options
+        (lambda spec: spec.update(pre_norm=False, learned_positions=None, fuse_mode="concat"),
+         ["'pre_norm'", "'learned_positions'", "'fuse_mode'", "retrain"]),
+        (lambda spec: spec.pop("heads"), ["'heads'"]),
+    ],
+    ids=["extra", "missing"],
+)
+def test_generate_on_a_checkpoint_whose_spec_fields_differ_exits_two(tmp_path, capsys, edit, named):
+    from dmdk.checkpoint import load_checkpoint, save_checkpoint
+
+    corpus = tagged_corpus(tmp_path, n=1)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
+    tensors, meta = load_checkpoint(ckpt)
+    edit(meta["spec"])
+    save_checkpoint(ckpt, list(tensors.items()), meta)
+    capsys.readouterr()
+    code = main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and all(name in err for name in named)
 
 
 # ---------------------------------------------------------------------------

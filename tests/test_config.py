@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +18,6 @@ def test_defaults_match_documented_values():
     assert run.model.heads == 8
     assert run.model.decoder_layers == 3
     assert run.model.gcn_layers == 2
-    assert run.model.positional == "sinusoidal"
-    assert run.model.pre_norm is False
     assert run.fusion.lambda1 == run.fusion.lambda2 == run.fusion.lambda3 == 1.0
     assert run.train.lr == 1e-4
     assert run.train.batch == 128
@@ -27,7 +26,6 @@ def test_defaults_match_documented_values():
     assert run.train.min_freq == 3
     assert run.decode.max_length == 64
     assert run.labels.fallback == "all"
-    assert run.features.fuse == "concat"
     assert run.ablation == "full"
 
 
@@ -47,6 +45,35 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected_with_dotted_name():
     with pytest.raises(ValueError, match="model.dropout"):
         parse_config({"model": {"dropout": 0.1}})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"model": {"positional": "sinusoidal"}}, "unknown config key 'model.positional'"),
+        ({"model": {"pre_norm": False}}, "unknown config key 'model.pre_norm'"),
+        ({"features": {"fuse": "concat"}}, "unknown config section 'features'"),
+    ],
+    ids=["model.positional", "model.pre_norm", "features.fuse"],
+)
+def test_removed_options_are_rejected_as_unknown(obj, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("d", 4097), ("decoder_layers", 33), ("gcn_layers", 33), ("ffn_multiplier", 17)]
+)
+def test_model_sizes_have_upper_bounds(field, value):
+    parse_config({"model": {"heads": 1, field: value - 1}})
+    with pytest.raises(ValueError, match=f"'model.{field}' is out of range: {value} \\(allowed 1..{value - 1}\\)"):
+        parse_config({"model": {"heads": 1, field: value}})
+
+
+def test_readme_defaults_block_matches_the_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Defaults:\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == effective_dict(RunConfig())
 
 
 def test_bool_is_not_an_int():
@@ -70,23 +97,9 @@ def test_d_must_divide_by_heads():
         validate_config(parse_config({"model": {"d": 10, "heads": 4}}))
 
 
-def test_positional_enum_checked():
-    with pytest.raises(ValueError, match="model.positional"):
-        validate_config(parse_config({"model": {"positional": "rotary"}}))
-
-
-def test_learned_positional_accepted():
-    validate_config(parse_config({"model": {"positional": "learned"}}))
-
-
 def test_fallback_enum_checked():
     with pytest.raises(ValueError, match="labels.fallback"):
         validate_config(parse_config({"labels": {"fallback": "none"}}))
-
-
-def test_fuse_enum_checked():
-    with pytest.raises(ValueError, match="features.fuse"):
-        validate_config(parse_config({"features": {"fuse": "max"}}))
 
 
 def test_ablation_enum_checked():
@@ -157,8 +170,6 @@ def test_load_config_names_file_on_bad_json(tmp_path):
 
 
 def test_shipped_configs_validate():
-    from pathlib import Path
-
     for name in ("full_scale.json", "desk_scale.json", "gradcheck.json"):
         run = load_config(Path(__file__).resolve().parent.parent / "configs" / name)
         validate_config(run)

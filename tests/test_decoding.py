@@ -66,12 +66,12 @@ def assert_cached_matches_recompute(streams, dec, table, cap):
     return ids
 
 
-def random_model(d, heads, layers, vocab_size=40, **kw):
+def random_model(d, heads, layers, vocab_size=40):
     tokens = list(Vocabulary.SPECIALS) + [f"w{i}" for i in range(vocab_size - 4)]
     spec = ModelSpec(
         d=d, heads=heads, decoder_layers=layers, gcn_layers=1, ffn_multiplier=2,
         feature_dim=4, fusion=FusionWeights.from_raw(1.0, 1.0, 1.0),
-        ablation=AblationMode.FULL, max_length=16, **kw,
+        ablation=AblationMode.FULL, max_length=16,
     )
     model = ReportModel(Vocabulary(tokens, 1), ["root"], spec, rng=np.random.default_rng(29))
     # keep PAD/BOS/EOS out of reach so every decode runs to the cap
@@ -114,15 +114,6 @@ def test_cached_decode_matches_recompute_at_full_width():
     assert len(ids) == 8
 
 
-@pytest.mark.parametrize(
-    "options", [dict(pre_norm=True), dict(learned_positions=12)], ids=["pre_norm", "learned_positions"]
-)
-def test_cached_decode_matches_recompute_per_variant(options):
-    model = random_model(d=16, heads=2, layers=2, **options)
-    ids = assert_cached_matches_recompute(random_streams(16), model.decoder, model.embed, 10)
-    assert len(ids) == 10
-
-
 def test_cached_prefill_then_steps_matches_full_logits():
     # several tokens in one cached call take the causal mask at an offset
     model = random_model(d=16, heads=2, layers=2)
@@ -142,12 +133,3 @@ def test_cache_serves_one_record_only():
     decoder_forward([Vocabulary.BOS], *streams, model.decoder, model.embed, cache)
     with pytest.raises(ValueError, match="one record"):
         decoder_forward([5], *random_streams(16, seed=2), model.decoder, model.embed, cache)
-
-
-def test_learned_positions_bound_the_cached_length():
-    model = random_model(d=16, heads=2, layers=1, learned_positions=3)
-    streams = random_streams(16)
-    cache = DecoderCache()
-    decoder_forward([Vocabulary.BOS, 5, 6], *streams, model.decoder, model.embed, cache)
-    with pytest.raises(ValueError, match="exceeds learned positional table"):
-        decoder_forward([7], *streams, model.decoder, model.embed, cache)

@@ -136,14 +136,14 @@ def test_projection_bias_shape_validated():
         ProjectionParams(Tensor(np.zeros((4, 8))), Tensor(np.zeros((1, 4))))
 
 
-# How encode_batch fuses a record's two views. Under the base ablation W' is
-# the fused visual rows themselves, so the tests read the fusion from it.
+# How encode_batch stacks a record's two views. Under the base ablation W' is
+# the stacked visual rows themselves, so the tests read the stacking from it.
 
 
-def base_model(fuse_mode):
+def base_model():
     spec = ModelSpec(
         d=4, heads=2, decoder_layers=1, gcn_layers=1, ffn_multiplier=1, feature_dim=3,
-        fusion=FusionWeights.from_raw(1.0, 1.0, 1.0), ablation=AblationMode.BASE, fuse_mode=fuse_mode,
+        fusion=FusionWeights.from_raw(1.0, 1.0, 1.0), ablation=AblationMode.BASE,
     )
     return ReportModel(Vocabulary(list(Vocabulary.SPECIALS), 1), ["root"], spec, rng=np.random.default_rng(3))
 
@@ -160,28 +160,15 @@ def projected(raw, model):
 
 
 def test_fuse_concat_stacks_rows():
-    model = base_model("concat")
+    model = base_model()
     a, b, c = RNG.normal(size=(2, 3)), RNG.normal(size=(1, 3)), RNG.normal(size=(2, 3))
     x, rows = fused(model, [a, b], [c])
     assert rows == [3, 2]
     assert np.array_equal(x, projected(np.concatenate([a, b, c]), model))
 
 
-def test_fuse_mean_averages():
-    model = base_model("mean")
-    views = [
-        [RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3))],
-        [RNG.normal(size=(3, 3))],  # one view averages with itself, which is that view
-        [RNG.normal(size=(1, 3)), RNG.normal(size=(1, 3))],
-    ]
-    x, rows = fused(model, *views)
-    first, last = (np.concatenate([v[i] for v in views]) for i in (0, -1))
-    assert rows == [2, 3, 1]
-    assert np.array_equal(x, (projected(first, model) + projected(last, model)) * 0.5)
-
-
 def test_fuse_single_view_passthrough():
-    model = base_model("mean")
+    model = base_model()
     a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(1, 3))
     x, rows = fused(model, [a], [b])
     assert rows == [2, 1]
@@ -189,16 +176,11 @@ def test_fuse_single_view_passthrough():
 
 
 def test_fuse_width_mismatch_rejected():
-    model = base_model("concat")
+    model = base_model()
     rec = CorpusRecord("r", [])
     views = [np.ones((2, 3)), np.ones((2, 4))]
     with pytest.raises(ValueError, match="'r': feature width 4 does not match configured feature_dim 3"):
         prepare_record(rec, model.vocab, None, [], model.spec, with_report=False, raw_views=views)
-
-
-def test_fuse_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="unknown fuse_mode 'max'"):
-        base_model("max")
 
 
 def test_projection_gradients_flow():

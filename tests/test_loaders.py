@@ -31,7 +31,7 @@ LOADERS = {
     "fmat width": (feature_width, b"FMAT v1 2 3\n1 2 3\n4.5 -6 7e3\n"),
     "config": (
         load_config,
-        b'{"model": {"d": 8, "heads": 2, "pre_norm": false}, "fusion": {"lambda1": 0.5}, '
+        b'{"model": {"d": 8, "heads": 2, "decoder_layers": 1}, "fusion": {"lambda1": 0.5}, '
         b'"paths": {"base_graph": null}, "ablation": "full"}',
     ),
     "base graph": (

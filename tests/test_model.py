@@ -26,7 +26,7 @@ from dmdk.model import (
 )
 from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, load_corpus, tokenize
 
-from conftest import build_corpus, make_config, random_mha
+from conftest import make_config, random_mha
 
 RNG = np.random.default_rng(53)
 
@@ -98,7 +98,7 @@ def test_fusion_weights_must_sum_to_one():
 
 
 def test_spec_round_trips_through_dict():
-    spec = small_spec(pre_norm=True, learned_positions=20, fuse_mode="mean")
+    spec = small_spec(fusion=FusionWeights.from_raw(1.0, 2.0, 5.0), ablation=AblationMode.DKE, max_length=20)
     assert ModelSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -128,13 +128,7 @@ def test_parameter_count_and_naming():
     assert not any(".h0." in n for n in names)  # one packed block, no per-head tensors
     assert "dec.0.norm4.bias" in names
     assert "head.weight" in names
-    assert not any("embed.positions" == n for n in names)  # sinusoidal by default
-
-
-def test_learned_positions_registered_when_configured():
-    model = small_model(learned_positions=20)
-    names = dict(model.parameters())
-    assert names["embed.positions"].shape == (20, 16)
+    assert not any("embed.positions" == n for n in names)  # positions are sinusoidal, not trained
 
 
 def test_init_is_deterministic_per_seed():
@@ -214,6 +208,20 @@ def test_fuse_knowledge_raw_scale_invariance_end_to_end():
             x, w, m, FusionWeights.from_raw(c, 2.0 * c, 5.0 * c), params
         )
         assert np.array_equal(scaled.value, base.value)
+
+
+@pytest.mark.parametrize("rows", [49, 98])
+def test_fusion_invariances_hold_at_paper_width(rows):
+    # criterion 8 at d=512 and 8 heads over one or two 49-row views
+    rng = np.random.default_rng(rows)
+    params = random_mha(512, 8, rng)
+    x, w, m = (Tensor(rng.normal(size=(rows, 512))) for _ in range(3))
+    base = fuse_knowledge(x, w, m, FusionWeights.from_raw(1.0, 2.0, 5.0), params)
+    for c in (0.5, 2.0, 10.0):
+        scaled = fuse_knowledge(x, w, m, FusionWeights.from_raw(c, 2.0 * c, 5.0 * c), params)
+        assert np.array_equal(scaled.value, base.value)
+    collapsed = fuse_knowledge(x, x, x, FusionWeights.from_raw(3.0, 1.0, 4.0), params)
+    np.testing.assert_allclose(collapsed.value, multi_head_attention(x, x, params).value, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +519,6 @@ def test_gcn_unk_row_starts_and_stays_zero(overfit_corpus):
     assert not embedding(gcn.embeddings, rows).value[widened].any()
 
 
-def test_train_learned_positions_sized_for_decode(overfit_corpus):
-    records = load_corpus(overfit_corpus)
-    run = make_config(epochs=0, positional="learned", max_length=16)
-    model, _ = train(records, run, base_graph())
-    assert model.spec.learned_positions == 17  # cap + BOS dominates these reports
-
-
 # ---------------------------------------------------------------------------
 # checkpoint round trip
 
@@ -571,19 +572,26 @@ def test_load_model_rejects_vocab_without_tokens(tmp_path):
 
 def test_load_model_rejects_missing_spec_fields(tmp_path):
     def edit(meta):
-        del meta["spec"]["heads"], meta["spec"]["fuse_mode"]
+        del meta["spec"]["heads"], meta["spec"]["max_length"]
 
     path = save_with_meta(tmp_path / "m.ckpt", edit)
-    with pytest.raises(ValueError, match=f"{path}: .*'spec' is missing 'heads', 'fuse_mode'"):
+    with pytest.raises(ValueError, match=f"{path}: .*'spec' is missing 'heads', 'max_length'"):
         load_model(path)
 
 
 @pytest.mark.parametrize(
-    "field, value", [("d", 16.0), ("heads", "2"), ("fusion", 1), ("ablation", "most"), ("pre_norm", 0)]
+    "field, value", [("d", 16.0), ("heads", "2"), ("fusion", 1), ("ablation", "most")]
 )
 def test_load_model_rejects_malformed_spec_values(tmp_path, field, value):
     path = save_with_meta(tmp_path / "m.ckpt", lambda meta: meta["spec"].update({field: value}))
     with pytest.raises(ValueError, match=f"{path}: .*'spec' is invalid"):
+        load_model(path)
+
+
+def test_load_model_rejects_an_unknown_fallback_rule(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(path, small_model(), base_graph(), "xyz")
+    with pytest.raises(ValueError, match=f"{path}: .*'labels_fallback' must be 'all' or 'findings', got 'xyz'"):
         load_model(path)
 
 

@@ -50,8 +50,6 @@ CONFIGS = {
     "dke": dict(d=8, heads=2, decoder_layers=1, ablation=AblationMode.DKE),
     "ske": dict(d=8, heads=2, decoder_layers=1, ablation=AblationMode.SKE),
     "base": dict(d=8, heads=2, decoder_layers=1, ablation=AblationMode.BASE),
-    "mean": dict(d=8, heads=2, decoder_layers=2, fuse_mode="mean"),
-    "pre-norm-learned": dict(d=8, heads=2, decoder_layers=2, pre_norm=True, learned_positions=16),
     "d512": dict(d=512, heads=8, decoder_layers=3, ffn_multiplier=1),
 }
 
@@ -147,18 +145,3 @@ def test_a_record_never_sees_another_records_values(tmp_path, name):
     assert np.array_equal(after[:first], before[:first])
     assert np.array_equal(after[second:], before[second:])
     assert not np.array_equal(after[first:second], before[first:second])
-
-
-def test_mean_fusion_refuses_views_of_unequal_length(tmp_path):
-    base = load_base_graph(default_base_graph_path())
-    vocab = Vocabulary.build([tokenize("lungs are clear")], min_freq=1)
-    spec = ModelSpec(
-        d=8, heads=2, decoder_layers=1, gcn_layers=1, ffn_multiplier=1, feature_dim=FEATURES,
-        fusion=FusionWeights.from_raw(1.0, 1.0, 1.0), fuse_mode="mean",
-    )
-    paths = [tmp_path / "a.fmat", tmp_path / "b.fmat"]
-    save_features(paths[0], np.ones((2, FEATURES)))
-    save_features(paths[1], np.ones((3, FEATURES)))
-    rec = CorpusRecord("r", paths, report="lungs are clear", entities=[])
-    with pytest.raises(ValueError, match="'r': mean fusion needs equal token counts"):
-        prepare_record(rec, vocab, base, fallback_labels(base), spec)

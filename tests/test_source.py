@@ -1,9 +1,10 @@
-"""Static checks over the package source, using only the standard library."""
+"""Static checks over the package source and the tests, using only the standard library."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dmdk"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "dmdk"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -47,5 +48,6 @@ def test_unused_import_check_flags_what_it_should(tmp_path):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)]
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    hits = [hit for path in paths for hit in unused_imports(path)]
     assert hits == []

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dmdk.attention import EmbeddingTable, heads_attention, multi_head_attention, project_kv, sinusoidal_encoding
+from dmdk.attention import heads_attention, multi_head_attention, project_kv, sinusoidal_encoding
 from dmdk.autograd import Tensor, matmul
 from dmdk.text import Entity, EntityType, Vocabulary
 from dmdk.topics import (
@@ -111,7 +111,7 @@ def make_vocab():
 
 
 def make_table(vocab_size, d):
-    return EmbeddingTable(Tensor(RNG.normal(0.0, 1.0 / np.sqrt(d), (vocab_size, d))))
+    return Tensor(RNG.normal(0.0, 1.0 / np.sqrt(d), (vocab_size, d)))
 
 
 def tag_ids(labels, vocab):
@@ -125,7 +125,7 @@ def test_single_tag_embeds_to_its_token_row_plus_position_zero():
     labels = DiseaseTopicLabels(["heart"], LabelSource.DYNAMIC)
     out = pool_tag_embeddings(tag_ids(labels, vocab), table).value
     tid = vocab.encode(["heart"])[0]
-    expected = table.rows.value[tid] + sinusoidal_encoding(1, 6)[0]
+    expected = table.value[tid] + sinusoidal_encoding(1, 6)[0]
     assert np.allclose(out, [expected], atol=1e-12)
 
 
@@ -134,7 +134,7 @@ def test_multi_word_tag_mean_pools_its_rows():
     table = make_table(len(vocab), 4)
     ids = vocab.encode(["left", "lung"])
     out = pool_tag_embeddings([ids], table).value
-    rows = table.rows.value[ids] + sinusoidal_encoding(2, 4)
+    rows = table.value[ids] + sinusoidal_encoding(2, 4)
     assert np.allclose(out, rows.mean(axis=0, keepdims=True), atol=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_oov_tag_tokens_map_to_unk():
     table = make_table(len(vocab), 4)
     labels = DiseaseTopicLabels(["zzz"], LabelSource.DYNAMIC)
     out = pool_tag_embeddings(tag_ids(labels, vocab), table).value
-    unk = table.rows.value[Vocabulary.UNK] + sinusoidal_encoding(1, 4)[0]
+    unk = table.value[Vocabulary.UNK] + sinusoidal_encoding(1, 4)[0]
     assert np.allclose(out, [unk], atol=1e-12)
 
 
