@@ -26,7 +26,6 @@ from .graph import (
 from .metrics import evaluate_corpus
 from .model import (
     TrainingDiverged,
-    fallback_labels,
     generate_for_records,
     load_model,
     run_gradient_check,
@@ -34,7 +33,6 @@ from .model import (
     train,
 )
 from .text import Lexicon, default_lexicon_path, lexicon_tag, load_corpus, save_corpus, tokenize
-from .topics import extract_topic_labels
 
 logger = logging.getLogger(__name__)
 
@@ -110,14 +108,12 @@ def cmd_build_graph(args) -> int:
     records = load_corpus(args.inp)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_labels = fallback_labels(base)
     for rec in records:
         if rec.entities is None:
             raise ValueError(f"record {rec.id!r} is untagged; run the tag command first")
         if any(part in rec.id for part in ("/", "\\", "..")):
             raise ValueError(f"record id {rec.id!r} is not usable as a file name")
-        labels = extract_topic_labels(rec.entities, base_labels)
-        g = build_specific_graph(base, labels, extract_relations(rec.entities))
+        g = build_specific_graph(base, extract_relations(rec.entities))
         path = out_dir / f"{rec.id}.{args.format}"
         path.write_text(export_graph(g, args.format), encoding="utf-8")
     print(f"wrote {len(records)} graphs -> {out_dir}")
@@ -190,7 +186,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     level_name = os.environ.get("DMDK_LOG", "WARNING").upper()
     logging.basicConfig(
         level=getattr(logging, level_name, logging.WARNING),

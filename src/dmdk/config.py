@@ -134,6 +134,7 @@ def validate_config(run: RunConfig) -> None:
         ("model.ffn_multiplier", m.ffn_multiplier, 1, 16),
         ("train.batch", t.batch, 1, None),
         ("train.epochs", t.epochs, 0, None),
+        ("train.seed", t.seed, 0, None),
         ("train.min_freq", t.min_freq, 1, None),
         ("decode.max_length", d.max_length, 1, None),
     ]

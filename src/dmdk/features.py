@@ -19,9 +19,15 @@ FMAT_MAGIC = "FMAT"
 FMAT_VERSION = "v1"
 
 
-def _read_header(fh, path: Path) -> tuple[int, int]:
-    """Rows and columns from the header line `FMAT v1 <rows> <cols>`."""
-    header = decode_utf8(fh.readline(), str(path)).split()
+def load_features(path: str | Path) -> np.ndarray:
+    """Read an FMAT v1 file: header `FMAT v1 <rows> <cols>`, then the rows.
+
+    Every row is parsed and its value count checked against the header before
+    the matrix is allocated, so a header alone cannot size it.
+    """
+    path = Path(path)
+    header, _, body = decode_utf8(path.read_bytes(), str(path)).partition("\n")
+    header = header.split()
     if len(header) != 4 or header[0] != FMAT_MAGIC or header[1] != FMAT_VERSION:
         raise ValueError(f"{path}: expected header 'FMAT v1 <rows> <cols>'")
     try:
@@ -30,38 +36,22 @@ def _read_header(fh, path: Path) -> tuple[int, int]:
         raise ValueError(f"{path}: non-integer dimensions in header") from None
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: dimensions must be positive, got {rows}x{cols}")
-    return rows, cols
-
-
-def feature_width(path: str | Path) -> int:
-    """The column count an FMAT file's header declares; the rows are not read."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)[1]
-
-
-def load_features(path: str | Path) -> np.ndarray:
-    """Read an FMAT v1 file: header `FMAT v1 <rows> <cols>`, then the rows."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        rows, cols = _read_header(fh, path)
-        lines = [ln for ln in decode_utf8(fh.read(), str(path)).splitlines() if ln.strip()]
+    lines = [cells for cells in map(str.split, body.splitlines()) if cells]
     if len(lines) != rows:
         raise ValueError(f"{path}: header promises {rows} rows, file has {len(lines)}")
-    out = np.empty((rows, cols))
-    for r, line in enumerate(lines):
-        cells = line.split()
+    for r, cells in enumerate(lines):
         if len(cells) != cols:
             raise ValueError(
                 f"{path}: row {r + 1} has {len(cells)} values, expected {cols}"
             )
         for c, cell in enumerate(cells):
             try:
-                out[r, c] = float(cell)
+                cells[c] = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: non-numeric value {cell!r} at row {r + 1}, column {c + 1}"
                 ) from None
+    out = np.array(lines)
     if not np.isfinite(out).all():
         raise ValueError(f"{path}: feature values must be finite")
     return out

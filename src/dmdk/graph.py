@@ -2,8 +2,8 @@
 
 The base graph is a fixed organ/finding hierarchy loaded from JSON config.
 Each tagged record extends a copy of it: the entity scan's (source, target,
-relation) triples add edges (labeled with the target's entity type) and may
-introduce new finding nodes for dynamic tags that occur in at least one triple.
+relation) triples add edges (labeled with the target's entity type), and every
+triple endpoint outside the base graph becomes a new finding node.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .autograd import SparseRows, Tensor, canonical_matmul, embedding, matmul, relu
 from .text import Entity, EntityType, decode_utf8, parse_json
-from .topics import DiseaseTopicLabels, anatomy_pairs
+from .topics import anatomy_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -210,27 +210,18 @@ def extract_relations(entities: Sequence[Entity]) -> list[Triple]:
     return [(a.text, b.text, b.type) for a, b in anatomy_pairs(entities)]
 
 
-def build_specific_graph(
-    base: KnowledgeGraph, labels: DiseaseTopicLabels, triples: Sequence[Triple]
-) -> KnowledgeGraph:
-    """Copy of the base graph extended with this record's tags and relations.
+def build_specific_graph(base: KnowledgeGraph, triples: Sequence[Triple]) -> KnowledgeGraph:
+    """Copy of the base graph extended with this record's relations.
 
-    A tag becomes a new finding node only when it is absent from the base
-    graph AND appears in at least one triple; edges are added for every triple
-    whose endpoints resolved to nodes, labeled with the target's entity type.
+    Each triple endpoint absent from the base graph becomes a new finding
+    node, in first-seen order; each triple then adds or relabels its edge with
+    the target's entity type (a self-pair adds nothing).
     """
     g = base.copy()
-    associated = {name for src, tgt, _ in triples for name in (src, tgt)}
-    for tag in labels.tags:
-        if g.node_index(tag) is None and tag in associated:
-            g.add_node(tag, NodeKind.FINDING)
     for src, tgt, rel in triples:
-        if src == tgt:
-            logger.debug("skipping degenerate self-pair %r", src)
-            continue
-        if g.node_index(src) is None or g.node_index(tgt) is None:
-            logger.debug("skipping triple with unresolved endpoint: %r -- %r", src, tgt)
-            continue
+        for name in (src, tgt):
+            if g.node_index(name) is None:
+                g.add_node(name, NodeKind.FINDING)
         g.ensure_edge(src, tgt, rel)
     return g
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -57,7 +57,7 @@ from .attention import (
     multi_head_attention,
     project_kv,
 )
-from .features import ProjectionParams, feature_width, load_features, project_features
+from .features import ProjectionParams, load_features, project_features
 from .graph import (
     GcnParams,
     GraphNode,
@@ -482,12 +482,11 @@ def prepare_record(
             raise ValueError(
                 f"record {rec.id!r} has no entity annotations; run the tag command first"
             )
-        labels = extract_topic_labels(rec.entities, base_labels)
         if mode in (AblationMode.FULL, AblationMode.DKE):
+            labels = extract_topic_labels(rec.entities, base_labels)
             tag_token_ids = [vocab.encode(tag.split()) for tag in labels.tags]
         if mode in (AblationMode.FULL, AblationMode.SKE):
-            triples = extract_relations(rec.entities)
-            g = build_specific_graph(base_graph, labels, triples)
+            g = build_specific_graph(base_graph, extract_relations(rec.entities))
             node_names = g.names
             a_hat = normalized_adjacency(g.adjacency())
     input_ids = target_ids = None
@@ -549,21 +548,40 @@ def teacher_forcing_loss(batch: Sequence[PreparedRecord], model: ReportModel) ->
 # training
 
 
-def _spec_for_run(run, feature_dim: int, **fixed) -> ModelSpec:
-    """The structural spec a run configuration asks for; ``fixed`` overrides fields."""
+def _model_and_records(
+    run, records: Sequence[CorpusRecord], views: Sequence[list[np.ndarray]], vocab: Vocabulary,
+    base_graph: KnowledgeGraph, base_labels: Sequence[str],
+) -> tuple[ReportModel, list[PreparedRecord]]:
+    """The model ``run`` asks for, seeded from stream [seed, 0], and ``records``
+    prepared for it with their feature maps ``views``. Its nodes are the base
+    graph's names, then the records' entity texts the base graph lacks, sorted."""
+    novel = sorted(
+        {
+            e.text
+            for r in records
+            if r.entities
+            for e in r.entities
+            if base_graph.node_index(e.text) is None
+        }
+    )
     m = run.model
-    args = dict(
+    spec = ModelSpec(
         d=m.d,
         heads=m.heads,
         decoder_layers=m.decoder_layers,
         gcn_layers=m.gcn_layers,
         ffn_multiplier=m.ffn_multiplier,
-        feature_dim=feature_dim,
+        feature_dim=views[0][0].shape[1],
         fusion=FusionWeights.from_raw(run.fusion.lambda1, run.fusion.lambda2, run.fusion.lambda3),
         ablation=AblationMode(run.ablation),
         max_length=run.decode.max_length,
     )
-    return ModelSpec(**{**args, **fixed})
+    model = ReportModel(vocab, base_graph.names + novel, spec, rng=np.random.default_rng([run.train.seed, 0]))
+    prepared = [
+        prepare_record(r, vocab, base_graph, base_labels, spec, raw_views=v)
+        for r, v in zip(records, views)
+    ]
+    return model, prepared
 
 
 def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
@@ -578,24 +596,9 @@ def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
         if not (rec.report and rec.report.strip()):
             raise ValueError(f"record {rec.id!r} has no report text")
     vocab = Vocabulary.build((tokenize(r.report) for r in records), run.train.min_freq)
+    views = [[load_features(p) for p in r.features] for r in records]
     base_labels = fallback_labels(base_graph, run.labels.fallback)
-    novel = sorted(
-        {
-            e.text
-            for r in records
-            if r.entities
-            for e in r.entities
-            if base_graph.node_index(e.text) is None
-        }
-    )
-    node_names = base_graph.names + novel
-    feature_dim = feature_width(records[0].features[0])
-    spec = _spec_for_run(run, feature_dim)
-    model = ReportModel(vocab, node_names, spec, rng=np.random.default_rng([run.train.seed, 0]))
-    prepared = [
-        prepare_record(r, vocab, base_graph, base_labels, spec, with_report=True)
-        for r in records
-    ]
+    model, prepared = _model_and_records(run, records, views, vocab, base_graph, base_labels)
     tensors = [p for _, p in model.parameters()]
     opt = Adam(
         model.parameters(),
@@ -725,36 +728,23 @@ def run_gradient_check(run, h: float = 1e-5) -> list[tuple[str, float]]:
     (two records, a two-node base graph, a 16-token vocabulary) so the audit
     needs no external files. Returns (tensor name, max relative error) pairs.
     """
-    reports = [
-        "heart border is enlarged now .",
-        "left lung field looks hazy",
-    ]
-    entity_sets = [
-        [Entity("heart", EntityType.ANATOMY), Entity("enlarged", EntityType.OBSERVATION)],
-        [Entity("lung", EntityType.ANATOMY), Entity("hazy", EntityType.OBSERVATION)],
+    records = [
+        CorpusRecord("fixture-0", [], "heart border is enlarged now .",
+                     [Entity("heart", EntityType.ANATOMY), Entity("enlarged", EntityType.OBSERVATION)]),
+        CorpusRecord("fixture-1", [], "left lung field looks hazy",
+                     [Entity("lung", EntityType.ANATOMY), Entity("hazy", EntityType.OBSERVATION)]),
     ]
     base_graph = KnowledgeGraph(
         [GraphNode("root", NodeKind.ROOT), GraphNode("lung", NodeKind.ORGAN)],
         {(0, 1): None},
     )
-    base_labels = fallback_labels(base_graph)
-
-    # vocab is forced to min_freq=1 so every fixture token survives
-    vocab = Vocabulary.build((tokenize(r) for r in reports), min_freq=1)
-    feature_dim = 4
-    spec = _spec_for_run(run, feature_dim, ablation=AblationMode.FULL)
-    novel = sorted({e.text for ents in entity_sets for e in ents} - set(base_graph.names))
-    node_names = base_graph.names + novel
-    model = ReportModel(vocab, node_names, spec, rng=np.random.default_rng([run.train.seed, 0]))
-
     feat_rng = np.random.default_rng([run.train.seed, 2])
-    prepared = [
-        prepare_record(
-            CorpusRecord(f"fixture-{i}", [], report, entities), vocab, base_graph, base_labels, spec,
-            raw_views=[feat_rng.normal(0.0, 1.0, (2, feature_dim))],
-        )
-        for i, (report, entities) in enumerate(zip(reports, entity_sets))
-    ]
+    views = [[feat_rng.normal(0.0, 1.0, (2, 4))] for _ in records]
+    # vocab is forced to min_freq=1 so every fixture token survives
+    vocab = Vocabulary.build((tokenize(r.report) for r in records), min_freq=1)
+    model, prepared = _model_and_records(
+        replace(run, ablation="full"), records, views, vocab, base_graph, fallback_labels(base_graph)
+    )
 
     loss = teacher_forcing_loss(prepared, model)
     tensors = [p for _, p in model.parameters()]

@@ -13,6 +13,7 @@ import re
 
 import numpy as np
 
+from dmdk.graph import GraphNode, KnowledgeGraph, NodeKind
 from dmdk.text import EntityType
 
 
@@ -162,6 +163,24 @@ def oracle_tags(entities, base_labels):
 
 def oracle_triples(entities):
     return [(a.text, b.text, b.type) for a, b in oracle_pairs(entities)]
+
+
+def oracle_specific_graph(base, labels, triples):
+    """The specific graph by the tag-based rule: a DKE tag outside the base
+    graph becomes a finding node (in tag order) when some triple mentions it;
+    then each triple with two distinct, known endpoints sets its edge's
+    relation, the latest triple winning."""
+    nodes = list(base.nodes)
+    mentioned = [name for src, tgt, _ in triples for name in (src, tgt)]
+    for tag in labels.tags:
+        if tag in mentioned and all(n.name != tag for n in nodes):
+            nodes.append(GraphNode(tag, NodeKind.FINDING))
+    index = {n.name: i for i, n in enumerate(nodes)}
+    edges = dict(base.edges)
+    for src, tgt, rel in triples:
+        if src != tgt and src in index and tgt in index:
+            edges[tuple(sorted((index[src], index[tgt])))] = rel
+    return KnowledgeGraph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------

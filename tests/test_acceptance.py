@@ -25,7 +25,6 @@ from dmdk.config import effective_dict
 from dmdk.graph import (
     build_specific_graph,
     default_base_graph_path,
-    entity_names,
     extract_relations,
     gcn_forward,
     load_base_graph,
@@ -272,7 +271,6 @@ def test_criterion_5_ablation_direction(tmp_path):
 def test_criterion_6_graph_invariants():
     with criterion(6, "graph superset/addition invariants and bitwise GCN equivariance"):
         base = load_base_graph(default_base_graph_path())
-        base_labels = entity_names(base)
         rng = np.random.default_rng(2024)
         names = ["lung", "heart", "opacity", "trachea", "airway", "mass", "lesion"]
         types = list(EntityType)
@@ -284,9 +282,8 @@ def test_criterion_6_graph_invariants():
                 Entity(names[rng.integers(len(names))], types[rng.integers(len(types))])
                 for _ in range(rng.integers(0, 8))
             ]
-            labels = extract_topic_labels(seq, base_labels)
             triples = extract_relations(seq)
-            g = build_specific_graph(base, labels, triples)
+            g = build_specific_graph(base, triples)
 
             assert set(g.names) >= set(base.names)
             mentioned = {s for s, _, _ in triples} | {t for _, t, _ in triples}
@@ -302,9 +299,7 @@ def test_criterion_6_graph_invariants():
             assert np.array_equal(out_perm, out[perm])
 
         fixture = [Entity("trachea", EntityType.ANATOMY), Entity("deviated", EntityType.OBSERVATION)]
-        g = build_specific_graph(
-            base, extract_topic_labels(fixture, base_labels), extract_relations(fixture)
-        )
+        g = build_specific_graph(base, extract_relations(fixture))
         assert base.node_index("trachea") is None
         assert g.node_index("trachea") is not None
 

@@ -118,6 +118,30 @@ def test_build_graph_writes_one_file_per_record(tmp_path, capsys):
     assert "root" in names and "lung" in names
 
 
+def test_build_graph_exports_the_graphs_the_model_is_given(tmp_path, capsys):
+    from dmdk.graph import default_base_graph_path, graph_from_dict, load_base_graph, normalized_adjacency
+    from dmdk.model import FusionWeights, ModelSpec, fallback_labels, prepare_record
+    from dmdk.text import Vocabulary
+
+    corpus = tagged_corpus(tmp_path, n=len(OVERFIT_REPORTS))
+    out_dir = tmp_path / "graphs"
+    assert main(["build-graph", "--in", corpus, "--out-dir", str(out_dir)]) == 0
+    base = load_base_graph(default_base_graph_path())
+    spec = ModelSpec(
+        d=4, heads=1, decoder_layers=1, gcn_layers=1, ffn_multiplier=1, feature_dim=4,
+        fusion=FusionWeights.from_raw(1.0, 1.0, 1.0),
+    )
+    vocab = Vocabulary(list(Vocabulary.SPECIALS), 1)
+    grown = 0
+    for rec in load_corpus(corpus):
+        prep = prepare_record(rec, vocab, base, fallback_labels(base), spec, with_report=False)
+        g = graph_from_dict(json.loads((out_dir / f"{rec.id}.json").read_text()))
+        assert g.names == prep.node_names
+        assert np.array_equal(normalized_adjacency(g.adjacency()), prep.a_hat)
+        grown += g.node_count() > base.node_count()
+    assert grown >= 2
+
+
 def test_build_graph_dot_format(tmp_path, capsys):
     corpus = tagged_corpus(tmp_path, n=1)
     out_dir = tmp_path / "graphs"
@@ -216,6 +240,26 @@ def test_train_config_beyond_a_model_bound_exits_two(tmp_path, capsys, field, va
     assert code == 2
     err = capsys.readouterr().err
     assert str(cfg) in err and f"model.{field}" in err and allowed in err
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_feature_header_claiming_a_huge_width_exits_two(tmp_path, capsys, command):
+    """The rows are checked against the header before the header sizes anything."""
+    corpus = tagged_corpus(tmp_path, n=2)
+    ckpt = str(tmp_path / "m.ckpt")
+    if command == "generate":
+        assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", ckpt]) == 0
+    bad = tmp_path / "feats" / "r00.fmat"
+    bad.write_text(f"FMAT v1 2 {10**12}\n1 2 3\n4 5 6\n", encoding="utf-8")
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "--config", write_config(tmp_path), "--corpus", corpus, "--out", out]
+    else:
+        argv = ["generate", "--model", ckpt, "--corpus", corpus, "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "row 1 has 3 values" in err
 
 
 def test_generate_round_trip(tmp_path, capsys):
@@ -346,6 +390,34 @@ def test_evaluate_id_mismatch_exits_two(tmp_path, capsys):
     refs = write_jsonl(tmp_path / "r.jsonl", [{"id": "z", "text": "x"}])
     assert main(["evaluate", "--preds", preds, "--refs", refs, "--out", str(tmp_path / "o")]) == 2
     assert "id mismatch" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# seeds
+
+
+def seed_argv(tmp_path, command, cfg):
+    argv = [command, "--config", cfg]
+    if command == "train":
+        argv += ["--corpus", tagged_corpus(tmp_path, n=1), "--out", str(tmp_path / "m.ckpt")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_negative_config_seed_exits_two(tmp_path, capsys, command):
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps({"train": {"seed": -1}}), encoding="utf-8")
+    assert main(seed_argv(tmp_path, command, str(cfg))) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "'train.seed' is out of range: -1 (allowed >= 0)" in err
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_negative_seed_flag_exits_one_naming_the_flag(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main(seed_argv(tmp_path, command, write_config(tmp_path)) + ["--seed", "-3"])
+    assert err.value.code == 1
+    assert "argument --seed: must be a non-negative integer, got -3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

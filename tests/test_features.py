@@ -6,7 +6,6 @@ import pytest
 from dmdk.autograd import Tensor
 from dmdk.features import (
     ProjectionParams,
-    feature_width,
     load_features,
     project_features,
     save_features,
@@ -31,14 +30,23 @@ def write(tmp_path, text, name="f.fmat"):
     return p
 
 
-def test_feature_width_reads_the_header_alone(tmp_path):
+def test_bad_headers_and_rows_name_the_file(tmp_path):
     p = write(tmp_path, "FMAT v1 2 3\n1 2 3\n4 five 6\n")
-    assert feature_width(p) == 3  # the malformed row is never read
-    with pytest.raises(ValueError, match="non-numeric value 'five'"):
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-numeric value 'five'")):
         load_features(p)
     for header in ("FMAT v2 2 3\n", "FMAT v1 2 x\n", "FMAT v1 2 0\n"):
         with pytest.raises(ValueError, match=re.escape(f"{p}: ")):
-            feature_width(write(tmp_path, header))
+            load_features(write(tmp_path, header))
+
+
+def test_rows_are_checked_before_the_matrix_is_allocated(tmp_path):
+    """A header may claim any size; the rows, not the header, size the matrix."""
+    p = write(tmp_path, f"FMAT v1 2 {10**12}\n1 2 3\n4 5 6\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: row 1 has 3 values, expected {10**12}")):
+        load_features(p)
+    p = write(tmp_path, f"FMAT v1 {10**12} 3\n1 2 3\n")
+    with pytest.raises(ValueError, match=f"promises {10**12} rows, file has 1"):
+        load_features(p)
 
 
 def test_round_trip_preserves_exact_floats(tmp_path):

@@ -33,10 +33,11 @@ from dmdk.graph import (
     normalized_adjacency,
 )
 from dmdk.text import Entity, EntityType
-from dmdk.topics import DiseaseTopicLabels, LabelSource, anatomy_pairs, extract_topic_labels
+from dmdk.model import fallback_labels
+from dmdk.topics import anatomy_pairs, extract_topic_labels
 
 from conftest import random_gcn, random_mha
-from oracles import oracle_canonical_matmul, oracle_gcn_layer, oracle_triples
+from oracles import oracle_canonical_matmul, oracle_gcn_layer, oracle_specific_graph, oracle_triples
 
 RNG = np.random.default_rng(23)
 
@@ -189,8 +190,7 @@ def test_triples_agree_with_scan_and_oracle():
 def test_trachea_gets_added_with_its_edge():
     base = load_base_graph(default_base_graph_path())
     seq = ents(("trachea", A), ("normal", O))
-    labels = extract_topic_labels(seq, entity_names(base))
-    g = build_specific_graph(base, labels, extract_relations(seq))
+    g = build_specific_graph(base, extract_relations(seq))
     assert g.node_index("trachea") is not None
     assert edge(g, "trachea", "normal") in g.edges
     assert g.edges[edge(g, "trachea", "normal")] is O
@@ -200,23 +200,14 @@ def test_trachea_gets_added_with_its_edge():
 
 def test_empty_triples_reproduce_base_graph_exactly():
     base = load_base_graph(default_base_graph_path())
-    labels = DiseaseTopicLabels(entity_names(base), LabelSource.BASE_FALLBACK)
-    g = build_specific_graph(base, labels, extract_relations([]))
+    g = build_specific_graph(base, extract_relations([]))
     assert g == base
-
-
-def test_tag_without_triple_is_not_added():
-    base = tiny_graph()
-    labels = DiseaseTopicLabels(["orphan"], LabelSource.DYNAMIC)
-    g = build_specific_graph(base, labels, extract_relations([]))
-    assert g.node_index("orphan") is None
 
 
 def test_existing_edge_relation_last_write_wins():
     base = tiny_graph()
     seq = ents(("lung", A), ("opacity", O))
-    labels = extract_topic_labels(seq, entity_names(base))
-    g = build_specific_graph(base, labels, extract_relations(seq))
+    g = build_specific_graph(base, extract_relations(seq))
     assert g.edges[edge(g, "lung", "opacity")] is O
     adj_before = base.adjacency()
     assert np.array_equal(g.adjacency(), adj_before)  # adjacency unchanged
@@ -224,7 +215,6 @@ def test_existing_edge_relation_last_write_wins():
 
 def test_superset_property_on_randomized_records():
     base = tiny_graph()
-    base_labels = entity_names(base)
     rng = np.random.default_rng(5)
     names = ["lung", "opacity", "nodule", "trachea", "mass"]
     types = [A, O, EntityType.OBSERVATION_MODIFIER]
@@ -235,13 +225,39 @@ def test_superset_property_on_randomized_records():
                 for _ in range(rng.integers(0, 7))
             )
         )
-        labels = extract_topic_labels(seq, base_labels)
         triples = extract_relations(seq)
-        g = build_specific_graph(base, labels, triples)
+        g = build_specific_graph(base, triples)
         assert set(base.names) <= set(g.names)
         mentioned = {s for s, _, _ in triples} | {t for _, t, _ in triples}
         for extra in set(g.names) - set(base.names):
             assert extra in mentioned
+
+
+@pytest.mark.parametrize("fallback", ["all", "findings"])
+def test_graph_from_triples_equals_the_tag_based_rule(fallback):
+    """New nodes come from the triples alone, and that is the graph the DKE
+    tags used to select: same nodes, node order, edges, edge order and
+    relations over random records, under either fallback label set."""
+    base = load_base_graph(default_base_graph_path())
+    base_labels = fallback_labels(base, fallback)
+    rng = np.random.default_rng(17)
+    names = ["lung", "heart", "opacity", "trachea", "airway", "mass", "lesion", "normal"]
+    types = list(EntityType)
+    grown = 0
+    for _ in range(1000):
+        seq = ents(
+            *(
+                (names[rng.integers(len(names))], types[rng.integers(len(types))])
+                for _ in range(rng.integers(0, 9))
+            )
+        )
+        triples = extract_relations(seq)
+        g = build_specific_graph(base, triples)
+        want = oracle_specific_graph(base, extract_topic_labels(seq, base_labels), triples)
+        assert g.nodes == want.nodes
+        assert list(g.edges.items()) == list(want.edges.items())
+        grown += g.node_count() > base.node_count()
+    assert grown > 100  # the random records do add nodes
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dmdk.checkpoint import load_checkpoint
 from dmdk.config import load_config
-from dmdk.features import feature_width, load_features
+from dmdk.features import load_features
 from dmdk.graph import load_base_graph
 from dmdk.text import Lexicon, load_corpus
 
@@ -28,7 +28,6 @@ LOADERS = {
         b'"entities": [{"text": "lungs", "type": "ANATOMY"}]}\n{"id": "b", "features": ["y"]}\n',
     ),
     "fmat": (load_features, b"FMAT v1 2 3\n1 2 3\n4.5 -6 7e3\n"),
-    "fmat width": (feature_width, b"FMAT v1 2 3\n1 2 3\n4.5 -6 7e3\n"),
     "config": (
         load_config,
         b'{"model": {"d": 8, "heads": 2, "decoder_layers": 1}, "fusion": {"lambda1": 0.5}, '
@@ -113,7 +112,7 @@ def test_loader_returns_or_names_the_file(tmp_path, name, data):
 
 @pytest.mark.parametrize(
     "name, line",
-    [("corpus", 2), ("lexicon", 2), ("config", None), ("base graph", None), ("fmat", None), ("fmat width", None)],
+    [("corpus", 2), ("lexicon", 2), ("config", None), ("base graph", None), ("fmat", None)],
 )
 def test_undecodable_bytes_name_the_file_and_line(tmp_path, name, line):
     """Line readers name the line of the bad bytes; whole-file readers the file."""

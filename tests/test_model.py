@@ -20,6 +20,7 @@ from dmdk.model import (
     load_model,
     model_meta,
     prepare_record,
+    run_gradient_check,
     save_model,
     teacher_forcing_loss,
     train,
@@ -499,6 +500,12 @@ def test_train_vocab_includes_novel_graph_nodes(overfit_corpus):
     model, _ = train(records, make_config(epochs=0), base_graph())
     assert "trachea" in model.node_names  # r06 mentions it; base graph lacks it
     assert model.node_names[: base_graph().node_count()] == base_graph().names
+
+
+def test_gradient_audit_checks_the_tensors_train_builds(overfit_corpus):
+    run = make_config(d=4, heads=2, gcn_layers=1, epochs=0, max_length=12)
+    model, _ = train(load_corpus(overfit_corpus), run, base_graph())
+    assert [name for name, _ in run_gradient_check(run)] == [name for name, _ in model.parameters()]
 
 
 def test_gcn_unk_row_starts_and_stays_zero(overfit_corpus):

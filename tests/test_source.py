@@ -51,3 +51,48 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     hits = [hit for path in paths for hit in unused_imports(path)]
     assert hits == []
+
+
+def orphaned_privates(path: Path) -> list[str]:
+    """``file:line: name`` for each module-level ``_name`` function, class or
+    constant that nothing else in its module references."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    defined: list[tuple[str, ast.stmt]] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    hits = []
+    for name, owner in defined:
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        read = (
+            n.id
+            for stmt in tree.body
+            if stmt is not owner
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        )
+        if name not in read:
+            hits.append(f"{path.name}:{owner.lineno}: {name}")
+    return hits
+
+
+def test_orphan_check_flags_what_it_should(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "_LIMIT = 3\n_USED = 4\n__all__ = []\n"
+        "def _helper():\n    return _helper()\n"
+        "def _kept():\n    return _USED\n"
+        "class _Spare:\n    pass\n"
+        "def public():\n    return _kept()\n",
+        encoding="utf-8",
+    )
+    assert orphaned_privates(module) == ["m.py:1: _LIMIT", "m.py:4: _helper", "m.py:8: _Spare"]
+
+
+def test_no_private_module_name_is_orphaned():
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in orphaned_privates(path)]
+    assert hits == []
