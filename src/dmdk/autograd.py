@@ -167,7 +167,7 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
 def parameter_gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[Tensor, np.ndarray]:
     """Gradient map over ``params``; parameters the loss never touched get zeros."""
     leaf_grads = backward(loss)
-    return {p: leaf_grads.get(p, np.zeros_like(p.value)) for p in params}
+    return {p: leaf_grads[p] if p in leaf_grads else np.zeros(p.value.shape) for p in params}
 
 
 # ---------------------------------------------------------------------------
@@ -191,42 +191,75 @@ class SparseRows(Tensor):
     column of the right operand of ``canonical_matmul``).
 
     Rows are grouped by their entry count, which makes each group one dense
-    gather; the transpose is grouped the same way for the gradient.
+    gather; the transpose is grouped the same way for the gradient. The
+    entries are kept sorted by their row's count, then row, then column
+    (``entries``, ``t_entries``), so each group is a run of them.
     """
 
-    __slots__ = ("n_rows", "n_cols", "groups", "t_groups")
+    __slots__ = ("n_rows", "n_cols", "entries", "t_entries", "groups", "t_groups")
 
     def __init__(self, row: np.ndarray, col: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
         n, m = shape
         super().__init__(vals.reshape(-1, 1))
+        vals = self.value[:, 0]
+        self._arrange(n, m, _by_count(row, col, vals, n), _by_count(col, row, vals, m))
+
+    def _arrange(self, n: int, m: int, entries: tuple, t_entries: tuple) -> None:
         self.n_rows, self.n_cols = n, m
-        self.groups = _groups_by_count(row, col, self.value[:, 0], n)
-        self.t_groups = _groups_by_count(col, row, self.value[:, 0], m)
+        self.entries, self.t_entries = entries, t_entries
+        self.groups, self.t_groups = _groups(*entries), _groups(*t_entries)
 
     @classmethod
-    def block_diagonal(cls, blocks: Sequence[np.ndarray]) -> "SparseRows":
-        """The nonzero entries of dense ``blocks`` placed along the diagonal."""
-        at = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0)
-        entries = [np.nonzero(b) for b in blocks]
-        return cls(
-            np.concatenate([i + r for (i, _), (r, _) in zip(entries, at)]),
-            np.concatenate([j + c for (_, j), (_, c) in zip(entries, at)]),
-            np.concatenate([b[e] for b, e in zip(blocks, entries)]),
-            tuple(at[-1]),
+    def from_dense(cls, a: np.ndarray) -> "SparseRows":
+        """The nonzero entries of the dense matrix ``a``."""
+        row, col = np.nonzero(a)
+        return cls(row, col, a[row, col], a.shape)
+
+    @classmethod
+    def block_diagonal(cls, parts: Sequence["SparseRows"]) -> "SparseRows":
+        """``parts`` placed along the diagonal. Their sorted entries are offset,
+        concatenated and stably sorted by count: nothing is located again."""
+        if len(parts) == 1:
+            return parts[0]
+        at = np.cumsum([(0, 0)] + [(p.n_rows, p.n_cols) for p in parts], axis=0)
+        out = cls.__new__(cls)
+        Tensor.__init__(out, np.concatenate([p.value for p in parts]))
+        out._arrange(
+            *at[-1],
+            _stack([p.entries for p in parts], at[:-1, 0], at[:-1, 1]),
+            _stack([p.t_entries for p in parts], at[:-1, 1], at[:-1, 0]),
         )
+        return out
 
 
-def _groups_by_count(row, col, vals, n: int) -> list:
+def _by_count(row, col, vals, n: int) -> tuple:
+    """(row, col, value, row's entry count) of each entry, sorted by count,
+    then row, then column."""
+    counts = np.bincount(row, minlength=n)[row]
+    order = np.lexsort((col, row, counts))
+    return row[order], col[order], vals[order], counts[order]
+
+
+def _stack(parts: Sequence[tuple], row_at: np.ndarray, col_at: np.ndarray) -> tuple:
+    """``_by_count`` of block-diagonal parts whose rows start at ``row_at`` and
+    columns at ``col_at``. A block's rows all precede the next block's, so a
+    stable sort by count alone restores the order."""
+    sizes = [len(entries[0]) for entries in parts]
+    row, col, vals, counts = (np.concatenate(a) for a in zip(*parts))
+    row = row + np.repeat(row_at, sizes)
+    col = col + np.repeat(col_at, sizes)
+    order = np.argsort(counts, kind="stable")
+    return row[order], col[order], vals[order], counts[order]
+
+
+def _groups(row, col, vals, counts) -> list:
     """(rows, their entries' columns, their values) for each entry count."""
-    order = np.lexsort((col, row))
-    col, vals = col[order], vals[order]
-    counts = np.bincount(row, minlength=n)
-    starts = np.cumsum(counts) - counts
+    starts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()  # where each count's run begins
     groups = []
-    for c in np.unique(counts[counts > 0]):
-        rows = np.flatnonzero(counts == c)
-        entries = starts[rows][:, None] + np.arange(c)
-        groups.append((rows, col[entries], vals[entries][:, :, None]))
+    for start, end in zip(starts, starts[1:] + [len(counts)]):
+        c = int(counts[start])  # each row's c entries are adjacent
+        cols, values = col[start:end].reshape(-1, c), vals[start:end].reshape(-1, c, 1)
+        groups.append((row[start:end:c], cols, values))
     return groups
 
 
@@ -415,12 +448,27 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# elements per Adam chunk: a chunk of each operand and both scratch buffers
+# stay in L2, so DRAM sees p, g, m and v read once and m, v, p written once
+_ADAM_CHUNK = 32768
+
 
 class Adam:
     """Adam with bias correction; optional L2 acts through the gradient.
 
     The weight-decay term ``wd * theta`` is added to the raw gradient before
-    the first/second moments are updated.
+    the first/second moments are updated. Each parameter is updated in chunks
+    of ``_ADAM_CHUNK`` elements through two chunk-sized scratch buffers, with
+    the moments updated in place. Every chunk runs the IEEE operations of the
+    whole-array formula in the same order, so the result is bitwise equal to
+
+        g = g + wd * p
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    without a parameter-sized temporary. ``p.value`` is rebound to a new
+    array, never mutated: closures of the last graph keep the old values.
     """
 
     def __init__(
@@ -437,24 +485,41 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        # np.zeros maps untouched pages; zeros_like would write every page up front
-        self._m = {name: np.zeros(p.value.shape) for name, p in self.params}
-        self._v = {name: np.zeros(p.value.shape) for name, p in self.params}
+        # flat moments; np.zeros maps untouched pages, zeros_like would write every page
+        self._m = {name: np.zeros(p.value.size) for name, p in self.params}
+        self._v = {name: np.zeros(p.value.size) for name, p in self.params}
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None  # allocated by the first step
 
     def step(self, grads: Mapping[Tensor, np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
+        if self._scratch is None:
+            self._scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
         for name, p in self.params:
             g = grads.get(p)
             if g is None:
-                g = np.zeros_like(p.value)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.value
-            m = self._m[name] = ADAM_BETA1 * self._m[name] + (1.0 - ADAM_BETA1) * g
-            v = self._v[name] = ADAM_BETA2 * self._v[name] + (1.0 - ADAM_BETA2) * (g * g)
-            # rebind rather than mutate: closures from the last graph stay valid
-            p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+                g = np.zeros(p.value.shape)
+            new = np.empty(p.value.shape)
+            flat = (new.reshape(-1), p.value.reshape(-1), g.reshape(-1), self._m[name], self._v[name])
+            if new.size <= _ADAM_CHUNK:
+                self._update(*flat, bc1, bc2)
+            else:
+                for i in range(0, new.size, _ADAM_CHUNK):
+                    self._update(*(a[i : i + _ADAM_CHUNK] for a in flat), bc1, bc2)
+            p.value = new
+
+    def _update(self, out, p, g, m, v, bc1, bc2) -> None:
+        """One chunk: ``m`` and ``v`` in place, the new ``p`` into ``out``."""
+        s1, s2 = (s[: out.size] for s in self._scratch)
+        if self.weight_decay:
+            g = np.add(g, np.multiply(self.weight_decay, p, out=s1), out=s1)
+        np.add(np.multiply(ADAM_BETA1, m, out=m), np.multiply(1.0 - ADAM_BETA1, g, out=s2), out=m)
+        np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=s2), out=s2)
+        np.add(np.multiply(ADAM_BETA2, v, out=v), s2, out=v)
+        den = np.add(np.sqrt(np.divide(v, bc2, out=s1), out=s1), ADAM_EPS, out=s1)
+        step = np.multiply(self.lr, np.divide(m, bc1, out=s2), out=s2)
+        np.subtract(p, np.divide(step, den, out=s2), out=out)
 
 
 def finite_diff_grad(

@@ -283,7 +283,7 @@ def gcn_forward(
     this bit for bit at d = 512 for up to 60 nodes).
     """
     if isinstance(a_hat, np.ndarray):
-        a_hat = SparseRows.block_diagonal([a_hat])
+        a_hat = SparseRows.from_dense(a_hat)
     h = embedding(params.embeddings, params.row_ids(node_names))
     for w in params.layers:
         h = relu(matmul(canonical_matmul(a_hat, h), w))

@@ -28,6 +28,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -445,6 +446,12 @@ class PreparedRecord:
     input_ids: list[int] | None = None
     target_ids: list[int] | None = None
 
+    @cached_property
+    def a_sparse(self) -> SparseRows:
+        """``a_hat``'s nonzero entries, grouped on first use and kept for the
+        run: a batch's block-diagonal adjacency is composed from them."""
+        return SparseRows.from_dense(self.a_hat)
+
 
 def fallback_labels(base: KnowledgeGraph, which: str = "all") -> list[str]:
     if which == "all":
@@ -515,7 +522,7 @@ def encode_batch(
         tags = [len(rec.tag_token_ids) for rec in batch]
         w_enh = multi_head_attention(x, w, model.label_attn, spans=(rows, tags))
     if spec.ablation in (AblationMode.FULL, AblationMode.SKE):
-        a_hat = SparseRows.block_diagonal([rec.a_hat for rec in batch])
+        a_hat = SparseRows.block_diagonal([rec.a_sparse for rec in batch])
         m = gcn_forward([name for rec in batch for name in rec.node_names], a_hat, model.gcn)
         nodes = [len(rec.node_names) for rec in batch]
         m_enh = multi_head_attention(x, m, model.graph_attn, spans=(rows, nodes))

@@ -13,6 +13,7 @@ import re
 
 import numpy as np
 
+from dmdk.autograd import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from dmdk.graph import GraphNode, KnowledgeGraph, NodeKind
 from dmdk.text import EntityType
 
@@ -239,3 +240,53 @@ def oracle_canonical_matmul(a, b):
     prod = a[:, :, None] * b[None, :, :]
     prod.sort(axis=1)
     return prod.sum(axis=1)
+
+
+def oracle_block_diagonal(blocks):
+    """(nonzero values in row-major order, groups, transpose groups) of dense
+    ``blocks`` placed along the diagonal of one dense matrix. A group holds,
+    for one entry count in increasing order, the rows with that many nonzero
+    entries in increasing order, each row's columns in increasing order, and
+    their values."""
+    shape = np.sum([b.shape for b in blocks], axis=0)
+    a = np.zeros(shape)
+    r = c = 0
+    for b in blocks:
+        a[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+
+    def grouped(a):
+        counts = (a != 0).sum(axis=1)
+        groups = []
+        for n in sorted(set(counts.tolist()) - {0}):
+            rows = np.flatnonzero(counts == n)
+            cols = np.array([np.flatnonzero(a[i]) for i in rows])
+            groups.append((rows, cols, a[rows[:, None], cols][:, :, None]))
+        return groups
+
+    return a[a != 0], grouped(a), grouped(a.T)
+
+
+# ---------------------------------------------------------------------------
+# optimization
+
+
+def oracle_adam_step(values, m, v, grads, t, lr, weight_decay):
+    """One Adam step by the whole-array formula, over dicts keyed by name.
+
+    ``grads`` may lack a name (a zero gradient). Returns the new
+    ``(values, m, v)`` dicts and leaves the arguments untouched.
+    """
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    new_values, new_m, new_v = {}, {}, {}
+    for name, p in values.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        if weight_decay:
+            g = g + weight_decay * p
+        mn = new_m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        vn = new_v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        new_values[name] = p - lr * (mn / bc1) / (np.sqrt(vn / bc2) + ADAM_EPS)
+    return new_values, new_m, new_v

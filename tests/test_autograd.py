@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dmdk import autograd
 from dmdk.autograd import (
     Adam,
     NonFiniteError,
@@ -25,6 +27,8 @@ from dmdk.autograd import (
     scale,
     sum_all,
 )
+
+from oracles import oracle_adam_step
 
 RNG = np.random.default_rng(42)
 
@@ -87,7 +91,7 @@ def test_matmul_associativity():
 
 
 def sparse(a):
-    return SparseRows.block_diagonal([a])
+    return SparseRows.from_dense(a)
 
 
 def test_canonical_matmul_matches_matmul():
@@ -127,7 +131,7 @@ def test_sparse_rows_block_diagonal_offsets_blocks():
     dense = np.zeros((5, 5))
     dense[:2, :2], dense[2:, 2:] = blocks
     h = RNG.normal(size=(5, 4))
-    out = canonical_matmul(SparseRows.block_diagonal(blocks), Tensor(h)).value
+    out = canonical_matmul(SparseRows.block_diagonal([sparse(b) for b in blocks]), Tensor(h)).value
     assert np.allclose(out, dense @ h, atol=1e-12)
 
 
@@ -312,6 +316,79 @@ def test_adam_weight_decay_pulls_toward_zero():
     for _ in range(20):
         opt.step({p: np.zeros((1, 1))})
     assert 0.0 < p.value[0, 0] < 4.0
+
+
+# 1x1, under one chunk, exactly one chunk, many chunks, a ragged last chunk
+ADAM_SHAPES = [(1, 1), (3, 7), (1, autograd._ADAM_CHUNK), (512, 2048), (3, 40000)]
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["all-grads", "missing-grad"])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize("shape", ADAM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_chunked_adam_equals_the_whole_array_formula_bitwise(shape, weight_decay, missing):
+    rng = np.random.default_rng(shape[1])
+    values = {"p": rng.normal(size=shape), "q": rng.normal(size=(2, 3))}
+    m = {name: np.zeros(a.shape) for name, a in values.items()}
+    v = {name: np.zeros(a.shape) for name, a in values.items()}
+    tensors = {name: Tensor(a.copy()) for name, a in values.items()}
+    opt = Adam(list(tensors.items()), lr=1e-3, weight_decay=weight_decay)
+    for t in range(1, 6):
+        grads = {name: rng.normal(size=a.shape) for name, a in values.items()}
+        if missing and t in (2, 4):
+            del grads["p"]  # p sits out this step: a zero gradient
+        held = tensors["p"].value
+        before = held.copy()
+        opt.step({tensors[name]: g for name, g in grads.items()})
+        values, m, v = oracle_adam_step(values, m, v, grads, t, 1e-3, weight_decay)
+        assert tensors["p"].value is not held and np.array_equal(held, before)  # rebound, not mutated
+        for name, expected in values.items():
+            assert np.array_equal(tensors[name].value, expected), (t, name)
+            assert np.array_equal(opt._m[name].reshape(expected.shape), m[name]), (t, name)
+            assert np.array_equal(opt._v[name].reshape(expected.shape), v[name]), (t, name)
+
+
+def test_adam_step_allocates_one_parameter_and_no_more():
+    p = Tensor(RNG.normal(size=(512, 2048)))
+    g = RNG.normal(size=p.shape)
+    opt = Adam([("p", p)], lr=1e-3, weight_decay=1e-3)
+    assert opt._scratch is None  # a run of zero steps allocates no scratch
+    tracemalloc.start()
+    try:
+        opt.step({p: g})  # the first step also allocates the scratch buffers
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= p.value.nbytes + 2 * 2**20, peak
+
+
+def test_parameter_gradients_pass_backwards_arrays_through(monkeypatch):
+    a, b, untouched = Tensor(RNG.normal(size=(2, 3))), Tensor(RNG.normal(size=(2, 3))), Tensor(np.ones((4, 5)))
+    returned = {}
+
+    def spy(loss):
+        returned.update(backward(loss))
+        return returned
+
+    monkeypatch.setattr(autograd, "backward", spy)
+    grads = parameter_gradients(sum_all(mul(a, b)), [a, b, untouched])
+    assert grads[a] is returned[a] and grads[b] is returned[b]
+    assert untouched not in returned
+    assert grads[untouched].shape == (4, 5) and not grads[untouched].any()
+
+
+def test_parameter_gradients_allocate_nothing_when_every_parameter_is_touched(monkeypatch):
+    params = [Tensor(RNG.normal(size=(512, 512))) for _ in range(3)]
+    loss = sum_all(add(add(params[0], params[1]), params[2]))
+    leaf_grads = backward(loss)
+    monkeypatch.setattr(autograd, "backward", lambda _: leaf_grads)
+    tracemalloc.start()
+    try:
+        grads = parameter_gradients(loss, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(grads[p] is leaf_grads[p] for p in params)
+    assert peak < params[0].value.nbytes // 4, peak
 
 
 def test_finite_diff_is_exact_on_linear_and_restores_values():

@@ -37,7 +37,13 @@ from dmdk.model import fallback_labels
 from dmdk.topics import anatomy_pairs, extract_topic_labels
 
 from conftest import random_gcn, random_mha
-from oracles import oracle_canonical_matmul, oracle_gcn_layer, oracle_specific_graph, oracle_triples
+from oracles import (
+    oracle_block_diagonal,
+    oracle_canonical_matmul,
+    oracle_gcn_layer,
+    oracle_specific_graph,
+    oracle_triples,
+)
 
 RNG = np.random.default_rng(23)
 
@@ -417,6 +423,11 @@ def random_graph(n, rng, p=0.15):
     return (upper | upper.T).astype(float)
 
 
+def stacked(blocks):
+    """The block-diagonal ``SparseRows`` of dense ``blocks``, as a batch composes it."""
+    return SparseRows.block_diagonal([SparseRows.from_dense(b) for b in blocks])
+
+
 def dense_block_diagonal(blocks):
     n = sum(len(b) for b in blocks)
     out, at = np.zeros((n, n)), 0
@@ -448,7 +459,7 @@ def propagation_cases(rng):
 def test_sparse_propagation_equals_the_dense_sorted_oracle_bitwise(d):
     rng = np.random.default_rng(d)
     for name, blocks in propagation_cases(rng):
-        a = SparseRows.block_diagonal(blocks)
+        a = stacked(blocks)
         dense = dense_block_diagonal(blocks)
         n = len(dense)
         relu_h = np.maximum(rng.normal(size=(n, d)), 0.0)  # about half ReLU zeros
@@ -460,10 +471,27 @@ def test_sparse_propagation_equals_the_dense_sorted_oracle_bitwise(d):
             assert np.array_equal(np.signbit(out), np.signbit(expected)), name  # zeros too
 
 
+def test_composed_block_diagonal_equals_grouping_the_whole_matrix():
+    rng = np.random.default_rng(11)
+    blocks = [b for _, bs in propagation_cases(rng) for b in bs] + [np.zeros((3, 3)), rng.normal(size=(4, 7))]
+    parts = [SparseRows.from_dense(b) for b in blocks]
+    for _ in range(6):
+        order = rng.permutation(len(blocks))[: rng.integers(1, len(blocks) + 1)]
+        got = SparseRows.block_diagonal([parts[i] for i in order])
+        values, groups, t_groups = oracle_block_diagonal([blocks[i] for i in order])
+        assert (got.n_rows, got.n_cols) == tuple(np.sum([blocks[i].shape for i in order], axis=0))
+        assert np.array_equal(got.value[:, 0], values)
+        for got_groups, want_groups in ((got.groups, groups), (got.t_groups, t_groups)):
+            assert len(got_groups) == len(want_groups)
+            for got_group, want_group in zip(got_groups, want_groups):
+                for a, b in zip(got_group, want_group):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_sparse_propagation_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     blocks = [normalized_adjacency(random_tree(5, rng)), normalized_adjacency(random_graph(6, rng, 0.5))]
-    a = SparseRows.block_diagonal(blocks)
+    a = stacked(blocks)
     h = Tensor(rng.normal(size=(11, 3)))
     probe = Tensor(rng.normal(size=(11, 3)))
 
@@ -481,7 +509,7 @@ def test_batched_gcn_keeps_each_graph_to_itself():
     params = random_gcn(g.names + ["x"], 8, RNG, n_layers=2)
     small = normalized_adjacency(random_graph(4, RNG, 0.6))
     names = g.names + ["x", "lung", "heart", "mystery"]
-    a = SparseRows.block_diagonal([normalized_adjacency(g.adjacency()), small])
+    a = stacked([normalized_adjacency(g.adjacency()), small])
     out = gcn_forward(names, a, params).value
     alone = [
         gcn_forward(g.names, normalized_adjacency(g.adjacency()), params).value,
