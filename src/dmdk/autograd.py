@@ -2,11 +2,13 @@
 
 Every quantity in this package is a 2-D float64 array wrapped in a
 :class:`Tensor` node. Ops build a DAG as a side effect of the forward pass;
-``backward`` walks it once in reverse topological order, accumulating
-gradients additively across fan-out and dropping each interior gradient once
-it has reached the node's parents. Inside ``no_grad()`` ops compute the same
-values but keep no graph, for inference. ``finite_diff_grad`` is the
-independent central-difference estimator used to audit every backward rule.
+``backward`` consumes it in one walk in reverse topological order,
+accumulating gradients additively across fan-out and freeing each node's
+gradient, parents and saved arrays once the walk has passed it, so
+backpropagating twice means running the forward again. Inside ``no_grad()``
+ops compute the same values but keep no graph, for inference.
+``finite_diff_grad`` is the independent central-difference estimator used to
+audit every backward rule.
 
 ``SparseRows`` holds a constant sparse matrix as a Tensor of its nonzero
 entries; ``canonical_matmul`` multiplies it into a tensor, summing each output
@@ -138,30 +140,43 @@ def _topo_order(output: Tensor) -> list[Tensor]:
     return order
 
 
+def _consumed(g: np.ndarray):
+    raise RuntimeError("backward already ran through this node; build the graph again")
+
+
 def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
-    """Backpropagate from a 1x1 output; returns gradients for every reachable leaf."""
+    """Backpropagate from a 1x1 output; returns gradients for every reachable leaf.
+
+    Consumes the graph: each interior node drops its parents and its backward
+    rule once the walk has passed it, which frees its saved arrays as soon as
+    nothing downstream needs them. A later ``backward`` through any consumed
+    node raises ``RuntimeError``; run the forward again to backpropagate again.
+    """
     if not _grad_enabled.get():
         raise RuntimeError("backward called inside no_grad()")
     if output.shape != (1, 1):
         raise ValueError(f"backward requires a 1x1 scalar output, got shape {output.shape}")
     order = _topo_order(output)
     grads: dict[int, np.ndarray] = {id(output): np.ones((1, 1))}
-    by_id: dict[int, Tensor] = {id(n): n for n in order}
-    for node in reversed(order):
+    leaves: dict[int, Tensor] = {}
+    while order:
+        node = order.pop()
         if node._grad_fn is None:
-            continue  # a leaf keeps its gradient for the caller
-        g = grads.pop(id(node), None)
-        if g is None:
+            leaves[id(node)] = node  # a leaf keeps its gradient for the caller
             continue
-        for parent, pg in zip(node._parents, node._grad_fn(g)):
-            if pg is None:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
-    return {by_id[k]: g for k, g in grads.items() if not by_id[k]._parents}
+        g = grads.pop(id(node), None)
+        if g is not None:
+            for parent, pg in zip(node._parents, node._grad_fn(g)):
+                if pg is None:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+        node._parents = ()
+        node._grad_fn = _consumed
+    return {leaves[k]: g for k, g in grads.items()}
 
 
 def parameter_gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[Tensor, np.ndarray]:
@@ -468,7 +483,9 @@ class Adam:
         p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
     without a parameter-sized temporary. ``p.value`` is rebound to a new
-    array, never mutated: closures of the last graph keep the old values.
+    array, never mutated, so a caller holding the old array keeps its values.
+    ``backward`` has consumed the graph by the time ``step`` runs, so nothing
+    else holds the old array and each rebinding frees it.
     """
 
     def __init__(

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage, 2 validation or I/O failure, 3 runtime
 divergence (non-finite values during training or generation). The DMDK_LOG
-environment variable sets the logging level (DEBUG, INFO, ...).
+environment variable sets the logging level (DEBUG, INFO, ...); a value that
+names no level leaves it at WARNING.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
-    level_name = os.environ.get("DMDK_LOG", "WARNING").upper()
+    level = logging.getLevelName(os.environ.get("DMDK_LOG", "WARNING").upper())
     logging.basicConfig(
-        level=getattr(logging, level_name, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,  # "Level X" for unknown names
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

@@ -22,7 +22,7 @@ FMAT_VERSION = "v1"
 def load_features(path: str | Path) -> np.ndarray:
     """Read an FMAT v1 file: header `FMAT v1 <rows> <cols>`, then the rows.
 
-    Every row is parsed and its value count checked against the header before
+    Every row is split and its value count checked against the header before
     the matrix is allocated, so a header alone cannot size it.
     """
     path = Path(path)
@@ -44,14 +44,18 @@ def load_features(path: str | Path) -> np.ndarray:
             raise ValueError(
                 f"{path}: row {r + 1} has {len(cells)} values, expected {cols}"
             )
-        for c, cell in enumerate(cells):
-            try:
-                cells[c] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {cell!r} at row {r + 1}, column {c + 1}"
-                ) from None
-    out = np.array(lines)
+    try:
+        out = np.array(lines, dtype=np.float64)  # parses each cell with Python's float()
+    except ValueError:
+        for r, cells in enumerate(lines):  # find the cell to name
+            for c, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: non-numeric value {cell!r} at row {r + 1}, column {c + 1}"
+                    ) from None
+        raise
     if not np.isfinite(out).all():
         raise ValueError(f"{path}: feature values must be finite")
     return out

@@ -623,7 +623,6 @@ def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
                 loss = teacher_forcing_loss(batch, model)
                 opt.step(parameter_gradients(loss, tensors))
                 epoch_total += float(loss.value[0, 0]) * len(batch)
-                del loss  # frees this step's graph before the next step builds its own
         except NonFiniteError as e:
             raise TrainingDiverged(f"training diverged at epoch {epoch + 1}: {e}") from e
         trace.append(epoch_total / len(prepared))

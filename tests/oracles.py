@@ -290,3 +290,46 @@ def oracle_adam_step(values, m, v, grads, t, lr, weight_decay):
         vn = new_v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
         new_values[name] = p - lr * (mn / bc1) / (np.sqrt(vn / bc2) + ADAM_EPS)
     return new_values, new_m, new_v
+
+
+# ---------------------------------------------------------------------------
+# backpropagation that keeps the graph
+
+
+def oracle_backward(output):
+    """Leaf gradients of a 1x1 output, by the engine ``autograd.backward`` ran
+    before it consumed the graph: an iterative postorder, then one walk over
+    it reversed. Leaves the graph intact, so the same output can then go
+    through ``autograd.backward``."""
+    order = []
+    visited = set()
+    stack = [(output, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    grads = {id(output): np.ones((1, 1))}
+    by_id = {id(n): n for n in order}
+    for node in reversed(order):
+        if node._grad_fn is None:
+            continue
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
+            if pg is None:
+                continue
+            key = id(parent)
+            if key in grads:
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg
+    return {by_id[k]: g for k, g in grads.items() if not by_id[k]._parents}

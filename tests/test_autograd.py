@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +207,39 @@ def test_disconnected_parameter_gets_zero_gradient():
     other = Tensor([[5.0]])
     grads = parameter_gradients(sum_all(mul(x, x)), [x, other])
     assert np.array_equal(grads[other], np.zeros((1, 1)))
+
+
+def _loss_over_an_activation():
+    """A loss and a weak reference to an interior activation's array."""
+    a, b = Tensor(RNG.normal(size=(3, 4))), Tensor(RNG.normal(size=(4, 2)))
+    h = matmul(a, b)
+    return sum_all(relu(h)), weakref.ref(h.value)
+
+
+def test_backward_frees_interior_activations():
+    loss, activation = _loss_over_an_activation()
+    assert activation() is not None
+    backward(loss)
+    assert activation() is None
+
+
+def test_adam_step_frees_the_old_parameter_while_the_loss_is_held():
+    x, p = Tensor(RNG.normal(size=(3, 4))), Tensor(RNG.normal(size=(4, 2)))
+    loss = sum_all(matmul(x, p))
+    old = weakref.ref(p.value)
+    Adam([("p", p)], lr=0.1).step(parameter_gradients(loss, [p]))
+    assert old() is None
+    assert loss.shape == (1, 1)  # the caller still holds the loss
+
+
+def test_backward_through_a_consumed_graph_raises():
+    a = Tensor(RNG.normal(size=(2, 2)))
+    shared = matmul(a, a)
+    first, second = sum_all(shared), sum_all(relu(shared))
+    assert backward(first)[a].shape == (2, 2)
+    for loss in (first, second):  # the same output again, then one sharing a subgraph
+        with pytest.raises(RuntimeError, match="build the graph again"):
+            backward(loss)
 
 
 def test_gradient_accumulates_over_fanout():

@@ -1,4 +1,5 @@
 import json
+import logging
 import struct
 
 import numpy as np
@@ -445,3 +446,20 @@ def test_log_level_env_is_accepted(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DMDK_LOG", "DEBUG")
     preds = write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "text": "x y"}])
     assert main(["evaluate", "--preds", preds, "--refs", preds, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "value, level",
+    [("debug", logging.DEBUG), ("INFO", logging.INFO), ("bogus", logging.WARNING),
+     ("basic_format", logging.WARNING), ("_styles", logging.WARNING), ("10", logging.WARNING)],
+)
+def test_log_level_env_sets_a_level_or_falls_back_to_warning(tmp_path, monkeypatch, value, level):
+    monkeypatch.setenv("DMDK_LOG", value)
+    monkeypatch.setattr(logging.root, "handlers", [])  # else basicConfig leaves the level alone
+    before = logging.root.level
+    preds = write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "text": "x y"}])
+    try:
+        assert main(["evaluate", "--preds", preds, "--refs", preds, "--out", str(tmp_path / "o")]) == 0
+        assert logging.root.level == level
+    finally:
+        logging.root.setLevel(before)

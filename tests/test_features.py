@@ -112,6 +112,45 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
         load_features(p)
 
 
+def parse_each_cell(path, lines):
+    """Cells to matrix by the per-cell ``float()`` loop ``load_features`` ran
+    before one numpy call parsed them all."""
+    for r, cells in enumerate(lines):
+        for c, cell in enumerate(cells):
+            try:
+                cells[c] = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric value {cell!r} at row {r + 1}, column {c + 1}"
+                ) from None
+    out = np.array(lines)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{path}: feature values must be finite")
+    return out
+
+
+# tokens float() accepts in unusual spellings, then non-finite ones, then refused ones
+ODD_CELLS = ["1_0", "\uff11\uff12", "\u0661\u0662", "+.5", "5.", "-0", "1e-400", "2.5e-324",
+             "infinity", "-1e400", "nan", "\x00", "1\x00", "1__0", "0x10", "five"]
+
+
+@pytest.mark.parametrize("cell", [None] + ODD_CELLS)
+def test_cells_parse_as_the_per_cell_loop_did(tmp_path, cell):
+    scales = 10.0 ** RNG.integers(-320, 300, size=(4, 6))
+    lines = [[repr(float(x)) for x in row] for row in RNG.normal(size=(4, 6)) * scales]
+    if cell is not None:
+        lines[2][3] = cell
+    p = write(tmp_path, "FMAT v1 4 6\n" + "\n".join(" ".join(row) for row in lines) + "\n")
+    try:
+        expected = parse_each_cell(p, lines)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            load_features(p)
+        assert str(got.value) == str(e)
+    else:
+        assert load_features(p).tobytes() == expected.tobytes()
+
+
 def test_non_finite_values_rejected(tmp_path):
     p = write(tmp_path, "FMAT v1 1 2\n1 inf\n")
     with pytest.raises(ValueError, match="finite"):

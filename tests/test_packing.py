@@ -4,14 +4,21 @@
 tokens in record order and attends within each record's rows. Its loss and
 every parameter gradient must equal the mean over one-record batches, and no
 record's logits may depend on the values of another record in the batch.
+
+The same configurations, and the gradient-check fixture, also pin the
+consuming ``backward`` to the engine that kept the graph: every gradient must
+be bitwise equal.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmdk.autograd import parameter_gradients
+from dmdk import model as model_module
+from dmdk.autograd import backward, parameter_gradients
+from dmdk.config import load_config
 from dmdk.features import save_features
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
@@ -23,9 +30,12 @@ from dmdk.model import (
     encode_batch,
     fallback_labels,
     prepare_record,
+    run_gradient_check,
     teacher_forcing_loss,
 )
 from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, tokenize
+
+from oracles import oracle_backward
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 A, O = EntityType.ANATOMY, EntityType.OBSERVATION
@@ -145,3 +155,34 @@ def test_a_record_never_sees_another_records_values(tmp_path, name):
     assert np.array_equal(after[:first], before[:first])
     assert np.array_equal(after[second:], before[second:])
     assert not np.array_equal(after[first:second], before[first:second])
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_consuming_backward_equals_the_graph_keeping_engine(tmp_path, name):
+    model, preps = build(tmp_path, CONFIGS[name])
+    loss = teacher_forcing_loss(preps, model)
+    expected = oracle_backward(loss)  # leaves the graph for ``backward``
+    grads = backward(loss)
+    assert grads.keys() == expected.keys()
+    names = {p: pname for pname, p in model.parameters()}
+    for leaf, g in expected.items():
+        assert np.array_equal(grads[leaf], g), names.get(leaf, "a constant leaf")
+
+
+def test_gradient_check_fixture_gradients_equal_the_graph_keeping_engine(monkeypatch):
+    checked = []
+
+    def against_oracle(loss, params):
+        expected = oracle_backward(loss)
+        grads = parameter_gradients(loss, params)
+        for p in params:
+            assert np.array_equal(grads[p], expected[p]) if p in expected else not grads[p].any()
+        checked.extend(params)
+        return grads
+
+    monkeypatch.setattr(model_module, "parameter_gradients", against_oracle)
+    # only the analytic gradients are under test here
+    monkeypatch.setattr(model_module, "finite_diff_grad", lambda f, ts, h: [np.zeros(t.shape) for t in ts])
+    config = Path(__file__).resolve().parent.parent / "configs" / "gradcheck.json"
+    results = run_gradient_check(load_config(config))
+    assert len(checked) == len(results) > 0

@@ -1,10 +1,11 @@
-"""Static checks over the package source and the tests, using only the standard library."""
+"""Static checks over the package source, the tests and the benchmark, using only the standard library."""
 
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "dmdk"
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -48,7 +49,7 @@ def test_unused_import_check_flags_what_it_should(tmp_path):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py"))
     hits = [hit for path in paths for hit in unused_imports(path)]
     assert hits == []
 
@@ -94,5 +95,6 @@ def test_orphan_check_flags_what_it_should(tmp_path):
 
 
 def test_no_private_module_name_is_orphaned():
-    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in orphaned_privates(path)]
+    paths = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    hits = [hit for path in paths for hit in orphaned_privates(path)]
     assert hits == []
