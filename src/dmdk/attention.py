@@ -84,30 +84,29 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(rows, heads * width)
 
 
-def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, offset: int | None = None) -> np.ndarray:
-    """heads x rows x keys: softmax(q_h k_h^T / sqrt(d_n)) for each head h.
+def attention_weights(qh: np.ndarray, kh: np.ndarray, offset: int | None = None) -> np.ndarray:
+    """heads x rows x keys: softmax(q_h k_h^T / sqrt(d_n)) for each head h of
+    ``qh`` (heads x rows x d_n) and ``kh`` (heads x keys x d_n).
 
     With an ``offset`` the attention is causal: query row i sits at position
-    offset + i and sees key columns <= offset + i, so ``k`` must hold exactly
-    offset + rows rows. ``None`` lets every query see every key.
+    offset + i and sees key columns <= offset + i, so there must be exactly
+    offset + rows keys. ``None`` lets every query see every key.
     """
-    if q.shape[1] != k.shape[1] or q.shape[1] % heads != 0:
-        raise ValueError(f"{heads}-head attention of {q.shape} queries over {k.shape} keys")
-    scores = (_split_heads(q, heads) @ _split_heads(k, heads).transpose(0, 2, 1)) * (
-        1.0 / math.sqrt(q.shape[1] // heads)
-    )
+    if qh.shape[0] != kh.shape[0] or qh.shape[2] != kh.shape[2]:
+        raise ValueError(f"attention of per-head queries {qh.shape} over keys {kh.shape}")
+    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(qh.shape[2]))
     if not np.isfinite(scores).all():
         raise NonFiniteError("attention scores contain non-finite values")
     if offset is not None:
-        if k.shape[0] != offset + q.shape[0]:
+        if kh.shape[1] != offset + qh.shape[1]:
             raise ValueError(
-                f"causal attention at offset {offset} needs {offset + q.shape[0]} key rows, "
-                f"got {k.shape[0]}"
+                f"causal attention at offset {offset} needs {offset + qh.shape[1]} key rows, "
+                f"got {kh.shape[1]}"
             )
-        if q.shape[0] > 1:  # a single query row at the end sees every key
-            scores = scores + causal_mask(q.shape[0], offset)
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    return e / e.sum(axis=2, keepdims=True)
+        if qh.shape[1] > 1:  # a single query row at the end sees every key
+            scores = scores + causal_mask(qh.shape[1], offset)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=2, keepdims=True))
+    return e / np.add.reduce(e, axis=2, keepdims=True)
 
 
 def _span_bounds(spans: Spans | None, q_rows: int, k_rows: int) -> list[tuple[int, int, int, int]]:
@@ -141,12 +140,14 @@ def heads_attention(
     """
     if v.shape != k.shape:
         raise ValueError(f"keys {k.shape} and values {v.shape} must share a shape")
+    if q.cols != k.cols or q.cols % heads != 0:
+        raise ValueError(f"{heads}-head attention of {q.shape} queries over {k.shape} keys")
     bounds = _span_bounds(spans, q.rows, k.rows)
     qh, kh, vh = _split_heads(q.value, heads), _split_heads(k.value, heads), _split_heads(v.value, heads)
     c = 1.0 / math.sqrt(q.cols // heads)
     weights, out = [], []
     for qa, qb, ka, kb in bounds:
-        weights.append(attention_weights(q.value[qa:qb], k.value[ka:kb], heads, offset))
+        weights.append(attention_weights(qh[:, qa:qb], kh[:, ka:kb], offset))
         out.append(weights[-1] @ vh[:, ka:kb])
 
     def grad_fn(g: np.ndarray):
@@ -155,7 +156,7 @@ def heads_attention(
         for w, (qa, qb, ka, kb) in zip(weights, bounds):
             g_r, k_r, v_r = gh[:, qa:qb], kh[:, ka:kb], vh[:, ka:kb]
             dw = g_r @ v_r.transpose(0, 2, 1)
-            ds = (dw - (dw * w).sum(axis=2, keepdims=True)) * w * c
+            ds = (dw - np.add.reduce(dw * w, axis=2, keepdims=True)) * w * c
             parts.append((ds @ k_r, ds.transpose(0, 2, 1) @ qh[:, qa:qb], w.transpose(0, 2, 1) @ g_r))
         return tuple(_merge_heads(_join_records(d)) for d in zip(*parts))
 

@@ -32,10 +32,10 @@ __all__ = [
     "add",
     "backward",
     "canonical_matmul",
-    "concat_rows",
     "cross_entropy_logits",
     "embedding",
     "finite_diff_grad",
+    "grad_enabled",
     "layer_norm",
     "matmul",
     "mul",
@@ -67,6 +67,11 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled.reset(token)
+
+
+def grad_enabled() -> bool:
+    """False inside ``no_grad()``, where ops record no graph."""
+    return _grad_enabled.get()
 
 
 _all_true = np.logical_and.reduce  # ndarray.all without its Python-level wrapper
@@ -103,6 +108,13 @@ class Tensor:
         else:
             self._parents = ()
             self._grad_fn = None
+
+    @classmethod
+    def checked(cls, value: np.ndarray) -> Tensor:
+        """A graph-free tensor over a float64 matrix already checked finite: no copy, no scan."""
+        t = cls.__new__(cls)
+        t.value, t._parents, t._grad_fn = value, (), None
+        return t
 
     @property
     def rows(self) -> int:
@@ -362,39 +374,27 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps < 0:
         raise ValueError("layer_norm eps must be >= 0")
     v = a.value
-    mu = v.mean(axis=1, keepdims=True)
-    var = ((v - mu) ** 2).mean(axis=1, keepdims=True)
+    n = v.shape[1]
+    # np.add.reduce(...) / n is what ndarray.mean computes, minus its Python wrapper
+    mu = np.add.reduce(v, axis=1, keepdims=True) / n
+    centred = v - mu
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (v - mu) * inv
+    xhat = centred * inv
     gv = gain.value
 
     def grad_fn(g: np.ndarray):
-        dgain = (g * xhat).sum(axis=0, keepdims=True)
-        dbias = g.sum(axis=0, keepdims=True)
+        dgain = np.add.reduce(g * xhat, axis=0, keepdims=True)
+        dbias = np.add.reduce(g, axis=0, keepdims=True)
         dxhat = g * gv
         dx = (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(dxhat, axis=1, keepdims=True) / n
+            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n)
         ) * inv
         return dx, dgain, dbias
 
     return Tensor(xhat * gv + bias.value, (a, gain, bias), grad_fn)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ValueError("concat_rows needs at least one part")
-    cols = parts[0].cols
-    for p in parts:
-        if p.cols != cols:
-            raise ValueError(f"concat_rows column mismatch: {cols} vs {p.cols}")
-    splits = np.cumsum([p.rows for p in parts])[:-1]
-
-    def grad_fn(g: np.ndarray):
-        return tuple(np.split(g, splits, axis=0))
-
-    return Tensor(np.concatenate([p.value for p in parts], axis=0), tuple(parts), grad_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:

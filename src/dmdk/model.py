@@ -18,7 +18,7 @@ each record's rows (``attention.Spans``). Decoding encodes a batch of one
 record, runs under ``no_grad`` and feeds one token per step through a
 ``DecoderCache``: the packed cross-attention keys and values over X', W' and
 M' are projected once per record and layer, and each layer's self-attention
-keys and values grow by one row per token.
+keys and values grow in place by one row per token.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .autograd import (
     Tensor,
     add,
     cross_entropy_logits,
-    concat_rows,
     finite_diff_grad,
+    grad_enabled,
     matmul,
     layer_norm,
     no_grad,
@@ -316,12 +316,13 @@ class DecoderCache:
 
     ``cross[i]`` holds layer i's keys and values over X', W' and M', projected
     on the first step; ``self_kv[i]`` holds layer i's self-attention keys and
-    values, one row per token fed so far (``length`` of them).
+    values: two float64 buffers whose first ``length`` rows are the tokens fed
+    so far, written in place and grown like ``attention.sinusoidal_rows``.
     """
 
     memories: tuple[Tensor, Tensor, Tensor] | None = None
     cross: list[tuple[KV, KV, KV]] = field(default_factory=list)
-    self_kv: list[KV] = field(default_factory=list)
+    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     length: int = 0
 
 
@@ -337,13 +338,16 @@ def _self_kv(h: Tensor, layer_index: int, params: MhaParams, cache: DecoderCache
     k, v = project_kv(h, params)
     if cache is None:
         return k, v
-    if layer_index < len(cache.self_kv):
-        k0, v0 = cache.self_kv[layer_index]
-        k, v = concat_rows([k0, k]), concat_rows([v0, v])
-        cache.self_kv[layer_index] = (k, v)
-    else:
-        cache.self_kv.append((k, v))
-    return k, v
+    start, stop = cache.length, cache.length + h.rows
+    bufs = cache.self_kv[layer_index]
+    if bufs[0].shape[0] < stop:
+        grown = tuple(np.empty((max(stop, 2 * bufs[0].shape[0], 64), h.cols)) for _ in bufs)
+        for new, old in zip(grown, bufs):
+            new[:start] = old[:start]
+        bufs = cache.self_kv[layer_index] = grown
+    bufs[0][start:stop], bufs[1][start:stop] = k.value, v.value
+    # every row came from a checked matmul Tensor: no copy, no second scan
+    return Tensor.checked(bufs[0][:stop]), Tensor.checked(bufs[1][:stop])
 
 
 def decoder_forward(
@@ -363,7 +367,8 @@ def decoder_forward(
     are the next tokens after the ``cache.length`` already fed: the cross-attention
     keys and values come from the cache (projected on its first call, so every
     call with one cache must pass the same memories), and each layer's
-    self-attention keys and values grow by len(ids) rows.
+    self-attention keys and values grow by len(ids) rows. The cache keeps no
+    graph, so it runs only inside ``no_grad()``.
 
     ``spans`` packs a batch without a cache: (token rows, memory rows) of each
     record, stacked in order. Each record's tokens take positions from 0 and
@@ -376,11 +381,14 @@ def decoder_forward(
     if cache is not None:
         if spans is not None:
             raise ValueError("a decoder cache serves one record and takes no spans")
+        if grad_enabled():
+            raise RuntimeError("a decoder cache keeps no graph: decode inside no_grad()")
         start = cache.length
         memories = (x_fused, w_enh, m_enh)
         if cache.memories is None:
             cache.memories = memories
             cache.cross = [_cross_kv(layer, *memories) for layer in dec.layers]
+            cache.self_kv = [(np.empty((0, table.cols)),) * 2 for _ in dec.layers]
         elif any(a is not b for a, b in zip(cache.memories, memories)):
             raise ValueError("a decoder cache serves the memories of one record only")
     tokens = None if spans is None else spans[0]
@@ -414,18 +422,19 @@ def generate_greedy(
 ) -> list[int]:
     """Argmax decoding (ties break toward the lowest index) until EOS or the cap.
 
-    Feeds one token per step through a ``DecoderCache``. The returned ids
-    exclude BOS and EOS.
+    Feeds one token per step through a ``DecoderCache``, under ``no_grad``.
+    The returned ids exclude BOS and EOS.
     """
     cache = DecoderCache()
     token = Vocabulary.BOS
     out: list[int] = []
-    while len(out) < max_length:
-        logits = decoder_forward([token], x_fused, w_enh, m_enh, dec, table, cache)
-        token = int(np.argmax(logits.value[-1]))
-        if token == Vocabulary.EOS:
-            break
-        out.append(token)
+    with no_grad():
+        while len(out) < max_length:
+            logits = decoder_forward([token], x_fused, w_enh, m_enh, dec, table, cache)
+            token = int(np.argmax(logits.value[-1]))
+            if token == Vocabulary.EOS:
+                break
+            out.append(token)
     return out
 
 

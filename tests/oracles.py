@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from dmdk.autograd import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from dmdk.autograd import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Tensor
 from dmdk.graph import GraphNode, KnowledgeGraph, NodeKind
 from dmdk.text import EntityType
 
@@ -212,6 +212,18 @@ def oracle_mha(x, y, heads, wo, causal=False):
     """heads: list of (wq, wk, wv) arrays; concatenate then project."""
     parts = [oracle_attention(x, y, wq, wk, wv, causal) for wq, wk, wv in heads]
     return np.concatenate(parts, axis=1) @ wo
+
+
+def oracle_self_kv(h, layer_index, params, cache):
+    """Stand-in for ``dmdk.model._self_kv`` that re-concatenates the whole
+    prefix every step: layer i's keys and values sit in ``cache.self_kv[i]``
+    as exactly the rows fed so far, a fresh array after each step."""
+    k, v = h.value @ params.wk.value, h.value @ params.wv.value
+    if cache is not None:
+        k0, v0 = cache.self_kv[layer_index]
+        k, v = np.concatenate([k0, k]), np.concatenate([v0, v])
+        cache.self_kv[layer_index] = (k, v)
+    return Tensor(k), Tensor(v)
 
 
 def oracle_layer_norm(x, gain, bias, eps=1e-5):

@@ -72,10 +72,15 @@ def test_quarter_three_quarter_split_closed_form():
     # values are the y rows themselves, so out = [0.75 ln 3, 0.25*1 + 0.75*5]
     x = Tensor([[math.sqrt(2.0), 0.0]])
     y = Tensor([[0.0, 1.0], [math.log(3.0), 5.0]])
-    weights = attention_weights(x.value, y.value, heads=1)
+    weights = attention_weights(x.value[None], y.value[None])
     out = multi_head_attention(x, y, identity_block(2))
     assert np.allclose(weights, [[[0.25, 0.75]]], atol=1e-12)
     assert np.allclose(out.value, [[0.75 * math.log(3.0), 4.0]], atol=1e-12)
+
+
+def per_head(a, heads):
+    """rows x d -> heads x rows x d/heads: head h takes the h-th block of d/heads columns."""
+    return np.stack(np.split(a, heads, axis=1))
 
 
 def assert_stochastic_in_value_hull(d, heads, q_rows, k_rows, rng):
@@ -84,7 +89,7 @@ def assert_stochastic_in_value_hull(d, heads, q_rows, k_rows, rng):
     y = Tensor(rng.normal(size=(k_rows, d)))
     q = matmul(x, params.wq)
     k, v = project_kv(y, params)
-    w = attention_weights(q.value, k.value, params.heads)
+    w = attention_weights(per_head(q.value, heads), per_head(k.value, heads))
     assert w.shape == (heads, q_rows, k_rows)
     assert (w >= 0).all() and np.allclose(w.sum(axis=2), 1.0, atol=1e-9)
     out = heads_attention(q, k, v, params.heads).value  # every column is one head's

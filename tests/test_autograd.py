@@ -14,7 +14,6 @@ from dmdk.autograd import (
     add,
     backward,
     canonical_matmul,
-    concat_rows,
     cross_entropy_logits,
     embedding,
     finite_diff_grad,
@@ -287,17 +286,15 @@ def test_softmax_and_layer_norm_gradients_match_fd():
     fd_check(build, [x, gain, bias])
 
 
-def test_concat_and_reduction_gradients_match_fd():
+def test_reduction_gradients_match_fd():
     a = Tensor(RNG.normal(size=(2, 3)))
-    b = Tensor(RNG.normal(size=(1, 3)))
     c = Tensor(RNG.normal(size=(1, 3)))
 
     def build():
-        stacked = concat_rows([a, b])
         shifted = add(a, c)
-        return add(sum_all(mul(stacked, stacked)), sum_all(mul(scale(shifted, 0.5), shifted)))
+        return add(sum_all(mul(a, a)), sum_all(mul(scale(shifted, 0.5), shifted)))
 
-    fd_check(build, [a, b, c])
+    fd_check(build, [a, c])
 
 
 def test_embedding_gradient_scatter_adds_duplicates():

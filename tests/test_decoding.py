@@ -5,12 +5,19 @@ reference here reruns ``decoder_forward`` over the whole BOS-prefixed prefix
 at every step. Both must choose the same tokens, and the cached last-row
 logits must match the recomputed ones to 1e-12 relative: a one-row matmul
 may round differently from the same row inside a bigger one.
+
+The cache writes each layer's self-attention keys and values in place into
+buffers it grows as rows arrive; ``oracles.oracle_self_kv`` re-concatenates
+the prefix instead, and the two must agree bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dmdk.autograd import Tensor
+import dmdk.model
+from dmdk.autograd import Tensor, no_grad
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
     AblationMode,
@@ -28,6 +35,7 @@ from dmdk.model import (
 from dmdk.text import Vocabulary, load_corpus
 
 from conftest import OVERFIT_ALIASES, OVERFIT_ENTITIES, OVERFIT_REPORTS, build_corpus, make_config
+from oracles import oracle_self_kv
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 
@@ -47,10 +55,11 @@ def recompute_greedy(streams, dec, table, cap):
 def cached_rows(streams, dec, table, ids):
     """Last-row logits of each cached step, feeding BOS then ``ids``."""
     cache = DecoderCache()
-    rows = [
-        decoder_forward([token], *streams, dec, table, cache).value[-1]
-        for token in [Vocabulary.BOS] + list(ids)
-    ]
+    with no_grad():
+        rows = [
+            decoder_forward([token], *streams, dec, table, cache).value[-1]
+            for token in [Vocabulary.BOS] + list(ids)
+        ]
     assert cache.length == len(ids) + 1
     return rows
 
@@ -121,8 +130,9 @@ def test_cached_prefill_then_steps_matches_full_logits():
     ids = [Vocabulary.BOS, 5, 9, 7, 11, 4]
     full = decoder_forward(ids, *streams, model.decoder, model.embed).value
     cache = DecoderCache()
-    head = decoder_forward(ids[:3], *streams, model.decoder, model.embed, cache).value
-    tail = decoder_forward(ids[3:], *streams, model.decoder, model.embed, cache).value
+    with no_grad():
+        head = decoder_forward(ids[:3], *streams, model.decoder, model.embed, cache).value
+        tail = decoder_forward(ids[3:], *streams, model.decoder, model.embed, cache).value
     np.testing.assert_allclose(np.vstack([head, tail]), full, **TOL)
 
 
@@ -130,6 +140,89 @@ def test_cache_serves_one_record_only():
     model = random_model(d=16, heads=2, layers=1)
     streams = random_streams(16)
     cache = DecoderCache()
-    decoder_forward([Vocabulary.BOS], *streams, model.decoder, model.embed, cache)
-    with pytest.raises(ValueError, match="one record"):
-        decoder_forward([5], *random_streams(16, seed=2), model.decoder, model.embed, cache)
+    with no_grad():
+        decoder_forward([Vocabulary.BOS], *streams, model.decoder, model.embed, cache)
+        with pytest.raises(ValueError, match="one record"):
+            decoder_forward([5], *random_streams(16, seed=2), model.decoder, model.embed, cache)
+
+
+def test_cache_refuses_gradient_mode():
+    model = random_model(d=16, heads=2, layers=1)
+    with pytest.raises(RuntimeError, match=r"no_grad\(\)"):
+        decoder_forward([Vocabulary.BOS], *random_streams(16), model.decoder, model.embed, DecoderCache())
+
+
+# ---------------------------------------------------------------------------
+# in-place cache buffers against the re-concatenating oracle
+
+
+def greedy_steps(streams, dec, table, cap, prefill=()):
+    """Feed BOS + ``prefill`` in one cached call, then greedy tokens one per
+    step until EOS or ``cap`` of them; (emitted ids, every call's logits, cache)."""
+    cache, ids, logits = DecoderCache(), [], []
+    feed = [Vocabulary.BOS, *prefill]
+    with no_grad():
+        while len(ids) < cap:
+            logits.append(decoder_forward(feed, *streams, dec, table, cache).value)
+            feed = [int(np.argmax(logits[-1][-1]))]
+            if feed[0] == Vocabulary.EOS:
+                break
+            ids += feed
+    return ids, logits, cache
+
+
+def assert_cache_matches_oracle(monkeypatch, *args, **kwargs):
+    ids, logits, cache = greedy_steps(*args, **kwargs)
+    with monkeypatch.context() as patched:
+        patched.setattr(dmdk.model, "_self_kv", oracle_self_kv)
+        old_ids, old_logits, _ = greedy_steps(*args, **kwargs)
+    assert ids == old_ids
+    assert len(logits) == len(old_logits)
+    for step, (new, old) in enumerate(zip(logits, old_logits)):
+        assert np.array_equal(new, old), f"step {step}"
+    return ids, cache
+
+
+def test_cache_matches_oracle_bitwise_on_overfit_model(overfit_model, monkeypatch):
+    model, records, base = overfit_model
+    labels = fallback_labels(base, "all")
+    for rec in records:
+        prep = prepare_record(rec, model.vocab, base, labels, model.spec, with_report=False)
+        streams = encode_record(model, prep)
+        ids, _ = assert_cache_matches_oracle(
+            monkeypatch, streams, model.decoder, model.embed, model.spec.max_length
+        )
+        assert ids == generate_greedy(*streams, model.decoder, model.embed, model.spec.max_length)
+
+
+def test_cache_matches_oracle_bitwise_across_buffer_growth(monkeypatch):
+    model = random_model(d=512, heads=8, layers=3)
+    ids, cache = assert_cache_matches_oracle(monkeypatch, random_streams(512), model.decoder, model.embed, 150)
+    assert len(ids) == 150
+    # 151 rows fed: capacity went 64 -> 128 -> 256
+    assert [k.shape[0] for k, _ in cache.self_kv] == [256] * 3
+
+
+def test_cache_matches_oracle_bitwise_after_a_prefill(monkeypatch):
+    model = random_model(d=16, heads=2, layers=2)
+    _, cache = assert_cache_matches_oracle(
+        monkeypatch, random_streams(16), model.decoder, model.embed, 12, prefill=[5, 9, 7, 11]
+    )
+    assert cache.length == 5 + 11
+
+
+def test_cached_step_allocates_the_same_at_any_prefix_length():
+    # a cache that re-concatenates its prefix allocates 2 x t x d x 8 bytes per
+    # layer and step: 4.9 MB at t = 200 here, against 0.5 MB at t = 20
+    model = random_model(d=512, heads=8, layers=3)
+    streams, cache, peaks = random_streams(512), DecoderCache(), {}
+    with no_grad():
+        for t in range(201):
+            if t in (20, 200):  # capacity 64 and 256: neither step grows a buffer
+                tracemalloc.start()
+            decoder_forward([5 + t % 30], *streams, model.decoder, model.embed, cache)
+            if t in (20, 200):
+                peaks[t] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+    assert abs(peaks[200] - peaks[20]) <= 256 * 1024, peaks
+    assert cache.self_kv[0][0].shape[0] == 256

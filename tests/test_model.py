@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmdk.attention import multi_head_attention
-from dmdk.autograd import Tensor, embedding
+from dmdk.autograd import Tensor, embedding, no_grad
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
     AblationMode,
@@ -257,8 +257,9 @@ def test_decode_step_is_a_distribution():
     model = small_model()
     x, w, m = fixture_streams(model)
     cache = DecoderCache()
-    decoder_forward([Vocabulary.BOS], x, w, m, model.decoder, model.embed, cache)
-    last = decoder_forward([5], x, w, m, model.decoder, model.embed, cache).value[-1]
+    with no_grad():
+        decoder_forward([Vocabulary.BOS], x, w, m, model.decoder, model.embed, cache)
+        last = decoder_forward([5], x, w, m, model.decoder, model.embed, cache).value[-1]
     e = np.exp(last - last.max())
     probs = e / e.sum()
     assert probs.shape == (len(model.vocab),)

@@ -98,3 +98,40 @@ def test_no_private_module_name_is_orphaned():
     paths = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
     hits = [hit for path in paths for hit in orphaned_privates(path)]
     assert hits == []
+
+
+def undefined_exports(path: Path) -> list[str]:
+    """``file:line: name`` for each ``__all__`` entry that the module neither
+    defines nor imports at its top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound: set[str] = set()
+    exports: list[tuple[int, str]] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            bound |= set(names)
+            if "__all__" in names:
+                exports += [(node.lineno, name) for name in ast.literal_eval(node.value)]
+    return [f"{path.name}:{line}: {name}" for line, name in exports if name not in bound]
+
+
+def test_export_check_flags_what_it_should(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from os import path\nimport numpy as np\nLIMIT: int = 3\n"
+        "def f():\n    gone = 1\n    return gone\n"
+        "class C:\n    pass\n"
+        "__all__ = ['path', 'np', 'LIMIT', 'f', 'C', 'gone', 'removed']\n",
+        encoding="utf-8",
+    )
+    assert undefined_exports(module) == ["m.py:9: gone", "m.py:9: removed"]
+
+
+def test_every_export_names_a_module_binding():
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in undefined_exports(path)]
+    assert hits == []
