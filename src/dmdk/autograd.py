@@ -237,12 +237,6 @@ class SparseRows(Tensor):
         self.groups, self.t_groups = _groups(*entries), _groups(*t_entries)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SparseRows":
-        """The nonzero entries of the dense matrix ``a``."""
-        row, col = np.nonzero(a)
-        return cls(row, col, a[row, col], a.shape)
-
-    @classmethod
     def block_diagonal(cls, parts: Sequence["SparseRows"]) -> "SparseRows":
         """``parts`` placed along the diagonal. Their sorted entries are offset,
         concatenated and stably sorted by count: nothing is located again."""

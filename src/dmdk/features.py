@@ -61,16 +61,6 @@ def load_features(path: str | Path) -> np.ndarray:
     return out
 
 
-def save_features(path: str | Path, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"feature matrix must be 2-D, got ndim={values.ndim}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{FMAT_MAGIC} {FMAT_VERSION} {values.shape[0]} {values.shape[1]}\n")
-        for row in values:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
 @dataclass
 class ProjectionParams:
     weight: Tensor  # d_in x d

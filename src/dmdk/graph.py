@@ -3,7 +3,9 @@
 The base graph is a fixed organ/finding hierarchy loaded from JSON config.
 Each tagged record extends a copy of it: the entity scan's (source, target,
 relation) triples add edges (labeled with the target's entity type), and every
-triple endpoint outside the base graph becomes a new finding node.
+triple endpoint outside the base graph becomes a new finding node. The GCN
+reads a graph as one sparse operator, ``normalized_adjacency``, built from its
+edge list; no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -89,15 +91,6 @@ class KnowledgeGraph:
             return
         self.edges[(min(a, b), max(a, b))] = relation
 
-    def adjacency(self) -> np.ndarray:
-        """Symmetric 0/1 matrix with zero diagonal."""
-        n = len(self.nodes)
-        a = np.zeros((n, n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
-
     def copy(self) -> "KnowledgeGraph":
         return KnowledgeGraph(list(self.nodes), dict(self.edges))
 
@@ -124,6 +117,9 @@ def graph_from_dict(obj: dict, where: str = "graph config") -> KnowledgeGraph:
     for k, item in enumerate(obj["nodes"]):
         if not isinstance(item, dict) or "name" not in item or "kind" not in item:
             raise ValueError(f"{where}: nodes[{k}] needs 'name' and 'kind'")
+        name = item["name"]
+        if not isinstance(name, str) or not name.strip():
+            raise ValueError(f"{where}: nodes[{k}].name must be a nonempty string")
         try:
             kind = NodeKind(item["kind"])
         except ValueError:
@@ -131,7 +127,7 @@ def graph_from_dict(obj: dict, where: str = "graph config") -> KnowledgeGraph:
             raise ValueError(
                 f"{where}: nodes[{k}].kind {item['kind']!r} is not one of: {valid}"
             ) from None
-        nodes.append(GraphNode(str(item["name"]), kind))
+        nodes.append(GraphNode(name, kind))
     index = {n.name: i for i, n in enumerate(nodes)}
     edges: dict[tuple[int, int], EntityType | None] = {}
     for k, item in enumerate(obj["edges"]):
@@ -230,13 +226,16 @@ def build_specific_graph(base: KnowledgeGraph, triples: Sequence[Triple]) -> Kno
 # GCN encoder
 
 
-def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric renormalization with self-loops: D^-1/2 (A + I) D^-1/2."""
-    n = adjacency.shape[0]
-    a = adjacency + np.eye(n)
-    deg = a.sum(axis=1)
-    dinv = 1.0 / np.sqrt(deg)
-    return dinv[:, None] * a * dinv[None, :]
+def normalized_adjacency(g: KnowledgeGraph) -> SparseRows:
+    """Symmetric renormalization with self-loops, D^-1/2 (A + I) D^-1/2, over
+    the graph's entries: each edge in both directions, then the diagonal. A
+    row's degree is its entry count, and each entry is ``dinv[row] * dinv[col]``."""
+    n = g.node_count()
+    i, j = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    loops = np.arange(n)
+    row, col = np.concatenate([i, j, loops]), np.concatenate([j, i, loops])
+    dinv = 1.0 / np.sqrt(np.bincount(row, minlength=n).astype(np.float64))
+    return SparseRows(row, col, dinv[row] * dinv[col], (n, n))
 
 
 @dataclass
@@ -269,12 +268,10 @@ class GcnParams:
         return [self._row.get(n, self.unk_row) for n in names]
 
 
-def gcn_forward(
-    node_names: Sequence[str], a_hat: np.ndarray | SparseRows, params: GcnParams
-) -> Tensor:
+def gcn_forward(node_names: Sequence[str], a_hat: SparseRows, params: GcnParams) -> Tensor:
     """L rounds of ReLU(A_hat H W), bitwise equivariant under node relabeling.
 
-    ``a_hat`` is one graph's dense normalized adjacency, or a batch's graphs as
+    ``a_hat`` is one graph's ``normalized_adjacency``, or a batch's graphs as
     one block-diagonal ``SparseRows`` over their nodes stacked in order; no
     node mixes with another graph's. ``A_hat @ H`` sums over the node axis, so
     it takes ``canonical_matmul``, whose sum does not depend on the node order.
@@ -282,8 +279,6 @@ def gcn_forward(
     input row only, so a plain matmul permutes along with the rows (tests pin
     this bit for bit at d = 512 for up to 60 nodes).
     """
-    if isinstance(a_hat, np.ndarray):
-        a_hat = SparseRows.from_dense(a_hat)
     h = embedding(params.embeddings, params.row_ids(node_names))
     for w in params.layers:
         h = relu(matmul(canonical_matmul(a_hat, h), w))

@@ -12,13 +12,14 @@ layer) is one packed ``MhaParams``: d x d tensors ``<block>.wq``, ``.wk``,
 
 Training and greedy decoding share ``encode_batch`` and ``decoder_forward``.
 Training runs one forward per batch: the records' visual rows, tags, graph
-nodes and tokens are each stacked in record order, the graphs form one
-block-diagonal sparse adjacency, and every attention block attends within
-each record's rows (``attention.Spans``). Decoding encodes a batch of one
-record, runs under ``no_grad`` and feeds one token per step through a
-``DecoderCache``: the packed cross-attention keys and values over X', W' and
-M' are projected once per record and layer, and each layer's self-attention
-keys and values grow in place by one row per token.
+nodes and tokens are each stacked in record order, and every attention block
+attends within each record's rows (``attention.Spans``). Each record's graph
+operator is derived from its edges on first use and kept for the run; a
+batch's operators form one block-diagonal ``SparseRows``. Decoding encodes a
+batch of one record, runs under ``no_grad`` and feeds one token per step
+through a ``DecoderCache``: the packed cross-attention keys and values over
+X', W' and M' are projected once per record and layer, and each layer's
+self-attention keys and values grow in place by one row per token.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .attention import (
     multi_head_attention,
     project_kv,
 )
+from .checkpoint import load_checkpoint, save_checkpoint
 from .features import ProjectionParams, load_features, project_features
 from .graph import (
     GcnParams,
@@ -68,6 +70,8 @@ from .graph import (
     entity_names,
     extract_relations,
     gcn_forward,
+    graph_from_dict,
+    graph_to_dict,
     normalized_adjacency,
 )
 from .text import CorpusRecord, Entity, EntityType, Vocabulary, tokenize
@@ -445,21 +449,25 @@ def generate_greedy(
 @dataclass
 class PreparedRecord:
     """A corpus record with everything static precomputed (features read,
-    tokens encoded, tags mined, specific graph built and normalized)."""
+    tokens encoded, tags mined, specific graph built). The graph's GCN
+    operator is derived on first use and kept for the run."""
 
     id: str
     raw_views: list[np.ndarray]
     tag_token_ids: list[list[int]]
-    node_names: list[str]
-    a_hat: np.ndarray | None
+    graph: KnowledgeGraph | None
     input_ids: list[int] | None = None
     target_ids: list[int] | None = None
 
     @cached_property
-    def a_sparse(self) -> SparseRows:
-        """``a_hat``'s nonzero entries, grouped on first use and kept for the
-        run: a batch's block-diagonal adjacency is composed from them."""
-        return SparseRows.from_dense(self.a_hat)
+    def node_names(self) -> list[str]:
+        return self.graph.names if self.graph is not None else []
+
+    @cached_property
+    def a_hat(self) -> SparseRows:
+        """The graph's ``normalized_adjacency``: a batch's block-diagonal
+        operator is composed from these."""
+        return normalized_adjacency(self.graph)
 
 
 def fallback_labels(base: KnowledgeGraph, which: str = "all") -> list[str]:
@@ -491,8 +499,7 @@ def prepare_record(
             )
     mode = spec.ablation
     tag_token_ids: list[list[int]] = []
-    node_names: list[str] = []
-    a_hat = None
+    graph = None
     if mode is not AblationMode.BASE:
         if rec.entities is None:
             raise ValueError(
@@ -502,9 +509,7 @@ def prepare_record(
             labels = extract_topic_labels(rec.entities, base_labels)
             tag_token_ids = [vocab.encode(tag.split()) for tag in labels.tags]
         if mode in (AblationMode.FULL, AblationMode.SKE):
-            g = build_specific_graph(base_graph, extract_relations(rec.entities))
-            node_names = g.names
-            a_hat = normalized_adjacency(g.adjacency())
+            graph = build_specific_graph(base_graph, extract_relations(rec.entities))
     input_ids = target_ids = None
     if with_report:
         if not (rec.report and rec.report.strip()):
@@ -512,7 +517,7 @@ def prepare_record(
         ids = vocab.encode(tokenize(rec.report))
         input_ids = [Vocabulary.BOS] + ids
         target_ids = ids + [Vocabulary.EOS]
-    return PreparedRecord(rec.id, raw_views, tag_token_ids, node_names, a_hat, input_ids, target_ids)
+    return PreparedRecord(rec.id, raw_views, tag_token_ids, graph, input_ids, target_ids)
 
 
 def encode_batch(
@@ -520,7 +525,7 @@ def encode_batch(
 ) -> tuple[Tensor, Tensor, Tensor, list[int]]:
     """(X', W', M') of every record under the model's ablation mode, stacked in
     record order, and each record's row count in them. One projection covers
-    every view; tags and graph nodes (under one block-diagonal adjacency) are
+    every view; tags and graph nodes (under one block-diagonal operator) are
     stacked the same way, and each record attends its own rows only."""
     spec = model.spec
     x = project_features(np.concatenate([v for rec in batch for v in rec.raw_views]), model.proj)
@@ -531,7 +536,7 @@ def encode_batch(
         tags = [len(rec.tag_token_ids) for rec in batch]
         w_enh = multi_head_attention(x, w, model.label_attn, spans=(rows, tags))
     if spec.ablation in (AblationMode.FULL, AblationMode.SKE):
-        a_hat = SparseRows.block_diagonal([rec.a_sparse for rec in batch])
+        a_hat = SparseRows.block_diagonal([rec.a_hat for rec in batch])
         m = gcn_forward([name for rec in batch for name in rec.node_names], a_hat, model.gcn)
         nodes = [len(rec.node_names) for rec in batch]
         m_enh = multi_head_attention(x, m, model.graph_attn, spans=(rows, nodes))
@@ -664,8 +669,6 @@ def generate_for_records(
 def model_meta(model: ReportModel, base_graph: KnowledgeGraph, fallback: str) -> dict:
     """Everything generate-time needs travels with the weights: the structural
     spec, the vocabulary, the node list, the base graph, and the fallback rule."""
-    from .graph import graph_to_dict
-
     return {
         "spec": model.spec.to_dict(),
         "vocab": {"tokens": model.vocab.tokens, "min_freq": model.vocab.min_freq},
@@ -676,8 +679,6 @@ def model_meta(model: ReportModel, base_graph: KnowledgeGraph, fallback: str) ->
 
 
 def save_model(path, model: ReportModel, base_graph: KnowledgeGraph, fallback: str = "all") -> None:
-    from .checkpoint import save_checkpoint
-
     save_checkpoint(
         path,
         [(n, p.value) for n, p in model.parameters()],
@@ -687,9 +688,6 @@ def save_model(path, model: ReportModel, base_graph: KnowledgeGraph, fallback: s
 
 def load_model(path) -> tuple[ReportModel, KnowledgeGraph, str]:
     """Rebuild a saved model; malformed metadata raises ValueError naming ``path``."""
-    from .checkpoint import load_checkpoint
-    from .graph import graph_from_dict
-
     state, meta = load_checkpoint(path)
 
     def bad(problem: str) -> ValueError:

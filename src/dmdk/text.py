@@ -74,7 +74,9 @@ class Vocabulary:
         return len(self.tokens)
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.index.get(t, self.UNK) for t in tokens]
+        """Indices of ``tokens``; unknown tokens and literal specials map to UNK
+        (PAD, BOS and EOS sit below it), so text never yields a control token."""
+        return [max(self.index.get(t, self.UNK), self.UNK) for t in tokens]
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         """Indices back to tokens; PAD/BOS/EOS are dropped, never emitted."""

@@ -10,7 +10,6 @@ import pytest
 from dmdk.attention import MhaParams
 from dmdk.autograd import Tensor
 from dmdk.config import RunConfig, parse_config
-from dmdk.features import save_features
 from dmdk.graph import GcnParams
 
 # Eight short reports built from lexicon vocabulary. The entity lists mirror
@@ -44,6 +43,13 @@ OVERFIT_ENTITIES = [
 # faces an irreducible first-token ambiguity on those pairs, so fitting them
 # separates the full pipeline from the base ablation by more than seed noise.
 OVERFIT_ALIASES = {1: 0, 4: 3, 7: 6}
+
+
+def save_features(path, values) -> None:
+    """Write a 2-D matrix as an FMAT v1 file, every value in its shortest round-trip form."""
+    lines = [f"FMAT v1 {values.shape[0]} {values.shape[1]}"]
+    lines += [" ".join(repr(float(x)) for x in row) for row in values]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def build_corpus(

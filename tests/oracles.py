@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from dmdk.autograd import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Tensor
+from dmdk.autograd import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SparseRows, Tensor
 from dmdk.graph import GraphNode, KnowledgeGraph, NodeKind
 from dmdk.text import EntityType
 
@@ -230,6 +230,27 @@ def oracle_layer_norm(x, gain, bias, eps=1e-5):
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
     return gain * (x - mu) / np.sqrt(var + eps) + bias
+
+
+def oracle_adjacency(g):
+    """Symmetric 0/1 matrix of ``g``'s edges, zero on the diagonal."""
+    a = np.zeros((g.node_count(), g.node_count()))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def oracle_normalized_adjacency(a):
+    """Dense D^-1/2 (A + I) D^-1/2 of a 0/1 adjacency matrix, matrix by matrix."""
+    a = a + np.eye(len(a))
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    return dinv[:, None] * a * dinv[None, :]
+
+
+def from_dense(a):
+    """The nonzero entries of the dense matrix ``a`` as a ``SparseRows``."""
+    row, col = np.nonzero(a)
+    return SparseRows(row, col, a[row, col], a.shape)
 
 
 def oracle_gcn_layer(a_hat, h, w):

@@ -50,7 +50,16 @@ from conftest import (
     random_gcn,
     random_mha,
 )
-from oracles import oracle_bleu, oracle_cider, oracle_pairs, oracle_rouge, oracle_tags
+from oracles import (
+    from_dense,
+    oracle_adjacency,
+    oracle_bleu,
+    oracle_cider,
+    oracle_normalized_adjacency,
+    oracle_pairs,
+    oracle_rouge,
+    oracle_tags,
+)
 
 
 @contextmanager
@@ -290,11 +299,10 @@ def test_criterion_6_graph_invariants():
             for added in set(g.names) - set(base.names):
                 assert added in mentioned
 
-            a_hat = normalized_adjacency(g.adjacency())
-            out = gcn_forward(g.names, a_hat, gcn).value
+            out = gcn_forward(g.names, normalized_adjacency(g), gcn).value
             perm = rng.permutation(g.node_count())
             permuted_names = [g.names[i] for i in perm]
-            a_perm = normalized_adjacency(g.adjacency()[np.ix_(perm, perm)])
+            a_perm = from_dense(oracle_normalized_adjacency(oracle_adjacency(g)[np.ix_(perm, perm)]))
             out_perm = gcn_forward(permuted_names, a_perm, gcn).value
             assert np.array_equal(out_perm, out[perm])
 

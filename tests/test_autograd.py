@@ -28,7 +28,7 @@ from dmdk.autograd import (
     sum_all,
 )
 
-from oracles import oracle_adam_step
+from oracles import from_dense, oracle_adam_step
 
 RNG = np.random.default_rng(42)
 
@@ -90,14 +90,10 @@ def test_matmul_associativity():
     assert np.allclose(left, right, atol=1e-9)
 
 
-def sparse(a):
-    return SparseRows.from_dense(a)
-
-
 def test_canonical_matmul_matches_matmul():
     a = RNG.normal(size=(4, 5)) * (RNG.random((4, 5)) < 0.6)
     b = Tensor(RNG.normal(size=(5, 3)))
-    assert np.allclose(canonical_matmul(sparse(a), b).value, a @ b.value, atol=1e-12)
+    assert np.allclose(canonical_matmul(from_dense(a), b).value, a @ b.value, atol=1e-12)
 
 
 def test_canonical_matmul_is_bitwise_permutation_stable():
@@ -106,14 +102,14 @@ def test_canonical_matmul_is_bitwise_permutation_stable():
     a = RNG.normal(size=(1, 6))
     b = RNG.normal(size=(6, 3))
     perm = RNG.permutation(6)
-    out = canonical_matmul(sparse(a), Tensor(b)).value
-    out_p = canonical_matmul(sparse(a[:, perm]), Tensor(b[perm])).value
+    out = canonical_matmul(from_dense(a), Tensor(b)).value
+    out_p = canonical_matmul(from_dense(a[:, perm]), Tensor(b[perm])).value
     assert np.array_equal(out, out_p)
 
 
 def test_sparse_rows_group_rows_by_entry_count():
     a = np.array([[0.0, 2.0, 5.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0], [0.0, 0.0, 6.0]])
-    s = sparse(a)
+    s = from_dense(a)
     # a Tensor of the nonzero entries, one per row
     assert s.shape == (5, 1) and (s.n_rows, s.n_cols) == (4, 3)
     assert sorted(s.value[:, 0].tolist()) == [2.0, 3.0, 4.0, 5.0, 6.0]
@@ -131,13 +127,13 @@ def test_sparse_rows_block_diagonal_offsets_blocks():
     dense = np.zeros((5, 5))
     dense[:2, :2], dense[2:, 2:] = blocks
     h = RNG.normal(size=(5, 4))
-    out = canonical_matmul(SparseRows.block_diagonal([sparse(b) for b in blocks]), Tensor(h)).value
+    out = canonical_matmul(SparseRows.block_diagonal([from_dense(b) for b in blocks]), Tensor(h)).value
     assert np.allclose(out, dense @ h, atol=1e-12)
 
 
 def test_canonical_matmul_rejects_bad_shapes():
     with pytest.raises(ValueError, match="shape mismatch"):
-        canonical_matmul(sparse(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+        canonical_matmul(from_dense(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
 
 def test_relu_values_and_idempotence():
@@ -256,7 +252,7 @@ def test_matmul_gradients_match_fd():
 
 
 def test_canonical_matmul_gradients_match_fd():
-    a = sparse(RNG.normal(size=(4, 5)) * (RNG.random((4, 5)) < 0.6))
+    a = from_dense(RNG.normal(size=(4, 5)) * (RNG.random((4, 5)) < 0.6))
     b = Tensor(RNG.normal(size=(5, 3)))
     fd_check(lambda: sum_all(mul(canonical_matmul(a, b), canonical_matmul(a, b))), [b])
 

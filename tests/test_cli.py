@@ -9,7 +9,7 @@ from dmdk.cli import main
 from dmdk.config import effective_dict
 from dmdk.text import load_corpus
 
-from conftest import OVERFIT_ENTITIES, OVERFIT_REPORTS, build_corpus, make_config
+from conftest import OVERFIT_ENTITIES, OVERFIT_REPORTS, build_corpus, make_config, save_features
 
 
 def write_config(tmp_path, name="run.json", **kw):
@@ -79,8 +79,6 @@ def test_tag_preserves_existing_annotations(tmp_path, capsys):
 
 
 def feature_file(tmp_path):
-    from dmdk.features import save_features
-
     p = tmp_path / "f.fmat"
     save_features(p, np.zeros((2, 4)))
     return str(p)
@@ -120,7 +118,7 @@ def test_build_graph_writes_one_file_per_record(tmp_path, capsys):
 
 
 def test_build_graph_exports_the_graphs_the_model_is_given(tmp_path, capsys):
-    from dmdk.graph import default_base_graph_path, graph_from_dict, load_base_graph, normalized_adjacency
+    from dmdk.graph import default_base_graph_path, graph_from_dict, load_base_graph
     from dmdk.model import FusionWeights, ModelSpec, fallback_labels, prepare_record
     from dmdk.text import Vocabulary
 
@@ -138,7 +136,7 @@ def test_build_graph_exports_the_graphs_the_model_is_given(tmp_path, capsys):
         prep = prepare_record(rec, vocab, base, fallback_labels(base), spec, with_report=False)
         g = graph_from_dict(json.loads((out_dir / f"{rec.id}.json").read_text()))
         assert g.names == prep.node_names
-        assert np.array_equal(normalized_adjacency(g.adjacency()), prep.a_hat)
+        assert g == prep.graph
         grown += g.node_count() > base.node_count()
     assert grown >= 2
 
@@ -294,6 +292,35 @@ def test_generate_malformed_checkpoint_exits_two(tmp_path, capsys):
     code = main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")])
     assert code == 2
     assert str(ckpt) in capsys.readouterr().err
+
+
+BAD_NODE_NAMES = [None, 5, "", "  "]
+
+
+@pytest.mark.parametrize("name", BAD_NODE_NAMES)
+def test_build_graph_base_with_a_bad_node_name_exits_two(tmp_path, capsys, name):
+    base = tmp_path / "base.json"
+    nodes = [{"name": "root", "kind": "root"}, {"name": name, "kind": "organ"}]
+    base.write_text(json.dumps({"nodes": nodes, "edges": []}), encoding="utf-8")
+    argv = ["build-graph", "--base", str(base), "--in", tagged_corpus(tmp_path, n=1), "--out-dir", str(tmp_path / "g")]
+    assert main(argv) == 2
+    assert f"{base}: nodes[1].name must be a nonempty string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", BAD_NODE_NAMES)
+def test_generate_on_a_checkpoint_with_a_bad_base_node_name_exits_two(tmp_path, capsys, name):
+    from dmdk.checkpoint import load_checkpoint, save_checkpoint
+
+    corpus = tagged_corpus(tmp_path, n=1)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
+    tensors, meta = load_checkpoint(ckpt)
+    meta["base_graph"]["nodes"][1]["name"] = name
+    save_checkpoint(ckpt, list(tensors.items()), meta)
+    capsys.readouterr()
+    assert main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "nodes[1].name must be a nonempty string" in err
 
 
 @pytest.mark.parametrize("command", ["train", "tag", "build-graph", "generate"])

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from dmdk.autograd import Tensor
-from dmdk.features import (
-    ProjectionParams,
-    load_features,
-    project_features,
-    save_features,
-)
+from dmdk.features import ProjectionParams, load_features, project_features
 from dmdk.model import (
     AblationMode,
     FusionWeights,
@@ -20,6 +15,8 @@ from dmdk.model import (
     prepare_record,
 )
 from dmdk.text import CorpusRecord, Vocabulary
+
+from conftest import save_features
 
 RNG = np.random.default_rng(31)
 
@@ -197,7 +194,7 @@ def base_model():
 
 def fused(model, *views_of_each_record):
     """The fused visual rows of a batch and each record's row count in them."""
-    batch = [PreparedRecord(f"r{i}", list(v), [], [], None) for i, v in enumerate(views_of_each_record)]
+    batch = [PreparedRecord(f"r{i}", list(v), [], None) for i, v in enumerate(views_of_each_record)]
     _, w_enh, _, rows = encode_batch(model, batch)
     return w_enh.value, rows
 

@@ -38,9 +38,12 @@ from dmdk.topics import anatomy_pairs, extract_topic_labels
 
 from conftest import random_gcn, random_mha
 from oracles import (
+    from_dense,
+    oracle_adjacency,
     oracle_block_diagonal,
     oracle_canonical_matmul,
     oracle_gcn_layer,
+    oracle_normalized_adjacency,
     oracle_specific_graph,
     oracle_triples,
 )
@@ -75,6 +78,35 @@ def tiny_graph():
         ],
         {(0, 1): None, (1, 2): None},
     )
+
+
+def graph_of(adjacency):
+    """The graph whose 0/1 adjacency matrix is ``adjacency``; node 0 is the root."""
+    nodes = [GraphNode(f"n{i}", NodeKind.FINDING if i else NodeKind.ROOT) for i in range(len(adjacency))]
+    return KnowledgeGraph(nodes, {(int(i), int(j)): None for i, j in zip(*np.nonzero(np.triu(adjacency)))})
+
+
+def dense(a: SparseRows) -> np.ndarray:
+    """The matrix whose nonzero entries ``a`` holds."""
+    out = np.zeros((a.n_rows, a.n_cols))
+    row, col, vals, _ = a.entries
+    out[row, col] = vals
+    return out
+
+
+SCAN_NAMES = ["lung", "heart", "opacity", "trachea", "airway", "mass", "lesion", "normal"]
+
+
+def random_entity_lists(rng, count):
+    """``count`` random records' entities: up to 8 of a few names, any type."""
+    types = list(EntityType)
+    for _ in range(count):
+        yield ents(
+            *(
+                (SCAN_NAMES[rng.integers(len(SCAN_NAMES))], types[rng.integers(len(types))])
+                for _ in range(rng.integers(0, 9))
+            )
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +175,12 @@ def test_graph_requires_exactly_one_root():
         )
 
 
-def test_adjacency_symmetric_zero_diagonal():
+def test_operator_entries_are_the_edges_both_ways_and_the_diagonal():
     g = tiny_graph()
-    a = g.adjacency()
+    a = dense(normalized_adjacency(g))
     assert np.array_equal(a, a.T)
-    assert np.array_equal(np.diag(a), np.zeros(3))
-    assert a[0, 1] == 1.0 and a[1, 2] == 1.0 and a[0, 2] == 0.0
+    assert (np.diag(a) > 0).all()
+    assert a[0, 1] > 0 and a[1, 2] > 0 and a[0, 2] == 0.0
 
 
 def test_entity_names_skip_root():
@@ -215,8 +247,7 @@ def test_existing_edge_relation_last_write_wins():
     seq = ents(("lung", A), ("opacity", O))
     g = build_specific_graph(base, extract_relations(seq))
     assert g.edges[edge(g, "lung", "opacity")] is O
-    adj_before = base.adjacency()
-    assert np.array_equal(g.adjacency(), adj_before)  # adjacency unchanged
+    assert g.nodes == base.nodes and list(g.edges) == list(base.edges)  # adjacency unchanged
 
 
 def test_superset_property_on_randomized_records():
@@ -246,17 +277,8 @@ def test_graph_from_triples_equals_the_tag_based_rule(fallback):
     relations over random records, under either fallback label set."""
     base = load_base_graph(default_base_graph_path())
     base_labels = fallback_labels(base, fallback)
-    rng = np.random.default_rng(17)
-    names = ["lung", "heart", "opacity", "trachea", "airway", "mass", "lesion", "normal"]
-    types = list(EntityType)
     grown = 0
-    for _ in range(1000):
-        seq = ents(
-            *(
-                (names[rng.integers(len(names))], types[rng.integers(len(types))])
-                for _ in range(rng.integers(0, 9))
-            )
-        )
+    for seq in random_entity_lists(np.random.default_rng(17), 1000):
         triples = extract_relations(seq)
         g = build_specific_graph(base, triples)
         want = oracle_specific_graph(base, extract_topic_labels(seq, base_labels), triples)
@@ -303,8 +325,8 @@ def test_graph_dict_round_trip():
 
 def test_normalized_adjacency_three_node_path_closed_form():
     # path a-b-c: degrees with self-loops are 2,3,2
-    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    ahat = normalized_adjacency(a)
+    g = graph_of(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    ahat = dense(normalized_adjacency(g))
     s2, s3 = 1 / math.sqrt(2), 1 / math.sqrt(3)
     expected = np.array(
         [
@@ -318,10 +340,26 @@ def test_normalized_adjacency_three_node_path_closed_form():
     assert (ahat >= 0).all()
 
 
+def test_sparse_operator_equals_the_dense_reference():
+    """The operator built from the edge list holds the dense formula's nonzero
+    entries, grouped alike, bit for bit: on the base graph, on random specific
+    graphs and on trees."""
+    base = load_base_graph(default_base_graph_path())
+    rng = np.random.default_rng(17)
+    graphs = [base] + [build_specific_graph(base, extract_relations(seq)) for seq in random_entity_lists(rng, 1000)]
+    graphs += [graph_of(random_tree(n, rng)) for n in (1, 17, 240)]
+    for g in graphs:
+        got = normalized_adjacency(g)
+        want = from_dense(oracle_normalized_adjacency(oracle_adjacency(g)))
+        assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+        for got_part, want_part in zip(got.entries + got.t_entries, want.entries + want.t_entries):
+            assert got_part.dtype == want_part.dtype and np.array_equal(got_part, want_part)
+
+
 def test_single_node_gcn_collapses_to_relu_linear():
     params = random_gcn(["only"], 4, RNG, n_layers=1)
     g = KnowledgeGraph([GraphNode("only", NodeKind.ROOT)])
-    out = gcn_forward(g.names, normalized_adjacency(g.adjacency()), params).value
+    out = gcn_forward(g.names, normalized_adjacency(g), params).value
     h = params.embeddings.value[0]
     expected = np.maximum(h @ params.layers[0].value, 0.0)
     assert np.allclose(out, [expected], atol=1e-12)
@@ -329,7 +367,7 @@ def test_single_node_gcn_collapses_to_relu_linear():
 
 def test_disconnected_nodes_do_not_mix():
     params = random_gcn(["r", "x"], 3, RNG, n_layers=1)
-    a_hat = normalized_adjacency(np.zeros((2, 2)))  # identity
+    a_hat = normalized_adjacency(graph_of(np.zeros((2, 2))))  # identity
     out1 = gcn_forward(["r", "x"], a_hat, params).value
     swapped = GcnParams(
         ["r", "x"],
@@ -343,11 +381,10 @@ def test_disconnected_nodes_do_not_mix():
 def test_gcn_matches_plain_matmul_oracle():
     g = tiny_graph()
     params = random_gcn(g.names, 4, RNG, n_layers=2)
-    a_hat = normalized_adjacency(g.adjacency())
     h = params.embeddings.value[:3]
     for w in params.layers:
-        h = oracle_gcn_layer(a_hat, h, w.value)
-    assert np.allclose(gcn_forward(g.names, a_hat, params).value, h, atol=1e-10)
+        h = oracle_gcn_layer(oracle_normalized_adjacency(oracle_adjacency(g)), h, w.value)
+    assert np.allclose(gcn_forward(g.names, normalized_adjacency(g), params).value, h, atol=1e-10)
 
 
 def test_gcn_unknown_node_uses_unk_row():
@@ -358,13 +395,12 @@ def test_gcn_unknown_node_uses_unk_row():
 def test_gcn_permutation_equivariance_is_bitwise():
     g = load_base_graph(default_base_graph_path())
     params = random_gcn(g.names, 8, RNG, n_layers=2)
-    a_hat = normalized_adjacency(g.adjacency())
-    out = gcn_forward(g.names, a_hat, params).value
+    out = gcn_forward(g.names, normalized_adjacency(g), params).value
 
     perm = np.random.default_rng(99).permutation(g.node_count())
     names_p = [g.names[i] for i in perm]
-    a_p = g.adjacency()[np.ix_(perm, perm)]
-    out_p = gcn_forward(names_p, normalized_adjacency(a_p), params).value
+    a_p = oracle_adjacency(g)[np.ix_(perm, perm)]
+    out_p = gcn_forward(names_p, from_dense(oracle_normalized_adjacency(a_p)), params).value
     assert np.array_equal(out_p, out[perm])
 
 
@@ -376,9 +412,9 @@ def test_gcn_permutation_equivariance_is_bitwise_at_full_width():
     for n in range(2, 61):
         upper = np.triu(rng.random((n, n)) < 0.15, k=1)
         adjacency = (upper | upper.T).astype(float)
-        out = gcn_forward(names[:n], normalized_adjacency(adjacency), params).value
+        out = gcn_forward(names[:n], from_dense(oracle_normalized_adjacency(adjacency)), params).value
         perm = rng.permutation(n)
-        a_p = normalized_adjacency(adjacency[np.ix_(perm, perm)])
+        a_p = from_dense(oracle_normalized_adjacency(adjacency[np.ix_(perm, perm)]))
         out_p = gcn_forward([names[i] for i in perm], a_p, params).value
         assert np.array_equal(out_p, out[perm]), f"{n} nodes"
 
@@ -387,7 +423,7 @@ def test_gcn_gradients_match_finite_differences():
     g = tiny_graph()
     params = random_gcn(g.names, 3, RNG, n_layers=2)
     leaves = [params.embeddings] + list(params.layers)
-    a_hat = normalized_adjacency(g.adjacency())
+    a_hat = normalized_adjacency(g)
 
     def build():
         return sum_all(gcn_forward(g.names, a_hat, params))
@@ -425,7 +461,7 @@ def random_graph(n, rng, p=0.15):
 
 def stacked(blocks):
     """The block-diagonal ``SparseRows`` of dense ``blocks``, as a batch composes it."""
-    return SparseRows.block_diagonal([SparseRows.from_dense(b) for b in blocks])
+    return SparseRows.block_diagonal([from_dense(b) for b in blocks])
 
 
 def dense_block_diagonal(blocks):
@@ -444,13 +480,13 @@ def oracle_by_chunks(a, h, chunk=16):
 
 def propagation_cases(rng):
     """(name, block list) pairs: trees, a block-diagonal batch, dense graphs."""
-    base = normalized_adjacency(load_base_graph(default_base_graph_path()).adjacency())
+    base = oracle_normalized_adjacency(oracle_adjacency(load_base_graph(default_base_graph_path())))
     return [
-        ("tree-1", [normalized_adjacency(random_tree(1, rng))]),
-        ("tree-17", [normalized_adjacency(random_tree(17, rng))]),
-        ("tree-240", [normalized_adjacency(random_tree(240, rng))]),
-        ("batch", [base] + [normalized_adjacency(random_graph(n, rng)) for n in (1, 5, 29, 60, 117)]),
-        ("dense-40", [normalized_adjacency(np.ones((40, 40)) - np.eye(40))]),
+        ("tree-1", [oracle_normalized_adjacency(random_tree(1, rng))]),
+        ("tree-17", [oracle_normalized_adjacency(random_tree(17, rng))]),
+        ("tree-240", [oracle_normalized_adjacency(random_tree(240, rng))]),
+        ("batch", [base] + [oracle_normalized_adjacency(random_graph(n, rng)) for n in (1, 5, 29, 60, 117)]),
+        ("dense-40", [oracle_normalized_adjacency(np.ones((40, 40)) - np.eye(40))]),
         ("dense-random", [rng.normal(size=(33, 33))]),
     ]
 
@@ -474,7 +510,7 @@ def test_sparse_propagation_equals_the_dense_sorted_oracle_bitwise(d):
 def test_composed_block_diagonal_equals_grouping_the_whole_matrix():
     rng = np.random.default_rng(11)
     blocks = [b for _, bs in propagation_cases(rng) for b in bs] + [np.zeros((3, 3)), rng.normal(size=(4, 7))]
-    parts = [SparseRows.from_dense(b) for b in blocks]
+    parts = [from_dense(b) for b in blocks]
     for _ in range(6):
         order = rng.permutation(len(blocks))[: rng.integers(1, len(blocks) + 1)]
         got = SparseRows.block_diagonal([parts[i] for i in order])
@@ -490,7 +526,7 @@ def test_composed_block_diagonal_equals_grouping_the_whole_matrix():
 
 def test_sparse_propagation_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    blocks = [normalized_adjacency(random_tree(5, rng)), normalized_adjacency(random_graph(6, rng, 0.5))]
+    blocks = [oracle_normalized_adjacency(random_tree(5, rng)), oracle_normalized_adjacency(random_graph(6, rng, 0.5))]
     a = stacked(blocks)
     h = Tensor(rng.normal(size=(11, 3)))
     probe = Tensor(rng.normal(size=(11, 3)))
@@ -507,12 +543,12 @@ def test_sparse_propagation_gradient_matches_finite_differences():
 def test_batched_gcn_keeps_each_graph_to_itself():
     g = load_base_graph(default_base_graph_path())
     params = random_gcn(g.names + ["x"], 8, RNG, n_layers=2)
-    small = normalized_adjacency(random_graph(4, RNG, 0.6))
+    small = from_dense(oracle_normalized_adjacency(random_graph(4, RNG, 0.6)))
     names = g.names + ["x", "lung", "heart", "mystery"]
-    a = stacked([normalized_adjacency(g.adjacency()), small])
+    a = SparseRows.block_diagonal([normalized_adjacency(g), small])
     out = gcn_forward(names, a, params).value
     alone = [
-        gcn_forward(g.names, normalized_adjacency(g.adjacency()), params).value,
+        gcn_forward(g.names, normalized_adjacency(g), params).value,
         gcn_forward(names[g.node_count() :], small, params).value,
     ]
     assert np.allclose(out, np.concatenate(alone), rtol=1e-12, atol=1e-12)

@@ -27,7 +27,7 @@ from dmdk.model import (
 )
 from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, load_corpus, tokenize
 
-from conftest import make_config, random_mha
+from conftest import make_config, random_mha, save_features
 
 RNG = np.random.default_rng(53)
 
@@ -303,8 +303,6 @@ def base_graph():
 
 
 def feature_file(tmp_path, rows=3, cols=4, seed=0):
-    from dmdk.features import save_features
-
     p = tmp_path / f"f{seed}.fmat"
     save_features(p, np.random.default_rng(seed).normal(size=(rows, cols)))
     return str(p)
@@ -332,8 +330,8 @@ def test_prepare_record_token_layout(tmp_path):
     assert prep.input_ids == [Vocabulary.BOS] + ids
     assert prep.target_ids == ids + [Vocabulary.EOS]
     assert prep.tag_token_ids  # dynamic labels from the pair
-    assert prep.a_hat is not None
-    assert prep.a_hat.shape == (len(prep.node_names), len(prep.node_names))
+    assert prep.graph is not None
+    assert (prep.a_hat.n_rows, prep.a_hat.n_cols) == (len(prep.node_names), len(prep.node_names))
 
 
 def test_prepare_record_feature_width_checked(tmp_path):
@@ -358,7 +356,7 @@ def test_prepare_record_base_mode_skips_knowledge(tmp_path):
     )
     assert prep.tag_token_ids == []
     assert prep.node_names == []
-    assert prep.a_hat is None
+    assert prep.graph is None
 
 
 def test_prepare_record_without_report(tmp_path):

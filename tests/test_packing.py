@@ -19,7 +19,6 @@ import pytest
 from dmdk import model as model_module
 from dmdk.autograd import backward, parameter_gradients
 from dmdk.config import load_config
-from dmdk.features import save_features
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
     AblationMode,
@@ -35,6 +34,7 @@ from dmdk.model import (
 )
 from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, tokenize
 
+from conftest import save_features
 from oracles import oracle_backward
 
 TOL = dict(rtol=1e-12, atol=1e-12)

@@ -8,6 +8,16 @@ SRC = TESTS.parent / "src" / "dmdk"
 BENCH = TESTS.parent / "bench"
 
 
+def exports(tree: ast.Module) -> set[str]:
+    """The names the module's ``__all__`` lists."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
 def unused_imports(path: Path) -> list[str]:
     """``file:line: name`` for each name the module imports and never reads.
 
@@ -23,12 +33,7 @@ def unused_imports(path: Path) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     if path.name == "__init__.py":
-        used = set()
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                used |= set(ast.literal_eval(node.value))
+        used = exports(tree)
     else:
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
@@ -135,3 +140,59 @@ def test_export_check_flags_what_it_should(tmp_path):
 def test_every_export_names_a_module_binding():
     hits = [hit for path in sorted(SRC.glob("*.py")) for hit in undefined_exports(path)]
     assert hits == []
+
+
+def names_read(statements) -> set[str]:
+    """Every name loaded and every attribute taken within ``statements``."""
+    read = set()
+    for stmt in statements:
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return read
+
+
+def only_tests_read(package: Path, bench: Path) -> list[str]:
+    """``file:line: name`` for each public top-level function or class of the
+    package that only tests can be reading: no other package module, no bench
+    script and no statement of its own module besides its definition reads it,
+    and neither its module's ``__all__`` nor the package's lists it."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(package.glob("*.py"))}
+    used = exports(trees[package / "__init__.py"])
+    for path in bench.glob("*.py"):
+        used |= names_read(ast.parse(path.read_text(encoding="utf-8"), str(path)).body)
+    hits = []
+    for path, tree in trees.items():
+        elsewhere = used | exports(tree) | set().union(*(names_read(t.body) for p, t in trees.items() if p != path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in elsewhere | names_read(stmt for stmt in tree.body if stmt is not node):
+                hits.append(f"{path.name}:{node.lineno}: {node.name}")
+    return hits
+
+
+def test_test_only_check_flags_what_it_should(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "__init__.py").write_text("from .a import listed\n__all__ = ['listed']\n", encoding="utf-8")
+    (package / "a.py").write_text(
+        "def listed():\n    return 1\n"
+        "def local():\n    return 2\n"
+        "def caller():\n    return local()\n"
+        "def recursive():\n    return recursive()\n"
+        "class Spare:\n    pass\n"
+        "def benched():\n    return 3\n"
+        "def _private():\n    return 4\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text("from .a import caller\nVALUE = caller()\n", encoding="utf-8")
+    (bench / "run.py").write_text("import pkg.a\npkg.a.benched()\n", encoding="utf-8")
+    assert only_tests_read(package, bench) == ["a.py:7: recursive", "a.py:9: Spare"]
+
+
+def test_no_public_definition_is_read_by_tests_alone():
+    assert only_tests_read(SRC, BENCH) == []

@@ -79,6 +79,16 @@ def test_vocab_independent_of_report_order():
     assert v1.tokens == v2.tokens
 
 
+def test_literal_specials_in_text_encode_as_unk():
+    """``<eos>`` written in a report (or a tag) is text: it must not end the
+    target, and ``<pad>``/``<bos>`` must not vanish on decode."""
+    tokens = tokenize("the lung <eos> is clear .")
+    vocab = Vocabulary.build([tokens], min_freq=1)
+    assert vocab.encode(tokens) == [vocab.index[t] if t != "<eos>" else Vocabulary.UNK for t in tokens]
+    assert vocab.encode(list(Vocabulary.SPECIALS)) == [Vocabulary.UNK] * 4
+    assert vocab.decode(vocab.encode(["<pad>", "lung", "<bos>"])) == ["<unk>", "lung", "<unk>"]
+
+
 def test_encode_maps_oov_to_unk_and_decode_round_trips():
     vocab = Vocabulary.build([["lung", "lung", "clear", "clear"]], min_freq=2)
     ids = vocab.encode(["lung", "mystery", "clear"])
