@@ -2,11 +2,14 @@
 
 Every quantity in this package is a 2-D float64 array wrapped in a
 :class:`Tensor` node. Ops build a DAG as a side effect of the forward pass;
-``backward`` consumes it in one walk in reverse topological order,
+``leaf_gradients`` consumes it in one walk in reverse topological order,
 accumulating gradients additively across fan-out and freeing each node's
 gradient, parents and saved arrays once the walk has passed it, so
-backpropagating twice means running the forward again. Inside ``no_grad()``
-ops compute the same values but keep no graph, for inference.
+backpropagating twice means running the forward again. The walk hands out
+each leaf's gradient as soon as the leaf's last consumer has run, so
+``Adam.step`` can update a parameter in place while the walk goes on;
+``backward`` collects the whole walk into a dict. Inside ``no_grad()`` ops
+compute the same values but keep no graph, for inference.
 ``finite_diff_grad`` is the independent central-difference estimator used to
 audit every backward rule.
 
@@ -37,6 +40,7 @@ __all__ = [
     "finite_diff_grad",
     "grad_enabled",
     "layer_norm",
+    "leaf_gradients",
     "matmul",
     "mul",
     "no_grad",
@@ -132,10 +136,12 @@ class Tensor:
         return f"Tensor(shape={self.value.shape})"
 
 
-def _topo_order(output: Tensor) -> list[Tensor]:
-    # Iterative postorder: inputs always precede their consumers.
+def _topo_order(output: Tensor) -> tuple[list[Tensor], dict[int, int]]:
+    # Iterative postorder: inputs always precede their consumers. Also counts
+    # each node's consumer edges (a node used twice by one op counts twice).
     order: list[Tensor] = []
     visited: set[int] = set()
+    consumers: dict[int, int] = {}
     stack: list[tuple[Tensor, bool]] = [(output, False)]
     while stack:
         node, expanded = stack.pop()
@@ -147,48 +153,72 @@ def _topo_order(output: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            key = id(parent)
+            consumers[key] = consumers.get(key, 0) + 1
+            if key not in visited:
                 stack.append((parent, False))
-    return order
+    return order, consumers
 
 
 def _consumed(g: np.ndarray):
     raise RuntimeError("backward already ran through this node; build the graph again")
 
 
-def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
-    """Backpropagate from a 1x1 output; returns gradients for every reachable leaf.
+def leaf_gradients(output: Tensor) -> Iterator[tuple[Tensor, np.ndarray]]:
+    """Backpropagate from a 1x1 output, yielding ``(leaf, gradient)`` pairs.
+
+    Each reachable leaf that receives a gradient is yielded exactly once, as
+    soon as the backward rule of its last consumer has run, so its gradient is
+    final and no pending rule reads its value: the caller may update the leaf
+    in place before asking for the next pair. The walk drops its references to
+    a yielded gradient before it runs the next backward rule.
 
     Consumes the graph: each interior node drops its parents and its backward
     rule once the walk has passed it, which frees its saved arrays as soon as
-    nothing downstream needs them. A later ``backward`` through any consumed
-    node raises ``RuntimeError``; run the forward again to backpropagate again.
+    nothing downstream needs them. A later walk through any consumed node
+    raises ``RuntimeError``; run the forward again to backpropagate again.
+    The arguments are checked at the call, before any pair is asked for.
     """
     if not _grad_enabled.get():
         raise RuntimeError("backward called inside no_grad()")
     if output.shape != (1, 1):
         raise ValueError(f"backward requires a 1x1 scalar output, got shape {output.shape}")
-    order = _topo_order(output)
+    return _walk(output)
+
+
+def _walk(output: Tensor) -> Iterator[tuple[Tensor, np.ndarray]]:
+    order, consumers = _topo_order(output)
     grads: dict[int, np.ndarray] = {id(output): np.ones((1, 1))}
-    leaves: dict[int, Tensor] = {}
     while order:
         node = order.pop()
         if node._grad_fn is None:
-            leaves[id(node)] = node  # a leaf keeps its gradient for the caller
-            continue
+            if id(node) in grads:  # the output is itself a leaf
+                yield node, grads.pop(id(node))
+            continue  # any other leaf was yielded after its last consumer
+        parents = node._parents
         g = grads.pop(id(node), None)
-        if g is not None:
-            for parent, pg in zip(node._parents, node._grad_fn(g)):
-                if pg is None:
-                    continue
-                key = id(parent)
+        pgs = (None,) * len(parents) if g is None else node._grad_fn(g)
+        node._parents = ()
+        node._grad_fn = _consumed
+        del g
+        for parent, pg in zip(parents, pgs):
+            key = id(parent)
+            if pg is not None:
                 if key in grads:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-        node._parents = ()
-        node._grad_fn = _consumed
-    return {leaves[k]: g for k, g in grads.items()}
+            if parent._grad_fn is None:
+                consumers[key] -= 1
+                if not consumers[key] and key in grads:
+                    yield parent, grads.pop(key)
+        pgs = pg = None  # drop yielded gradients before the next rule runs
+
+
+def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
+    """Every reachable leaf's gradient from a 1x1 output: ``leaf_gradients``
+    run to the end and collected, consuming the graph the same way."""
+    return dict(leaf_gradients(output))
 
 
 def parameter_gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[Tensor, np.ndarray]:
@@ -466,20 +496,18 @@ class Adam:
     """Adam with bias correction; optional L2 acts through the gradient.
 
     The weight-decay term ``wd * theta`` is added to the raw gradient before
-    the first/second moments are updated. Each parameter is updated in chunks
-    of ``_ADAM_CHUNK`` elements through two chunk-sized scratch buffers, with
-    the moments updated in place. Every chunk runs the IEEE operations of the
-    whole-array formula in the same order, so the result is bitwise equal to
+    the first/second moments are updated. Each parameter is updated in place,
+    in chunks of ``_ADAM_CHUNK`` elements through two chunk-sized scratch
+    buffers. Every chunk runs the IEEE operations of the whole-array formula
+    in the same order, so the result is bitwise equal to
 
         g = g + wd * p
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * (g * g)
         p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
-    without a parameter-sized temporary. ``p.value`` is rebound to a new
-    array, never mutated, so a caller holding the old array keeps its values.
-    ``backward`` has consumed the graph by the time ``step`` runs, so nothing
-    else holds the old array and each rebinding frees it.
+    without a parameter-sized temporary. ``step`` writes into ``p.value``
+    itself, so a caller that needs the pre-step values must copy them first.
     """
 
     def __init__(
@@ -496,33 +524,54 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        # flat moments; np.zeros maps untouched pages, zeros_like would write every page
-        self._m = {name: np.zeros(p.value.size) for name, p in self.params}
-        self._v = {name: np.zeros(p.value.size) for name, p in self.params}
+        self._by_id: dict[int, tuple[str, Tensor]] = {}  # id(p) -> (name, p)
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+        for name, p in self.params:
+            if name in self._m:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            if id(p) in self._by_id:
+                first = self._by_id[id(p)][0]
+                raise ValueError(f"parameter {name!r} is the Tensor already listed as {first!r}")
+            self._by_id[id(p)] = (name, p)
+            # flat moments; np.zeros maps untouched pages, zeros_like would write every page
+            self._m[name], self._v[name] = np.zeros(p.value.size), np.zeros(p.value.size)
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None  # allocated by the first step
 
-    def step(self, grads: Mapping[Tensor, np.ndarray]) -> None:
+    def step(self, grads: Mapping[Tensor, np.ndarray] | Iterable[tuple[Tensor, np.ndarray]]) -> None:
+        """Step every parameter once from a gradient map or ``(tensor, gradient)`` pairs.
+
+        Each parameter is updated as its pair arrives, so ``grads`` can be the
+        ``leaf_gradients`` walk itself; the step keeps no gradient once it is
+        used. Pairs for tensors that are not parameters are skipped. Parameters
+        with no pair are stepped with a zero gradient after the last pair. If
+        ``grads`` raises part-way, the parameters already stepped stay stepped.
+        """
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         if self._scratch is None:
             self._scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
-        for name, p in self.params:
-            g = grads.get(p)
-            if g is None:
-                g = np.zeros(p.value.shape)
-            new = np.empty(p.value.shape)
-            flat = (new.reshape(-1), p.value.reshape(-1), g.reshape(-1), self._m[name], self._v[name])
-            if new.size <= _ADAM_CHUNK:
-                self._update(*flat, bc1, bc2)
-            else:
-                for i in range(0, new.size, _ADAM_CHUNK):
-                    self._update(*(a[i : i + _ADAM_CHUNK] for a in flat), bc1, bc2)
-            p.value = new
+        waiting = dict(self._by_id)
+        for leaf, g in grads.items() if isinstance(grads, Mapping) else grads:
+            entry = waiting.pop(id(leaf), None)
+            if entry is not None:  # other leaves are constants
+                self._step_one(*entry, g, bc1, bc2)
+            del g
+        for name, p in waiting.values():
+            self._step_one(name, p, np.zeros(p.value.shape), bc1, bc2)
 
-    def _update(self, out, p, g, m, v, bc1, bc2) -> None:
-        """One chunk: ``m`` and ``v`` in place, the new ``p`` into ``out``."""
-        s1, s2 = (s[: out.size] for s in self._scratch)
+    def _step_one(self, name: str, p: Tensor, g: np.ndarray, bc1: float, bc2: float) -> None:
+        flat = (p.value.reshape(-1, copy=False), g.reshape(-1), self._m[name], self._v[name])
+        if flat[0].size <= _ADAM_CHUNK:
+            self._update(*flat, bc1, bc2)
+        else:
+            for i in range(0, flat[0].size, _ADAM_CHUNK):
+                self._update(*(a[i : i + _ADAM_CHUNK] for a in flat), bc1, bc2)
+
+    def _update(self, p, g, m, v, bc1, bc2) -> None:
+        """One chunk: ``p``, ``m`` and ``v`` in place."""
+        s1, s2 = (s[: p.size] for s in self._scratch)
         if self.weight_decay:
             g = np.add(g, np.multiply(self.weight_decay, p, out=s1), out=s1)
         np.add(np.multiply(ADAM_BETA1, m, out=m), np.multiply(1.0 - ADAM_BETA1, g, out=s2), out=m)
@@ -530,7 +579,7 @@ class Adam:
         np.add(np.multiply(ADAM_BETA2, v, out=v), s2, out=v)
         den = np.add(np.sqrt(np.divide(v, bc2, out=s1), out=s1), ADAM_EPS, out=s1)
         step = np.multiply(self.lr, np.divide(m, bc1, out=s2), out=s2)
-        np.subtract(p, np.divide(step, den, out=s2), out=out)
+        np.subtract(p, np.divide(step, den, out=s2), out=p)
 
 
 def finite_diff_grad(

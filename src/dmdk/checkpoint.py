@@ -33,9 +33,11 @@ VERSION = 2
 def save_checkpoint(
     path: str | Path, tensors: list[tuple[str, np.ndarray]], meta: dict
 ) -> None:
+    """Write ``tensors`` and ``meta``; each tensor's bytes go to the file
+    straight from its array, so saving makes no copy of the model."""
     manifest = []
     offset = 0
-    blobs = []
+    arrays = []
     seen = set()
     for name, arr in tensors:
         if name in seen:
@@ -47,8 +49,8 @@ def save_checkpoint(
         manifest.append(
             {"name": name, "rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "offset": offset}
         )
-        blobs.append(arr.tobytes())
-        offset += len(blobs[-1])
+        arrays.append(arr)
+        offset += arr.nbytes
     header = json.dumps(
         {"meta": meta, "tensors": manifest}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
@@ -57,8 +59,8 @@ def save_checkpoint(
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(arr)  # the array's own buffer, not a copy
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

@@ -44,6 +44,7 @@ from .autograd import (
     grad_enabled,
     matmul,
     layer_norm,
+    leaf_gradients,
     no_grad,
     parameter_gradients,
     relative_error,
@@ -620,7 +621,6 @@ def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
     views = [[load_features(p) for p in r.features] for r in records]
     base_labels = fallback_labels(base_graph, run.labels.fallback)
     model, prepared = _model_and_records(run, records, views, vocab, base_graph, base_labels)
-    tensors = [p for _, p in model.parameters()]
     opt = Adam(
         model.parameters(),
         lr=run.train.lr,
@@ -635,7 +635,7 @@ def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
             for start in range(0, len(prepared), run.train.batch):
                 batch = [prepared[i] for i in order[start : start + run.train.batch]]
                 loss = teacher_forcing_loss(batch, model)
-                opt.step(parameter_gradients(loss, tensors))
+                opt.step(leaf_gradients(loss))
                 epoch_total += float(loss.value[0, 0]) * len(batch)
         except NonFiniteError as e:
             raise TrainingDiverged(f"training diverged at epoch {epoch + 1}: {e}") from e

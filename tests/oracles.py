@@ -8,8 +8,10 @@ attention via per-row loops. Shared code with dmdk would defeat the point.
 
 from __future__ import annotations
 
+import json
 import math
 import re
+import struct
 
 import numpy as np
 
@@ -366,3 +368,20 @@ def oracle_backward(output):
             else:
                 grads[key] = pg
     return {by_id[k]: g for k, g in grads.items() if not by_id[k]._parents}
+
+
+# ---------------------------------------------------------------------------
+# checkpoint bytes
+
+
+def oracle_checkpoint_bytes(tensors, meta):
+    """The checkpoint file for ``tensors`` and ``meta`` as one byte string,
+    assembled from each tensor's ``tobytes`` copy."""
+    manifest, blobs, offset = [], [], 0
+    for name, arr in tensors:
+        blob = np.asarray(arr).astype("<f8").tobytes()
+        manifest.append({"name": name, "rows": arr.shape[0], "cols": arr.shape[1], "offset": offset})
+        blobs.append(blob)
+        offset += len(blob)
+    header = json.dumps({"meta": meta, "tensors": manifest}, sort_keys=True, separators=(",", ":")).encode()
+    return b"DMDK" + struct.pack("<IQ", 2, len(header)) + header + b"".join(blobs)

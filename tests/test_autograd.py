@@ -18,6 +18,7 @@ from dmdk.autograd import (
     embedding,
     finite_diff_grad,
     layer_norm,
+    leaf_gradients,
     matmul,
     mul,
     no_grad,
@@ -218,12 +219,12 @@ def test_backward_frees_interior_activations():
     assert activation() is None
 
 
-def test_adam_step_frees_the_old_parameter_while_the_loss_is_held():
+def test_adam_step_updates_the_parameter_in_place_while_the_loss_is_held():
     x, p = Tensor(RNG.normal(size=(3, 4))), Tensor(RNG.normal(size=(4, 2)))
     loss = sum_all(matmul(x, p))
-    old = weakref.ref(p.value)
-    Adam([("p", p)], lr=0.1).step(parameter_gradients(loss, [p]))
-    assert old() is None
+    held, before = p.value, p.value.copy()
+    Adam([("p", p)], lr=0.1).step(leaf_gradients(loss))
+    assert p.value is held and not np.array_equal(held, before)
     assert loss.shape == (1, 1)  # the caller still holds the loss
 
 
@@ -364,28 +365,59 @@ def test_chunked_adam_equals_the_whole_array_formula_bitwise(shape, weight_decay
         if missing and t in (2, 4):
             del grads["p"]  # p sits out this step: a zero gradient
         held = tensors["p"].value
-        before = held.copy()
         opt.step({tensors[name]: g for name, g in grads.items()})
         values, m, v = oracle_adam_step(values, m, v, grads, t, 1e-3, weight_decay)
-        assert tensors["p"].value is not held and np.array_equal(held, before)  # rebound, not mutated
+        assert tensors["p"].value is held  # stepped in place, not rebound
         for name, expected in values.items():
             assert np.array_equal(tensors[name].value, expected), (t, name)
             assert np.array_equal(opt._m[name].reshape(expected.shape), m[name]), (t, name)
             assert np.array_equal(opt._v[name].reshape(expected.shape), v[name]), (t, name)
 
 
-def test_adam_step_allocates_one_parameter_and_no_more():
+def test_adam_step_allocates_nothing_parameter_sized():
     p = Tensor(RNG.normal(size=(512, 2048)))
     g = RNG.normal(size=p.shape)
     opt = Adam([("p", p)], lr=1e-3, weight_decay=1e-3)
     assert opt._scratch is None  # a run of zero steps allocates no scratch
+    held = p.value
     tracemalloc.start()
     try:
         opt.step({p: g})  # the first step also allocates the scratch buffers
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= p.value.nbytes + 2 * 2**20, peak
+    assert p.value is held
+    scratch = 2 * autograd._ADAM_CHUNK * 8
+    assert peak <= scratch + 64 * 1024 < p.value.nbytes // 8, peak
+
+
+def test_adam_refuses_a_duplicate_parameter_name():
+    a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((3, 1)))
+    with pytest.raises(ValueError, match="duplicate parameter name 'w'"):
+        Adam([("w", a), ("v", Tensor([[1.0]])), ("w", b)], lr=0.1)
+
+
+def test_adam_refuses_the_same_tensor_listed_twice():
+    a = Tensor(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="parameter 'alias' is the Tensor already listed as 'w'"):
+        Adam([("w", a), ("alias", a)], lr=0.1)
+
+
+def test_adam_steps_pairs_as_they_arrive_and_skips_other_leaves():
+    p, q, const = Tensor(np.ones((2, 2))), Tensor(np.ones((1, 3))), Tensor(np.ones((2, 2)))
+    opt = Adam([("p", p), ("q", q)], lr=0.1)
+    seen = []
+
+    def pairs():
+        yield const, np.ones((2, 2))  # not a parameter: skipped
+        yield p, np.ones((2, 2))
+        seen.append(p.value.copy())  # p is stepped before the next pair is asked for
+        assert np.array_equal(q.value, np.ones((1, 3)))
+
+    opt.step(pairs())
+    assert np.array_equal(seen[0], p.value) and not np.array_equal(p.value, np.ones((2, 2)))
+    assert np.array_equal(q.value, np.ones((1, 3)))  # a zero gradient at zero decay moves nothing
+    assert np.array_equal(const.value, np.ones((2, 2)))
 
 
 def test_parameter_gradients_pass_backwards_arrays_through(monkeypatch):

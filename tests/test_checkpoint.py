@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdk.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
+
+from oracles import oracle_checkpoint_bytes
 
 RNG = np.random.default_rng(37)
 
@@ -48,6 +51,32 @@ def test_save_is_byte_deterministic(tmp_path):
     save_checkpoint(p1, tensors, meta)
     save_checkpoint(p2, tensors, dict(reversed(list(meta.items()))))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_writes_the_bytes_of_the_copying_writer(tmp_path):
+    tensors = [
+        ("a", RNG.normal(size=(3, 4))),
+        ("transposed", RNG.normal(size=(5, 2)).T),  # not C-contiguous
+        ("big_endian", RNG.normal(size=(2, 2)).astype(">f8")),
+        ("single", RNG.normal(size=(2, 3)).astype(np.float32)),
+        ("empty", np.zeros((0, 4))),
+        ("signed_zero", np.array([[-0.0, 0.0, 1e-310]])),
+    ]
+    meta = {"spec": {"d": 4}, "names": ["x", "y"]}
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, tensors, meta)
+    assert p.read_bytes() == oracle_checkpoint_bytes(tensors, meta)
+
+
+def test_save_allocates_less_than_one_tensor(tmp_path):
+    arr = RNG.normal(size=(512, 2048))
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "m.ckpt", [("w", arr)], {"v": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.nbytes // 8, peak
 
 
 def test_duplicate_tensor_names_rejected(tmp_path):
