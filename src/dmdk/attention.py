@@ -236,11 +236,9 @@ def embed_tokens(
     """len(ids) x d matrix of the ids' rows of the token ``table`` + the
     sinusoidal encoding of positions start, start + 1, ...; with ``spans``
     (row counts summing to len(ids)) the positions restart at ``start`` for
-    each span."""
+    each span. Empty ``ids`` without ``spans`` give a 0 x d matrix."""
     tok = embedding(table, ids)
     n = tok.rows
-    if n == 0:
-        return tok
     if start < 0:
         raise ValueError(f"start position must be >= 0, got {start}")
     if spans is None:

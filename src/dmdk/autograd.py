@@ -1,17 +1,19 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Every quantity in this package is a 2-D float64 array wrapped in a
-:class:`Tensor` node. Ops build a DAG as a side effect of the forward pass;
+:class:`Tensor` node; a Tensor refuses 0-D and 1-D values rather than
+reshaping them. Ops build a DAG as a side effect of the forward pass;
 ``leaf_gradients`` consumes it in one walk in reverse topological order,
 accumulating gradients additively across fan-out and freeing each node's
 gradient, parents and saved arrays once the walk has passed it, so
 backpropagating twice means running the forward again. The walk hands out
 each leaf's gradient as soon as the leaf's last consumer has run, so
 ``Adam.step`` can update a parameter in place while the walk goes on;
-``backward`` collects the whole walk into a dict. Inside ``no_grad()`` ops
-compute the same values but keep no graph, for inference.
-``finite_diff_grad`` is the independent central-difference estimator used to
-audit every backward rule.
+``backward`` collects the whole walk into a dict, whose ``items()`` are pairs
+``Adam.step`` takes as well. Inside ``no_grad()`` ops compute the same values
+but keep no graph, for inference. ``finite_diff_grad`` is the independent
+central-difference estimator, with step ``FD_STEP``, used to audit every
+backward rule.
 
 ``SparseRows`` holds a constant sparse matrix as a Tensor of its nonzero
 entries; ``canonical_matmul`` multiplies it into a tensor, summing each output
@@ -21,7 +23,7 @@ entry's products in value-sorted order.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -81,19 +83,11 @@ def grad_enabled() -> bool:
 _all_true = np.logical_and.reduce  # ndarray.all without its Python-level wrapper
 
 
-def _as_matrix(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ValueError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
-    return arr
-
-
 class Tensor:
-    """One node of the computation graph holding a rows x cols float64 matrix."""
+    """One node of the computation graph holding a rows x cols float64 matrix.
+
+    A 0-D or 1-D value raises ``ValueError``; nothing is promoted to a matrix.
+    """
 
     __slots__ = ("value", "_parents", "_grad_fn")
 
@@ -103,9 +97,12 @@ class Tensor:
         _parents: tuple[Tensor, ...] = (),
         _grad_fn: Callable[[np.ndarray], tuple] | None = None,
     ):
-        self.value = _as_matrix(value)
-        if not _all_true(np.isfinite(self.value), axis=None):
+        value = np.asarray(value, dtype=np.float64)
+        if value.ndim != 2:
+            raise ValueError(f"tensors are 2-D matrices, got ndim={value.ndim}")
+        if not _all_true(np.isfinite(value), axis=None):
             raise NonFiniteError("tensor contains non-finite values")
+        self.value = value
         if _grad_enabled.get():
             self._parents = _parents
             self._grad_fn = _grad_fn
@@ -389,21 +386,23 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, av, 0.0), (a,), grad_fn)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+# added to each row's variance before the square root in layer_norm
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row standardization followed by a learned affine (gain, bias)."""
     if gain.shape != (1, a.cols) or bias.shape != (1, a.cols):
         raise ValueError(
             f"layer_norm gain/bias must be 1x{a.cols}, got {gain.shape} and {bias.shape}"
         )
-    if eps < 0:
-        raise ValueError("layer_norm eps must be >= 0")
     v = a.value
     n = v.shape[1]
     # np.add.reduce(...) / n is what ndarray.mean computes, minus its Python wrapper
     mu = np.add.reduce(v, axis=1, keepdims=True) / n
     centred = v - mu
     var = np.add.reduce(centred * centred, axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centred * inv
     gv = gain.value
 
@@ -437,7 +436,7 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     for i in ids:
         if not 0 <= i < n_rows:
             raise ValueError(f"embedding index {i} out of range [0, {n_rows})")
-    out = table.value[ids] if ids else np.zeros((0, table.cols))
+    out = table.value[ids]
 
     def grad_fn(g: np.ndarray):
         gt = np.zeros((n_rows, table.cols))
@@ -467,11 +466,13 @@ def cross_entropy_logits(
     v = logits.value
     m = v.max(axis=1, keepdims=True)
     z = v - m
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True)) + m
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    lse = np.log(total) + m
     idx = np.arange(n)
 
     def grad_fn(g: np.ndarray):
-        p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        p = e / total
         p[idx, targets] -= 1.0
         return (g[0, 0] * w * p,)
 
@@ -490,6 +491,10 @@ ADAM_EPS = 1e-8
 # elements per Adam chunk: a chunk of each operand and both scratch buffers
 # stay in L2, so DRAM sees p, g, m and v read once and m, v, p written once
 _ADAM_CHUNK = 32768
+
+# read in place of the gradient chunk of a parameter that got no gradient
+_ZERO_CHUNK = np.zeros(_ADAM_CHUNK)
+_ZERO_CHUNK.flags.writeable = False
 
 
 class Adam:
@@ -538,13 +543,14 @@ class Adam:
             self._m[name], self._v[name] = np.zeros(p.value.size), np.zeros(p.value.size)
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None  # allocated by the first step
 
-    def step(self, grads: Mapping[Tensor, np.ndarray] | Iterable[tuple[Tensor, np.ndarray]]) -> None:
-        """Step every parameter once from a gradient map or ``(tensor, gradient)`` pairs.
+    def step(self, grads: Iterable[tuple[Tensor, np.ndarray]]) -> None:
+        """Step every parameter once from ``(tensor, gradient)`` pairs.
 
         Each parameter is updated as its pair arrives, so ``grads`` can be the
-        ``leaf_gradients`` walk itself; the step keeps no gradient once it is
-        used. Pairs for tensors that are not parameters are skipped. Parameters
-        with no pair are stepped with a zero gradient after the last pair. If
+        ``leaf_gradients`` walk itself (or a gradient dict's ``items()``); the
+        step keeps no gradient once it is used. Pairs for tensors that are not
+        parameters are skipped. Parameters with no pair are stepped with a zero
+        gradient after the last pair, read from a chunk-sized zero buffer. If
         ``grads`` raises part-way, the parameters already stepped stay stepped.
         """
         self.t += 1
@@ -553,25 +559,29 @@ class Adam:
         if self._scratch is None:
             self._scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
         waiting = dict(self._by_id)
-        for leaf, g in grads.items() if isinstance(grads, Mapping) else grads:
+        for leaf, g in grads:
             entry = waiting.pop(id(leaf), None)
             if entry is not None:  # other leaves are constants
                 self._step_one(*entry, g, bc1, bc2)
             del g
         for name, p in waiting.values():
-            self._step_one(name, p, np.zeros(p.value.shape), bc1, bc2)
+            self._step_one(name, p, None, bc1, bc2)
 
-    def _step_one(self, name: str, p: Tensor, g: np.ndarray, bc1: float, bc2: float) -> None:
-        flat = (p.value.reshape(-1, copy=False), g.reshape(-1), self._m[name], self._v[name])
-        if flat[0].size <= _ADAM_CHUNK:
-            self._update(*flat, bc1, bc2)
+    def _step_one(self, name: str, p: Tensor, g: np.ndarray | None, bc1: float, bc2: float) -> None:
+        flat, m, v = p.value.reshape(-1, copy=False), self._m[name], self._v[name]
+        g = None if g is None else g.reshape(-1)
+        if flat.size <= _ADAM_CHUNK:
+            self._update(flat, g, m, v, bc1, bc2)
         else:
-            for i in range(0, flat[0].size, _ADAM_CHUNK):
-                self._update(*(a[i : i + _ADAM_CHUNK] for a in flat), bc1, bc2)
+            for i in range(0, flat.size, _ADAM_CHUNK):
+                j = i + _ADAM_CHUNK
+                self._update(flat[i:j], None if g is None else g[i:j], m[i:j], v[i:j], bc1, bc2)
 
     def _update(self, p, g, m, v, bc1, bc2) -> None:
-        """One chunk: ``p``, ``m`` and ``v`` in place."""
+        """One chunk: ``p``, ``m`` and ``v`` in place; a ``g`` of None is zero."""
         s1, s2 = (s[: p.size] for s in self._scratch)
+        if g is None:
+            g = _ZERO_CHUNK[: p.size]
         if self.weight_decay:
             g = np.add(g, np.multiply(self.weight_decay, p, out=s1), out=s1)
         np.add(np.multiply(ADAM_BETA1, m, out=m), np.multiply(1.0 - ADAM_BETA1, g, out=s2), out=m)
@@ -582,16 +592,16 @@ class Adam:
         np.subtract(p, np.divide(step, den, out=s2), out=p)
 
 
-def finite_diff_grad(
-    f: Callable[[], float], tensors: Sequence[Tensor], h: float = 1e-5
-) -> list[np.ndarray]:
+# the step of finite_diff_grad's central differences
+FD_STEP = 1e-5
+
+
+def finite_diff_grad(f: Callable[[], float], tensors: Sequence[Tensor]) -> list[np.ndarray]:
     """Central-difference gradient of ``f()`` w.r.t. every entry of ``tensors``.
 
     Perturbs values in place and restores them; ``f`` must be a pure function
     of the current tensor values.
     """
-    if h <= 0:
-        raise ValueError("finite difference step must be positive")
     out = []
     for t in tensors:
         g = np.zeros_like(t.value)
@@ -599,19 +609,23 @@ def finite_diff_grad(
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             fp = f()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             fm = f()
             flat[i] = orig
-            gflat[i] = (fp - fm) / (2.0 * h)
+            gflat[i] = (fp - fm) / (2.0 * FD_STEP)
         out.append(g)
     return out
 
 
-def relative_error(approx, exact, floor: float = 1e-6) -> np.ndarray:
+# relative_error's floor under its denominator
+RELATIVE_ERROR_FLOOR = 1e-6
+
+
+def relative_error(approx, exact) -> np.ndarray:
     """|a - b| / max(|a|, |b|, floor); the floor keeps near-zero entries honest."""
     a = np.asarray(approx, dtype=np.float64)
     b = np.asarray(exact, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), RELATIVE_ERROR_FLOOR)
     return np.abs(a - b) / denom

@@ -1,15 +1,15 @@
 """Corpus-level BLEU-1..4, ROUGE-L, and CIDEr with per-sample breakdown.
 
-Conventions, all deliberate:
-  * BLEU: clipped (modified) n-gram precision summed over the corpus, no
-    smoothing by default, brevity penalty from the closest-length reference
-    (ties break toward the shorter one), uniform 1/k weights. Any zero P_n
-    zeroes every BLEU-k with k >= n.
+Every sample has exactly one reference, as in IU X-Ray and MIMIC-CXR, where
+each study has one report. Conventions, all deliberate:
+  * BLEU-1..4: clipped (modified) n-gram precision summed over the corpus, no
+    smoothing by default, brevity penalty from the summed reference lengths,
+    uniform 1/k weights. Any zero P_n zeroes every BLEU-k with k >= n.
   * ROUGE-L: recall against the reference, precision against the candidate,
-    F-measure with beta^2 weighting recall; max over references at corpus time.
-  * CIDEr: per-order TF-IDF vectors with idf = log(|I| / max(1, df)), cosine
-    per order averaged over references, uniform order weights, no 10x display
-    scaling, and cosine against a zero vector defined as 0.
+    F-measure with beta = 1.2 weighting recall.
+  * CIDEr: TF-IDF vectors for orders 1..4 with idf = log(|I| / max(1, df)),
+    uniform order weights, no 10x display scaling, and cosine against a zero
+    vector defined as 0.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 
 TokenSeq = Sequence[str]
 
+MAX_N = 4  # BLEU and CIDEr use n-gram orders 1..MAX_N
+ROUGE_BETA = 1.2  # ROUGE-L weighs recall beta^2 times precision
+
 
 def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     """Sliding-window counts of length-n windows; shorter sequences give {}."""
@@ -35,75 +38,52 @@ def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _reference_sets(references: Sequence) -> list[list[list[str]]]:
-    """Accept one token sequence per sample or a list of alternatives; empty
-    entries are rejected because every metric here needs a reference."""
-    out: list[list[list[str]]] = []
-    for i, entry in enumerate(references):
-        if entry and isinstance(entry[0], str):
-            out.append([list(entry)])
-        else:
-            refs = [list(r) for r in entry]
-            if not refs or any(not r for r in refs):
-                raise ValueError(f"sample {i} needs at least one nonempty reference")
-            out.append(refs)
-    return out
-
-
-def _closest_length(cand_len: int, refs: list[list[str]]) -> int:
-    return min((len(r) for r in refs), key=lambda n: (abs(n - cand_len), n))
+def _check_pairs(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq], metric: str) -> None:
+    """One nonempty reference per candidate, and at least one candidate."""
+    if len(candidates) != len(references):
+        raise ValueError(f"{len(candidates)} candidates but {len(references)} references")
+    if not candidates:
+        raise ValueError(f"{metric} needs a nonempty corpus")
+    for i, ref in enumerate(references):
+        if not ref:
+            raise ValueError(f"sample {i} has an empty reference")
 
 
 def bleu(
-    candidates: Sequence[TokenSeq],
-    references: Sequence,
-    max_n: int = 4,
-    smooth: bool = False,
+    candidates: Sequence[TokenSeq], references: Sequence[TokenSeq], smooth: bool = False
 ) -> list[float]:
-    """Corpus BLEU-1..max_n as a list.
+    """Corpus BLEU-1..4 as a list.
 
     ``smooth`` adds one to the matched and total counts of every order >= 2
     (sentence-level style smoothing), useful for per-sample scores where exact
     higher-order matches are rare; the corpus defaults stay unsmoothed.
     """
-    if len(candidates) != len(references):
-        raise ValueError(
-            f"{len(candidates)} candidates but {len(references)} reference entries"
-        )
-    if not candidates:
-        raise ValueError("BLEU needs a nonempty corpus")
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    ref_sets = _reference_sets(references)
-    matched = [0] * (max_n + 1)
-    total = [0] * (max_n + 1)
+    _check_pairs(candidates, references, "BLEU")
+    matched = [0] * (MAX_N + 1)
+    total = [0] * (MAX_N + 1)
     c_len = 0
     r_len = 0
-    for cand, refs in zip(candidates, ref_sets):
+    for cand, ref in zip(candidates, references):
         c_len += len(cand)
-        r_len += _closest_length(len(cand), refs)
-        for n in range(1, max_n + 1):
+        r_len += len(ref)
+        for n in range(1, MAX_N + 1):
             counts = ngram_counts(cand, n)
             if not counts:
                 continue
-            ceiling: Counter = Counter()
-            for ref in refs:
-                for g, c in ngram_counts(ref, n).items():
-                    if c > ceiling[g]:
-                        ceiling[g] = c
+            ceiling = ngram_counts(ref, n)
             matched[n] += sum(min(c, ceiling[g]) for g, c in counts.items())
             total[n] += sum(counts.values())
     if c_len == 0:
-        return [0.0] * max_n
+        return [0.0] * MAX_N
     bp = 1.0 if c_len > r_len else math.exp(1.0 - r_len / c_len)
     precisions = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         m, t = matched[n], total[n]
         if smooth and n >= 2:
             m, t = m + 1, t + 1
         precisions.append(m / t if t else 0.0)
     scores = []
-    for k in range(1, max_n + 1):
+    for k in range(1, MAX_N + 1):
         head = precisions[:k]
         if any(p == 0.0 for p in head):
             scores.append(0.0)
@@ -124,7 +104,7 @@ def lcs_len(x: TokenSeq, y: TokenSeq) -> int:
     return prev[-1]
 
 
-def rouge_l(candidate: TokenSeq, reference: TokenSeq, beta: float = 1.2) -> float:
+def rouge_l(candidate: TokenSeq, reference: TokenSeq) -> float:
     """F-measure over the longest common subsequence; 0 when nothing overlaps."""
     if not candidate or not reference:
         logger.warning("ROUGE-L against an empty sequence is defined as 0")
@@ -134,30 +114,19 @@ def rouge_l(candidate: TokenSeq, reference: TokenSeq, beta: float = 1.2) -> floa
         return 0.0
     recall = lcs / len(reference)
     precision = lcs / len(candidate)
-    b2 = beta * beta
+    b2 = ROUGE_BETA * ROUGE_BETA
     return (1.0 + b2) * recall * precision / (recall + b2 * precision)
 
 
-def cider_per_image(
-    candidates: Sequence[TokenSeq], references: Sequence, max_n: int = 4
-) -> list[float]:
-    """Per-image CIDEr; document frequency counts images, not sentences."""
-    if len(candidates) != len(references):
-        raise ValueError(
-            f"{len(candidates)} candidates but {len(references)} reference entries"
-        )
-    if not candidates:
-        raise ValueError("CIDEr needs a nonempty corpus")
-    ref_sets = _reference_sets(references)
+def cider_per_image(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> list[float]:
+    """Per-image CIDEr; document frequency counts the images whose reference
+    holds the n-gram."""
+    _check_pairs(candidates, references, "CIDEr")
     n_images = len(candidates)
-    df: list[Counter] = [Counter() for _ in range(max_n + 1)]
-    for refs in ref_sets:
-        for n in range(1, max_n + 1):
-            seen: set = set()
-            for ref in refs:
-                seen.update(ngram_counts(ref, n))
-            for g in seen:
-                df[n][g] += 1
+    df: list[Counter] = [Counter() for _ in range(MAX_N + 1)]
+    for ref in references:
+        for n in range(1, MAX_N + 1):
+            df[n].update(ngram_counts(ref, n).keys())
 
     def vector(tokens: TokenSeq, n: int) -> dict:
         counts = ngram_counts(tokens, n)
@@ -175,18 +144,14 @@ def cider_per_image(
             return 0.0
         return sum(x * v.get(g, 0.0) for g, x in u.items()) / (nu * nv)
 
-    scores = []
-    for cand, refs in zip(candidates, ref_sets):
-        per_order = []
-        for n in range(1, max_n + 1):
-            cv = vector(cand, n)
-            per_order.append(sum(cosine(cv, vector(r, n)) for r in refs) / len(refs))
-        scores.append(sum(per_order) / max_n)
-    return scores
+    return [
+        sum(cosine(vector(cand, n), vector(ref, n)) for n in range(1, MAX_N + 1)) / MAX_N
+        for cand, ref in zip(candidates, references)
+    ]
 
 
-def cider(candidates: Sequence[TokenSeq], references: Sequence, max_n: int = 4) -> float:
-    scores = cider_per_image(candidates, references, max_n)
+def cider(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> float:
+    scores = cider_per_image(candidates, references)
     return sum(scores) / len(scores)
 
 
@@ -244,9 +209,7 @@ def _load_pairs(path: str | Path, role: str) -> dict[str, str]:
     return out
 
 
-def evaluate_corpus(
-    predictions_path: str | Path, references_path: str | Path, beta: float = 1.2
-) -> MetricReport:
+def evaluate_corpus(predictions_path: str | Path, references_path: str | Path) -> MetricReport:
     """Score a predictions file against a references file, aligned by id.
 
     Samples are reported in predictions-file order; the id sets must match
@@ -266,16 +229,11 @@ def evaluate_corpus(
     ids = list(preds)
     cands = [tokenize(preds[i]) for i in ids]
     refseqs = [tokenize(refs[i]) for i in ids]
-    bleu_scores = bleu(cands, refseqs, 4)
-    per_rouge = [rouge_l(c, r, beta) for c, r in zip(cands, refseqs)]
-    per_cider = cider_per_image(cands, refseqs, 4)
+    bleu_scores = bleu(cands, refseqs)
+    per_rouge = [rouge_l(c, r) for c, r in zip(cands, refseqs)]
+    per_cider = cider_per_image(cands, refseqs)
     samples = [
-        SampleScores(
-            rid,
-            bleu([c], [r], 4, smooth=True)[3],
-            rl,
-            cd,
-        )
+        SampleScores(rid, bleu([c], [r], smooth=True)[3], rl, cd)
         for rid, c, r, rl, cd in zip(ids, cands, refseqs, per_rouge, per_cider)
     ]
     return MetricReport(

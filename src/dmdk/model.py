@@ -734,7 +734,7 @@ def load_model(path) -> tuple[ReportModel, KnowledgeGraph, str]:
 # self-contained gradient audit
 
 
-def run_gradient_check(run, h: float = 1e-5) -> list[tuple[str, float]]:
+def run_gradient_check(run) -> list[tuple[str, float]]:
     """Audit every trainable tensor against central differences.
 
     Builds a deterministic micro-fixture from the config's dimensions and seed
@@ -768,7 +768,7 @@ def run_gradient_check(run, h: float = 1e-5) -> list[tuple[str, float]]:
 
     results = []
     for name, p in model.parameters():
-        numeric = finite_diff_grad(objective, [p], h=h)[0]
+        numeric = finite_diff_grad(objective, [p])[0]
         err = float(relative_error(numeric, analytic[p]).max())
         results.append((name, err))
     return results

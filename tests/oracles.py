@@ -35,30 +35,20 @@ def _count(items):
     return d
 
 
-def oracle_bleu(cands, refsets, max_n=4):
-    """Corpus BLEU-1..max_n; refsets[i] is a list of reference token lists."""
+def oracle_bleu(cands, refs, max_n=4):
+    """Corpus BLEU-1..max_n; refs[i] is sample i's one reference token list."""
     match = {n: 0 for n in range(1, max_n + 1)}
     total = {n: 0 for n in range(1, max_n + 1)}
     c_total = 0
     r_total = 0
-    for cand, refs in zip(cands, refsets):
+    for cand, ref in zip(cands, refs):
         c_total += len(cand)
-        best = None
-        for ref in refs:
-            key = (abs(len(ref) - len(cand)), len(ref))
-            if best is None or key < best:
-                best = key
-        r_total += best[1]
+        r_total += len(ref)
         for n in range(1, max_n + 1):
             cg = _count(_grams(cand, n))
             total[n] += sum(cg.values())
             for g, c in cg.items():
-                cap = 0
-                for ref in refs:
-                    rc = _count(_grams(ref, n)).get(g, 0)
-                    if rc > cap:
-                        cap = rc
-                match[n] += min(c, cap)
+                match[n] += min(c, _count(_grams(ref, n)).get(g, 0))
     bp = 1.0 if c_total > r_total else math.exp(1.0 - r_total / max(c_total, 1))
     if c_total == 0:
         return [0.0] * max_n
@@ -97,21 +87,18 @@ def oracle_rouge(cand, ref, beta=1.2):
     return (1 + beta**2) * r * p / (r + beta**2 * p)
 
 
-def oracle_cider(cands, refsets, max_n=4):
-    """Per the TF-IDF cosine definition; df counts images whose reference
-    set contains the n-gram, idf = log(|I| / max(1, df))."""
+def oracle_cider(cands, refs, max_n=4):
+    """Per the TF-IDF cosine definition; df counts images whose one reference
+    contains the n-gram, idf = log(|I| / max(1, df))."""
     n_images = len(cands)
     per_image = []
-    for cand, refs in zip(cands, refsets):
+    for cand, ref in zip(cands, refs):
         order_scores = []
         for n in range(1, max_n + 1):
             # document frequency over the whole corpus for this order
             df = {}
-            for other_refs in refsets:
-                seen = set()
-                for ref in other_refs:
-                    seen.update(_grams(ref, n))
-                for g in seen:
+            for other in refs:
+                for g in set(_grams(other, n)):
                     df[g] = df.get(g, 0) + 1
 
             def vec(tokens):
@@ -130,8 +117,7 @@ def oracle_cider(cands, refsets, max_n=4):
                 return 0.0 if nu == 0.0 or nv == 0.0 else dot / (nu * nv)
 
             cv = vec(cand) if len(cand) >= n else {}
-            sims = [cos(cv, vec(r) if len(r) >= n else {}) for r in refs]
-            order_scores.append(sum(sims) / len(sims))
+            order_scores.append(cos(cv, vec(ref) if len(ref) >= n else {}))
         per_image.append(sum(order_scores) / max_n)
     return sum(per_image) / n_images
 

@@ -88,23 +88,20 @@ def overfit_records(tmp_path):
 
 
 BLEU_FIXTURES = [
-    # (candidates, reference sets)
-    ([["a", "b", "c", "d"]], [[["a", "b", "c", "d"]]]),
-    ([["the", "cat", "sat"]], [[["the", "cat", "sat", "on", "the", "mat"]]]),
-    ([["the", "the", "the"]], [[["the", "cat"]]]),
-    ([["a", "b", "c"]], [[["a", "b"], ["a", "b", "c", "d"]]]),
-    ([[]], [[["a", "b"]]]),
-    ([["x"]], [[["y"]]]),
+    # (candidates, references): one reference per candidate
+    ([["a", "b", "c", "d"]], [["a", "b", "c", "d"]]),
+    ([["the", "cat", "sat"]], [["the", "cat", "sat", "on", "the", "mat"]]),
+    ([["the", "the", "the"]], [["the", "cat"]]),
+    ([["a", "b", "c"]], [["a", "b"]]),
+    ([[]], [["a", "b"]]),
+    ([["x"]], [["y"]]),
     (
         [["the", "cat", "sat", "on", "the", "mat"], ["dogs", "run", "fast"]],
-        [
-            [["the", "cat", "sat", "on", "a", "mat"], ["a", "cat", "was", "on", "the", "mat"]],
-            [["the", "dogs", "run", "quickly"], ["dogs", "run", "very", "fast"]],
-        ],
+        [["the", "cat", "sat", "on", "a", "mat"], ["the", "dogs", "run", "quickly"]],
     ),
-    ([["a"] * 8], [[["a"] * 4]]),
-    ([["a", "b"], ["b", "a"]], [[["a", "b"]], [["a", "b"]]]),
-    ([["p", "q", "r", "s", "t"]], [[["p", "q", "x", "s", "t"]]]),
+    ([["a"] * 8], [["a"] * 4]),
+    ([["a", "b"], ["b", "a"]], [["a", "b"], ["a", "b"]]),
+    ([["p", "q", "r", "s", "t"]], [["p", "q", "x", "s", "t"]]),
 ]
 
 ROUGE_FIXTURES = [
@@ -121,42 +118,39 @@ ROUGE_FIXTURES = [
 ]
 
 CIDER_FIXTURES = [
-    ([list("abcde"), list("fghij")], [[list("abcde")], [list("fghij")]]),
-    ([["a", "b"], ["c", "d"]], [[["a", "b"]], [["c", "d"]]]),
-    ([["a", "b"]], [[["a", "b"]]]),
+    ([list("abcde"), list("fghij")], [list("abcde"), list("fghij")]),
+    ([["a", "b"], ["c", "d"]], [["a", "b"], ["c", "d"]]),
+    ([["a", "b"]], [["a", "b"]]),
     (
         [["the", "cat", "sat", "on", "the", "mat"], ["dogs", "run", "fast"]],
-        [
-            [["the", "cat", "sat", "on", "a", "mat"], ["a", "cat", "was", "on", "the", "mat"]],
-            [["the", "dogs", "run", "quickly"], ["dogs", "run", "very", "fast"]],
-        ],
+        [["the", "cat", "sat", "on", "a", "mat"], ["the", "dogs", "run", "quickly"]],
     ),
     (
         [["a", "a", "b"], ["a", "b", "b"], ["b", "a", "b"]],
-        [[["a", "b", "a"]], [["b", "b", "a"]], [["a", "a", "a"], ["b", "b", "b"]]],
+        [["a", "b", "a"], ["b", "b", "a"], ["a", "a", "a"]],
     ),
-    ([list("abcd"), list("abce")], [[list("abcf")], [list("abcg")]]),
+    ([list("abcd"), list("abce")], [list("abcf"), list("abcg")]),
 ]
 
 
 def test_criterion_1_metric_oracle_suite():
     with criterion(1, "metrics match brute-force oracles on hand fixtures", budget=1.0):
         assert len(BLEU_FIXTURES) + len(ROUGE_FIXTURES) + len(CIDER_FIXTURES) >= 10
-        for cands, refsets in BLEU_FIXTURES:
-            got = bleu(cands, refsets)
-            want = oracle_bleu(cands, refsets)
-            assert got == pytest.approx(want, abs=1e-6), (cands, refsets)
+        for cands, refs in BLEU_FIXTURES:
+            got = bleu(cands, refs)
+            want = oracle_bleu(cands, refs)
+            assert got == pytest.approx(want, abs=1e-6), (cands, refs)
         for cand, ref in ROUGE_FIXTURES:
             assert rouge_l(cand, ref) == pytest.approx(
                 oracle_rouge(cand, ref, 1.2), abs=1e-6
             ), (cand, ref)
-        for cands, refsets in CIDER_FIXTURES:
-            assert cider(cands, refsets) == pytest.approx(
-                oracle_cider(cands, refsets), abs=1e-6
-            ), (cands, refsets)
+        for cands, refs in CIDER_FIXTURES:
+            assert cider(cands, refs) == pytest.approx(
+                oracle_cider(cands, refs), abs=1e-6
+            ), (cands, refs)
 
         # pinned derived values
-        half = bleu([["the", "cat", "sat"]], [[["the", "cat", "sat", "on", "the", "mat"]]])
+        half = bleu([["the", "cat", "sat"]], [["the", "cat", "sat", "on", "the", "mat"]])
         assert half[1] == pytest.approx(math.exp(-1), abs=1e-9)  # BLEU-2 = e^-1
         assert rouge_l(["a", "c"], ["a", "b", "c"]) == pytest.approx(0.7722, abs=1e-4)
         assert cider(*CIDER_FIXTURES[0]) == pytest.approx(1.0, abs=1e-12)
@@ -206,7 +200,7 @@ def test_criterion_3_gradient_check():
         run = make_config(
             d=8, heads=2, decoder_layers=1, gcn_layers=2, min_freq=1, max_length=12, seed=0
         )
-        results = run_gradient_check(run, h=1e-5)
+        results = run_gradient_check(run)
         names = [name for name, _ in results]
         assert len(names) == len(set(names))
         for expected in ("proj.weight", "embed.tokens", "gcn.embeddings",

@@ -29,7 +29,7 @@ from dmdk.autograd import (
     sum_all,
 )
 
-from oracles import from_dense, oracle_adam_step
+from oracles import from_dense, oracle_adam_step, oracle_layer_norm
 
 RNG = np.random.default_rng(42)
 
@@ -48,9 +48,10 @@ def fd_check(build, params, rtol=1e-4):
 # construction
 
 
-def test_tensor_promotes_scalars_and_vectors():
-    assert Tensor(3.0).shape == (1, 1)
-    assert Tensor([1.0, 2.0]).shape == (1, 2)
+def test_tensor_refuses_scalars_and_vectors():
+    for value in (3.0, [1.0, 2.0], np.ones((2, 2, 1))):
+        with pytest.raises(ValueError, match="tensors are 2-D matrices"):
+            Tensor(value)
     assert Tensor([[1.0], [2.0]]).shape == (2, 1)
 
 
@@ -149,12 +150,26 @@ def test_layer_norm_closed_forms():
     bias = Tensor(np.zeros((1, 2)))
     const = layer_norm(Tensor([[5.0, 5.0]]), gain, bias).value
     assert np.allclose(const, 0.0, atol=1e-9)
-    sym = layer_norm(Tensor([[1.0, -1.0]]), gain, bias, eps=0.0).value
-    assert np.allclose(sym, [[1.0, -1.0]], atol=1e-12)
+    sym = layer_norm(Tensor([[1.0, -1.0]]), gain, bias).value
+    assert np.allclose(sym, np.array([[1.0, -1.0]]) / math.sqrt(1.0 + autograd.LAYER_NORM_EPS), atol=1e-12)
     only_bias = layer_norm(
         Tensor(RNG.normal(size=(2, 2))), Tensor(np.zeros((1, 2))), Tensor([[7.0, -2.0]])
     ).value
     assert np.allclose(only_bias, [[7.0, -2.0], [7.0, -2.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [8, 512])
+def test_layer_norm_matches_the_oracle(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(1.0, 3.0, size=(6, d))
+    x[2] = 0.75  # a constant row: every entry standardizes to 0
+    # |gain * xhat| stays below the bias, so no output entry is a near-cancellation
+    gain = rng.uniform(0.5, 1.5, size=(1, d)) * rng.choice([-1.0, 1.0], size=(1, d))
+    bias = rng.uniform(8.0, 12.0, size=(1, d))
+    got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).value
+    want = oracle_layer_norm(x, gain, bias, autograd.LAYER_NORM_EPS)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got[2], bias[0])
 
 
 def test_embedding_gathers_rows_and_validates():
@@ -317,7 +332,7 @@ def test_adam_zero_gradient_zero_decay_is_identity():
     p = Tensor(RNG.normal(size=(2, 2)))
     before = p.value.copy()
     opt = Adam([("p", p)], lr=0.1)
-    opt.step({p: np.zeros((2, 2))})
+    opt.step({p: np.zeros((2, 2))}.items())
     assert np.array_equal(p.value, before)
 
 
@@ -325,7 +340,7 @@ def test_adam_single_step_from_theta_one():
     # f(t) = t^2, grad 2 at t=1; bias-corrected first step moves by ~lr
     p = Tensor([[1.0]])
     opt = Adam([("p", p)], lr=0.1)
-    opt.step({p: np.array([[2.0]])})
+    opt.step({p: np.array([[2.0]])}.items())
     assert abs(p.value[0, 0] - 0.9) < 1e-7
     assert abs(p.value[0, 0]) < 1.0
 
@@ -334,7 +349,7 @@ def test_adam_descends_against_constant_gradient():
     p = Tensor([[0.0]])
     opt = Adam([("p", p)], lr=0.05)
     for _ in range(50):
-        opt.step({p: np.array([[1.0]])})
+        opt.step({p: np.array([[1.0]])}.items())
     assert p.value[0, 0] < -1.0
 
 
@@ -342,7 +357,7 @@ def test_adam_weight_decay_pulls_toward_zero():
     p = Tensor([[4.0]])
     opt = Adam([("p", p)], lr=0.1, weight_decay=0.5)
     for _ in range(20):
-        opt.step({p: np.zeros((1, 1))})
+        opt.step({p: np.zeros((1, 1))}.items())
     assert 0.0 < p.value[0, 0] < 4.0
 
 
@@ -365,7 +380,7 @@ def test_chunked_adam_equals_the_whole_array_formula_bitwise(shape, weight_decay
         if missing and t in (2, 4):
             del grads["p"]  # p sits out this step: a zero gradient
         held = tensors["p"].value
-        opt.step({tensors[name]: g for name, g in grads.items()})
+        opt.step([(tensors[name], g) for name, g in grads.items()])
         values, m, v = oracle_adam_step(values, m, v, grads, t, 1e-3, weight_decay)
         assert tensors["p"].value is held  # stepped in place, not rebound
         for name, expected in values.items():
@@ -382,13 +397,25 @@ def test_adam_step_allocates_nothing_parameter_sized():
     held = p.value
     tracemalloc.start()
     try:
-        opt.step({p: g})  # the first step also allocates the scratch buffers
+        opt.step({p: g}.items())  # the first step also allocates the scratch buffers
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert p.value is held
     scratch = 2 * autograd._ADAM_CHUNK * 8
     assert peak <= scratch + 64 * 1024 < p.value.nbytes // 8, peak
+
+
+def test_adam_steps_a_parameter_with_no_gradient_from_a_chunk_of_zeros():
+    p = Tensor(RNG.normal(size=(512, 2048)))
+    opt = Adam([("p", p)], lr=1e-3, weight_decay=1e-3)
+    tracemalloc.start()
+    try:
+        opt.step([])  # no pair for p: it steps with a zero gradient
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.value.nbytes // 8, peak
 
 
 def test_adam_refuses_a_duplicate_parameter_name():

@@ -60,8 +60,8 @@ def test_bleu_short_candidate_brevity_penalty():
 def test_bleu_unigram_clipping():
     # "the" appears once in the reference, so only one of three counts;
     # the candidate is longer than the reference, so no brevity penalty
-    got = bleu([["the", "the", "the"]], [["the", "cat"]], max_n=1)
-    assert got == [pytest.approx(1 / 3, abs=1e-12)]
+    got = bleu([["the", "the", "the"]], [["the", "cat"]])
+    assert got[0] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_bleu_zero_precision_zeroes_higher_orders():
@@ -76,29 +76,21 @@ def test_bleu_smoothing_frozen_case():
     )
 
 
-def test_bleu_multi_reference_corpus_frozen():
+def test_bleu_corpus_frozen():
+    # 9 candidate tokens against 10 reference tokens: brevity penalty e^(-1/9)
     cands = [["the", "cat", "sat", "on", "the", "mat"], ["dogs", "run", "fast"]]
-    refs = [
-        [["the", "cat", "sat", "on", "a", "mat"], ["a", "cat", "was", "on", "the", "mat"]],
-        [["the", "dogs", "run", "quickly"], ["dogs", "run", "very", "fast"]],
-    ]
+    refs = [["the", "cat", "sat", "on", "a", "mat"], ["the", "dogs", "run", "quickly"]]
     got = bleu(cands, refs)
     assert got == pytest.approx(
         [
-            0.7954127260572175,
-            0.781079791261794,
-            0.6893329481070478,
-            0.5590848557845693,
+            0.6959861353000654,
+            0.596559544542913,
+            0.5031578066650267,
+            0.4415034607719595,
         ],
         abs=1e-12,
     )
-
-
-def test_bleu_closest_reference_tie_prefers_shorter():
-    # candidate length 3, references of lengths 2 and 4: tie broken downward,
-    # so the corpus reference length is 2 and no brevity penalty applies
-    got = bleu([["a", "b", "c"]], [[["a", "b"], ["a", "b", "c", "d"]]], max_n=1)
-    assert got == [1.0]
+    assert got[0] == pytest.approx(7 / 9 * math.exp(-1 / 9), abs=1e-15)
 
 
 def test_bleu_empty_candidate_scores_zero():
@@ -111,8 +103,8 @@ def test_bleu_rejects_mismatched_lengths():
 
 
 def test_bleu_rejects_empty_reference():
-    with pytest.raises(ValueError, match="reference"):
-        bleu([["a"]], [[]])
+    with pytest.raises(ValueError, match="sample 1 has an empty reference"):
+        bleu([["a"], ["b"]], [["a"], []])
 
 
 def test_bleu_matches_oracle_on_random_corpora():
@@ -122,12 +114,7 @@ def test_bleu_matches_oracle_on_random_corpora():
         cands, refs = [], []
         for _ in range(rng.integers(1, 4)):
             cands.append([vocab[i] for i in rng.integers(0, 4, rng.integers(1, 9))])
-            refs.append(
-                [
-                    [vocab[i] for i in rng.integers(0, 4, rng.integers(1, 9))]
-                    for _ in range(rng.integers(1, 3))
-                ]
-            )
+            refs.append([vocab[i] for i in rng.integers(0, 4, rng.integers(1, 9))])
         assert bleu(cands, refs) == pytest.approx(oracle_bleu(cands, refs), abs=1e-12)
 
 
@@ -180,11 +167,6 @@ def test_rouge_l_empty_sides_are_zero():
     assert rouge_l(["a"], []) == 0.0
 
 
-def test_rouge_l_beta_one_is_symmetric():
-    a, b = ["a", "b", "c"], ["a", "c"]
-    assert rouge_l(a, b, beta=1.0) == pytest.approx(rouge_l(b, a, beta=1.0), abs=1e-12)
-
-
 @given(sentences, sentences)
 @settings(max_examples=60, deadline=None)
 def test_rouge_matches_oracle(c, r):
@@ -200,31 +182,28 @@ def test_cider_identity_on_disjoint_corpus():
     # two images with no shared vocabulary: every n-gram is informative and
     # each candidate equals its reference, so consensus is exact
     cands = [list("abcde"), list("fghij")]
-    refs = [[list("abcde")], [list("fghij")]]
+    refs = [list("abcde"), list("fghij")]
     assert cider(cands, refs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cider_short_sentences_lose_missing_orders():
     # length-2 sentences have no 3- or 4-grams, so two of four orders score 0
     cands = [["a", "b"], ["c", "d"]]
-    refs = [[["a", "b"]], [["c", "d"]]]
+    refs = [["a", "b"], ["c", "d"]]
     assert cider(cands, refs) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cider_single_image_is_zero():
     # with one image every reference n-gram has idf log(1/1) = 0
-    assert cider([["a", "b"]], [[["a", "b"]]]) == 0.0
+    assert cider([["a", "b"]], [["a", "b"]]) == 0.0
 
 
-def test_cider_multi_reference_frozen():
+def test_cider_corpus_frozen():
     cands = [["the", "cat", "sat", "on", "the", "mat"], ["dogs", "run", "fast"]]
-    refs = [
-        [["the", "cat", "sat", "on", "a", "mat"], ["a", "cat", "was", "on", "the", "mat"]],
-        [["the", "dogs", "run", "quickly"], ["dogs", "run", "very", "fast"]],
-    ]
+    refs = [["the", "cat", "sat", "on", "a", "mat"], ["the", "dogs", "run", "quickly"]]
     per = cider_per_image(cands, refs)
     assert per == pytest.approx(
-        [0.4560726146978983, 0.29364858142235395], abs=1e-12
+        [0.5819401310833123, 0.2687287392826324], abs=1e-12
     )
     assert cider(cands, refs) == pytest.approx(sum(per) / len(per), abs=1e-12)
     assert cider(cands, refs) == pytest.approx(oracle_cider(cands, refs), abs=1e-12)
@@ -238,12 +217,7 @@ def test_cider_matches_oracle_on_random_corpora():
         cands, refs = [], []
         for _ in range(n_imgs):
             cands.append([vocab[i] for i in rng.integers(0, 5, rng.integers(1, 8))])
-            refs.append(
-                [
-                    [vocab[i] for i in rng.integers(0, 5, rng.integers(1, 8))]
-                    for _ in range(rng.integers(1, 3))
-                ]
-            )
+            refs.append([vocab[i] for i in rng.integers(0, 5, rng.integers(1, 8))])
         assert cider(cands, refs) == pytest.approx(
             oracle_cider(cands, refs), abs=1e-12
         )
@@ -251,7 +225,7 @@ def test_cider_matches_oracle_on_random_corpora():
 
 def test_cider_invariant_to_image_order():
     cands = [list("abcd"), list("bcda"), list("cdab")]
-    refs = [[list("abcd")], [list("dcba")], [list("cdab")]]
+    refs = [list("abcd"), list("dcba"), list("cdab")]
     base = cider_per_image(cands, refs)
     perm = [2, 0, 1]
     moved = cider_per_image([cands[i] for i in perm], [refs[i] for i in perm])

@@ -182,7 +182,7 @@ def test_gradient_check_fixture_gradients_equal_the_graph_keeping_engine(monkeyp
 
     monkeypatch.setattr(model_module, "parameter_gradients", against_oracle)
     # only the analytic gradients are under test here
-    monkeypatch.setattr(model_module, "finite_diff_grad", lambda f, ts, h: [np.zeros(t.shape) for t in ts])
+    monkeypatch.setattr(model_module, "finite_diff_grad", lambda f, ts: [np.zeros(t.shape) for t in ts])
     config = Path(__file__).resolve().parent.parent / "configs" / "gradcheck.json"
     results = run_gradient_check(load_config(config))
     assert len(checked) == len(results) > 0

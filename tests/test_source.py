@@ -196,3 +196,99 @@ def test_test_only_check_flags_what_it_should(tmp_path):
 
 def test_no_public_definition_is_read_by_tests_alone():
     assert only_tests_read(SRC, BENCH) == []
+
+
+def defaulted_parameters(path: Path) -> list[tuple[str, str, int, int | None, str, ast.expr]]:
+    """(qualified name, called name, line, positional index or None, parameter,
+    default) for each defaulted parameter of the module's functions and methods.
+
+    A method's index leaves out ``self`` or ``cls``, and ``C.__init__`` is
+    called as ``C``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    defs = [(None, node) for node in tree.body]
+    defs += [(c.name, node) for c in tree.body if isinstance(c, ast.ClassDef) for node in c.body]
+    out = []
+    for owner, node in defs:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        skip = 1 if owner and not static else 0
+        qual = f"{path.stem}.{owner + '.' if owner else ''}{node.name}"
+        called = owner if node.name == "__init__" else node.name
+        first = len(positional) - len(a.defaults)
+        for i, (arg, default) in enumerate(zip(positional[first:], a.defaults), start=first):
+            out.append((qual, called, node.lineno, i - skip, arg.arg, default))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out.append((qual, called, node.lineno, None, arg.arg, default))
+    return out
+
+
+def passes(call: ast.Call, index: int | None, name: str, default: ast.expr) -> bool:
+    """Whether ``call`` may pass the parameter a value other than its default
+    literal; an unpacked ``*args`` or ``**kwargs`` may pass anything."""
+    given = None
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) and index is not None and i <= index:
+            return True
+        if i == index:
+            given = arg
+    for kw in call.keywords:
+        if kw.arg is None:
+            return True
+        if kw.arg == name:
+            given = kw.value
+    return given is not None and ast.dump(given) != ast.dump(default)
+
+
+def unpassed_defaults(package: Path, callers: list[Path], exempt: set[str]) -> list[str]:
+    """``file:line: name(parameter)`` for each defaulted parameter of a function
+    or method of ``package`` that no call in ``callers`` passes with a value
+    other than its default literal. Calls match by name, as ``f(...)`` or
+    ``x.f(...)``; ``exempt`` lists qualified names such as ``cli.main``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        for qual, called, line, index, name, default in defaulted_parameters(path):
+            if qual in exempt or any(passes(c, index, name, default) for c in calls.get(called, [])):
+                continue
+            hits.append(f"{path.name}:{line}: {qual.split('.', 1)[1]}({name})")
+    return hits
+
+
+def test_unpassed_default_check_flags_what_it_should(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "def f(x, order=4, *, beta=1.2, eps=1e-5):\n    return x\n"
+        "def g(x, n=1, m=2):\n    return f(x, 4, beta=b, eps=1e-05)\n"
+        "def spread(*args, k=0):\n    return g(*args)\n"
+        "class C:\n"
+        "    def __init__(self, width=3):\n        self.width = width\n"
+        "    def grow(self, by=1):\n        return C().grow(1)\n"
+        "    @staticmethod\n    def make(size=2):\n        return size\n"
+        "def main(argv=None):\n    return C.make(5)\n",
+        encoding="utf-8",
+    )
+    caller = tmp_path / "run.py"
+    caller.write_text("import pkg.a\npkg.a.spread(1, k=0)\npkg.a.C().grow(2)\n", encoding="utf-8")
+    assert unpassed_defaults(package, [package / "a.py", caller], {"a.main"}) == [
+        "a.py:1: f(order)",
+        "a.py:1: f(eps)",
+        "a.py:5: spread(k)",
+        "a.py:8: C.__init__(width)",
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    callers = sorted(SRC.glob("*.py")) + [p for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
+    assert unpassed_defaults(SRC, callers, {"cli.main"}) == []
