@@ -45,7 +45,7 @@ class MhaParams:
     """One attention block: packed d x d query, key, value and output projections.
 
     Head h owns columns h*d_n .. (h+1)*d_n - 1 of the query, key and value
-    projections, with d_n = d / heads.
+    projections, with d_n = d / heads. ``model.ReportModel`` sets the shapes.
     """
 
     wq: Tensor
@@ -53,15 +53,6 @@ class MhaParams:
     wv: Tensor
     wo: Tensor  # projects the heads' outputs, concatenated in column order
     heads: int
-
-    def __post_init__(self):
-        d = self.wq.rows
-        if self.heads < 1 or d % self.heads != 0:
-            raise ValueError(f"model width {d} not divisible by head count {self.heads}")
-        for name in ("wq", "wk", "wv", "wo"):
-            shape = getattr(self, name).shape
-            if shape != (d, d):
-                raise ValueError(f"attention projection {name} must be {d}x{d}, got {shape}")
 
 
 def causal_mask(length: int, offset: int = 0) -> np.ndarray:
@@ -92,8 +83,6 @@ def attention_weights(qh: np.ndarray, kh: np.ndarray, offset: int | None = None)
     offset + i and sees key columns <= offset + i, so there must be exactly
     offset + rows keys. ``None`` lets every query see every key.
     """
-    if qh.shape[0] != kh.shape[0] or qh.shape[2] != kh.shape[2]:
-        raise ValueError(f"attention of per-head queries {qh.shape} over keys {kh.shape}")
     scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(qh.shape[2]))
     if not np.isfinite(scores).all():
         raise NonFiniteError("attention scores contain non-finite values")
@@ -186,20 +175,12 @@ def multi_head_attention(x: Tensor, y: Tensor, params: MhaParams, spans: Spans |
 
 @dataclass
 class FfnParams:
-    """Two-layer position-wise feed-forward: d -> multiplier*d -> d."""
+    """Two-layer position-wise feed-forward: d -> multiplier*d -> d, shaped by ``model.ReportModel``."""
 
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
-
-    def __post_init__(self):
-        if self.w1.cols != self.w2.rows or self.w1.rows != self.w2.cols:
-            raise ValueError(
-                f"feed-forward shapes inconsistent: {self.w1.shape} then {self.w2.shape}"
-            )
-        if self.b1.shape != (1, self.w1.cols) or self.b2.shape != (1, self.w2.cols):
-            raise ValueError("feed-forward biases must be row vectors matching their layer")
 
 
 def feed_forward(x: Tensor, params: FfnParams) -> Tensor:

@@ -151,6 +151,8 @@ def validate_config(run: RunConfig) -> None:
         raise ValueError(f"train.lr must be positive and finite, got {t.lr}")
     if not (math.isfinite(t.weight_decay) and t.weight_decay >= 0):
         raise ValueError(f"train.weight_decay must be >= 0, got {t.weight_decay}")
+    if run.paths.base_graph == "":
+        raise ValueError("paths.base_graph must be null or a nonempty path")
     if run.labels.fallback not in ("all", "findings"):
         raise ValueError(
             f"labels.fallback must be 'all' or 'findings', got {run.labels.fallback!r}"

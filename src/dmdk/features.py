@@ -63,27 +63,14 @@ def load_features(path: str | Path) -> np.ndarray:
 
 @dataclass
 class ProjectionParams:
+    """The affine projection, shaped by ``model.ReportModel``."""
+
     weight: Tensor  # d_in x d
     bias: Tensor  # 1 x d
-
-    def __post_init__(self):
-        if self.bias.shape != (1, self.weight.cols):
-            raise ValueError(
-                f"projection bias must be 1x{self.weight.cols}, got {self.bias.shape}"
-            )
 
 
 def project_features(raw: np.ndarray, params: ProjectionParams) -> Tensor:
     """Affine map raw @ W + b from the extractor width into the model width:
     the N x d visual tokens, N >= 1."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2:
-        raise ValueError(f"raw features must be 2-D, got ndim={raw.ndim}")
-    if raw.shape[0] < 1:
-        raise ValueError("a feature map needs at least one token row")
-    if raw.shape[1] != params.weight.rows:
-        raise ValueError(
-            f"feature width {raw.shape[1]} does not match projection input {params.weight.rows}"
-        )
     return add(matmul(Tensor(raw), params.weight), params.bias)
 

@@ -240,7 +240,8 @@ def normalized_adjacency(g: KnowledgeGraph) -> SparseRows:
 
 @dataclass
 class GcnParams:
-    """Node-embedding table (one row per known name plus UNK) and layer weights."""
+    """Node-embedding table (one row per known name plus UNK) and layer weights,
+    shaped by ``model.ReportModel``; ``names`` may come from a checkpoint."""
 
     names: list[str]
     embeddings: Tensor  # (len(names) + 1) x d; last row is UNK
@@ -250,15 +251,6 @@ class GcnParams:
         self._row = {name: i for i, name in enumerate(self.names)}
         if len(self._row) != len(self.names):
             raise ValueError("node embedding names must be unique")
-        if self.embeddings.rows != len(self.names) + 1:
-            raise ValueError(
-                f"embedding table needs {len(self.names) + 1} rows "
-                f"(names + UNK), got {self.embeddings.rows}"
-            )
-        d = self.embeddings.cols
-        for w in self.layers:
-            if w.shape != (d, d):
-                raise ValueError(f"GCN layer weights must be {d}x{d}, got {w.shape}")
 
     @property
     def unk_row(self) -> int:

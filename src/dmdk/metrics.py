@@ -39,14 +39,16 @@ def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
 
 
 def _check_pairs(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq], metric: str) -> None:
-    """One nonempty reference per candidate, and at least one candidate."""
+    """One nonempty reference per candidate, all tokens strings, and at least one candidate."""
     if len(candidates) != len(references):
         raise ValueError(f"{len(candidates)} candidates but {len(references)} references")
     if not candidates:
         raise ValueError(f"{metric} needs a nonempty corpus")
-    for i, ref in enumerate(references):
+    for i, (cand, ref) in enumerate(zip(candidates, references)):
         if not ref:
             raise ValueError(f"sample {i} has an empty reference")
+        if not all(isinstance(t, str) for t in (*cand, *ref)):
+            raise ValueError(f"sample {i}: tokens must be strings, one reference token list per candidate")
 
 
 def bleu(
@@ -106,6 +108,8 @@ def lcs_len(x: TokenSeq, y: TokenSeq) -> int:
 
 def rouge_l(candidate: TokenSeq, reference: TokenSeq) -> float:
     """F-measure over the longest common subsequence; 0 when nothing overlaps."""
+    if not all(isinstance(t, str) for t in (*candidate, *reference)):
+        raise ValueError("ROUGE-L tokens must be strings")
     if not candidate or not reference:
         logger.warning("ROUGE-L against an empty sequence is defined as 0")
         return 0.0

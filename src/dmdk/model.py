@@ -178,7 +178,9 @@ class DecoderParams:
 
 
 class ReportModel:
-    """All trainable tensors plus the structural spec and vocabulary."""
+    """All trainable tensors plus the structural spec and vocabulary. The one
+    place that sets parameter shapes, from the validated ``spec``, and checks
+    each checkpoint tensor against its shape on load; containers check none."""
 
     def __init__(
         self,
@@ -261,8 +263,6 @@ class ReportModel:
             arr = np.zeros((rows, cols))
         elif kind == "ones":
             arr = np.ones((rows, cols))
-        else:
-            raise ValueError(f"unknown init kind {kind!r}")
         t = Tensor(arr)
         self._params.append((name, t))
         return t
@@ -299,10 +299,6 @@ def fuse_knowledge(
 ) -> Tensor:
     """X' = MHA(X, l1*X + l2*W' + l3*M'); all inputs must be N x d. ``rows``
     splits N into records stacked in order, each attending its own rows."""
-    if not (x.shape == w_enh.shape == m_enh.shape):
-        raise ValueError(
-            f"fusion inputs must share a shape: {x.shape}, {w_enh.shape}, {m_enh.shape}"
-        )
     mix = add(add(scale(x, weights.l1), scale(w_enh, weights.l2)), scale(m_enh, weights.l3))
     return multi_head_attention(x, mix, params, spans=None if rows is None else (rows, rows))
 

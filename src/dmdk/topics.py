@@ -27,14 +27,10 @@ class LabelSource(Enum):
 
 @dataclass
 class DiseaseTopicLabels:
+    """Built by ``extract_topic_labels`` only: the tags are nonempty and unique."""
+
     tags: list[str]
     source: LabelSource
-
-    def __post_init__(self):
-        if not self.tags:
-            raise ValueError("topic labels are never empty; fallback must apply first")
-        if len(set(self.tags)) != len(self.tags):
-            raise ValueError("topic labels must be unique")
 
 
 def anatomy_pairs(entities: Sequence[Entity]) -> list[tuple[Entity, Entity]]:

@@ -217,6 +217,14 @@ def test_train_config_setting_paths_lexicon_exits_two(tmp_path, capsys):
     assert "paths.lexicon" in capsys.readouterr().err
 
 
+def test_train_config_with_an_empty_base_graph_path_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "empty-base.json"
+    cfg.write_text(json.dumps({"paths": {"base_graph": ""}}), encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--corpus", tagged_corpus(tmp_path), "--out", str(tmp_path / "m")])
+    assert code == 2
+    assert f"{cfg}: paths.base_graph must be null or a nonempty path" in capsys.readouterr().err
+
+
 def test_train_invalid_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": {"d": 10, "heads": 4}}), encoding="utf-8")
@@ -321,6 +329,22 @@ def test_generate_on_a_checkpoint_with_a_bad_base_node_name_exits_two(tmp_path, 
     assert main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "nodes[1].name must be a nonempty string" in err
+
+
+def test_generate_on_a_checkpoint_with_a_repeated_node_name_exits_two(tmp_path, capsys):
+    from dmdk.checkpoint import load_checkpoint, save_checkpoint
+
+    corpus = tagged_corpus(tmp_path, n=1)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
+    tensors, meta = load_checkpoint(ckpt)
+    names = meta["node_names"]
+    names[1] = names[0]  # as many names as GCN embedding rows, one of them twice
+    save_checkpoint(ckpt, list(tensors.items()), meta)
+    capsys.readouterr()
+    assert main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: node embedding names must be unique" in err
 
 
 @pytest.mark.parametrize("command", ["train", "tag", "build-graph", "generate"])

@@ -107,6 +107,20 @@ def test_bleu_rejects_empty_reference():
         bleu([["a"], ["b"]], [["a"], []])
 
 
+@pytest.mark.parametrize("metric", [bleu, cider_per_image])
+@pytest.mark.parametrize(
+    "candidates, references",
+    [
+        ([["a"], ["a", "b"]], [["a"], [["a", "b"], ["a"]]]),  # the old list-of-alternatives form
+        ([["a"], ["a", 2]], [["a"], ["a", "b"]]),
+        ([["a"], ["a", "b"]], [["a"], ["a", None]]),
+    ],
+)
+def test_bleu_and_cider_refuse_tokens_that_are_not_strings(metric, candidates, references):
+    with pytest.raises(ValueError, match="sample 1: tokens must be strings, one reference token list per candidate"):
+        metric(candidates, references)
+
+
 def test_bleu_matches_oracle_on_random_corpora():
     rng = np.random.default_rng(41)
     vocab = "a b c d".split()
@@ -165,6 +179,12 @@ def test_rouge_l_identity():
 def test_rouge_l_empty_sides_are_zero():
     assert rouge_l([], ["a"]) == 0.0
     assert rouge_l(["a"], []) == 0.0
+
+
+@pytest.mark.parametrize("candidate, reference", [(["a"], [["a"]]), ([["a"]], ["a"]), ([1], [1])])
+def test_rouge_l_refuses_tokens_that_are_not_strings(candidate, reference):
+    with pytest.raises(ValueError, match="ROUGE-L tokens must be strings"):
+        rouge_l(candidate, reference)
 
 
 @given(sentences, sentences)

@@ -292,3 +292,77 @@ def test_unpassed_default_check_flags_what_it_should(tmp_path):
 def test_every_defaulted_parameter_is_passed_by_some_caller():
     callers = sorted(SRC.glob("*.py")) + [p for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
     assert unpassed_defaults(SRC, callers, {"cli.main"}) == []
+
+
+# Each parameter container and the topic-label type trusts the shapes and
+# contents its one builder gives it and checks nothing itself, so it may be
+# built nowhere else: module.scope of the builder, by class name.
+BUILDERS = {
+    "MhaParams": "model.ReportModel",
+    "FfnParams": "model.ReportModel",
+    "ProjectionParams": "model.ReportModel",
+    "GcnParams": "model.ReportModel",
+    "DiseaseTopicLabels": "topics.extract_topic_labels",
+}
+
+
+def foreign_constructions(paths: list[Path], builders: dict[str, str]) -> list[str]:
+    """``file:line: Name`` for each call ``Name(...)`` or ``x.Name(...)`` of a
+    class of ``builders`` that is not inside the function or class that
+    ``builders`` names for it; a method of that class counts as inside it."""
+    hits = []
+
+    def visit(path: Path, node: ast.AST, scopes: frozenset[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scopes
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scopes | {f"{path.stem}.{child.name}"}
+            elif isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                if name in builders and builders[name] not in scopes:
+                    hits.append(f"{path.name}:{child.lineno}: {name}")
+            visit(path, child, inner)
+
+    for path in paths:
+        visit(path, ast.parse(path.read_text(encoding="utf-8"), str(path)), frozenset())
+    return hits
+
+
+def test_foreign_construction_check_flags_what_it_should(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "model.py").write_text(
+        "from .attention import MhaParams\n"
+        "class ReportModel:\n"
+        "    def _mha(self, w):\n        return MhaParams(w, w, w, w, 2)\n"
+        "    def _ffn(self, w):\n        def inner():\n            return FfnParams(w, w, w, w)\n        return inner()\n"
+        "def load(w):\n    return MhaParams(w, w, w, w, 2)\n"
+        "DEFAULT = ProjectionParams(None, None)\n",
+        encoding="utf-8",
+    )
+    (package / "topics.py").write_text(
+        "def extract_topic_labels(tags):\n    return DiseaseTopicLabels(tags, None)\n"
+        "def from_file(tags):\n    return DiseaseTopicLabels(tags, None)\n"
+        "class ReportModel:\n    def make(self, w):\n        return MhaParams(w, w, w, w, 1)\n",
+        encoding="utf-8",
+    )
+    (bench / "run.py").write_text(
+        "import pkg.graph\nimport pkg.model\nparams = pkg.graph.GcnParams([], None, [])\n"
+        "model = pkg.model.ReportModel()\n",
+        encoding="utf-8",
+    )
+    paths = [package / "model.py", package / "topics.py", bench / "run.py"]
+    assert foreign_constructions(paths, BUILDERS) == [
+        "model.py:10: MhaParams",
+        "model.py:11: ProjectionParams",
+        "topics.py:4: DiseaseTopicLabels",
+        "topics.py:7: MhaParams",
+        "run.py:3: GcnParams",
+    ]
+
+
+def test_each_container_is_built_by_its_one_builder_only():
+    paths = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    assert foreign_constructions(paths, BUILDERS) == []

@@ -74,13 +74,6 @@ def test_base_labels_must_be_nonempty():
         extract_topic_labels([], [])
 
 
-def test_labels_type_rejects_duplicates_and_empty():
-    with pytest.raises(ValueError):
-        DiseaseTopicLabels([], LabelSource.DYNAMIC)
-    with pytest.raises(ValueError):
-        DiseaseTopicLabels(["a", "a"], LabelSource.DYNAMIC)
-
-
 def test_pair_provenance_alternates():
     seq = ents(("a", A), ("b", O), ("c", A), ("d", EntityType.UNCERTAINTY))
     for anat, other in anatomy_pairs(seq):
