@@ -14,6 +14,8 @@ and ``attend`` attends queries from ``x`` over them, causally from a position
 offset if asked. Incremental decoding projects a memory once and attends over
 it at every step; ``multi_head_attention`` runs the two steps back to back.
 
+``feed_forward`` is one autograd node too, keeping no product or biased sum.
+
 A training batch packs its records' rows into one matrix, records stacked in
 order. ``Spans`` gives each record's query and key row counts: attention then
 runs per record inside the one autograd node, so no record sees another's
@@ -30,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .autograd import NonFiniteError, Tensor, add, embedding, matmul, relu
+from .autograd import NonFiniteError, Tensor, add, embedding, matmul
 
 # Query and key row counts of each record of a packed batch, records in order.
 Spans = tuple[Sequence[int], Sequence[int]]
@@ -103,7 +105,7 @@ def _span_bounds(spans: Spans | None, q_rows: int, k_rows: int) -> list[tuple[in
     if spans is None:
         return [(0, q_rows, 0, k_rows)]
     qs, ks = spans
-    if len(qs) != len(ks) or sum(qs) != q_rows or sum(ks) != k_rows or min(*qs, *ks) < 1:
+    if len(qs) != len(ks) or sum(qs) != q_rows or sum(ks) != k_rows or min([*qs, *ks], default=0) < 1:
         raise ValueError(
             f"spans {list(qs)} and {list(ks)} do not split {q_rows} query and {k_rows} key rows"
         )
@@ -184,7 +186,25 @@ class FfnParams:
 
 
 def feed_forward(x: Tensor, params: FfnParams) -> Tensor:
-    return add(matmul(relu(add(matmul(x, params.w1), params.b1)), params.w2), params.b2)
+    """relu(x @ w1 + b1) @ w2 + b2 as one node, bitwise the chain of ``matmul``,
+    ``add`` and ``relu`` it replaces, keeping only the hidden activation and its
+    relu mask. The pre-activation is checked finite: relu would hide a -inf."""
+    xv, w1, w2 = x.value, params.w1.value, params.w2.value
+    pre = xv @ w1
+    pre += params.b1.value
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("feed-forward pre-activation contains non-finite values")
+    mask = pre > 0.0
+    hidden = np.where(mask, pre, 0.0)
+    out = hidden @ w2
+    out += params.b2.value
+
+    def grad_fn(g: np.ndarray):
+        dpre = (g @ w2.T) * mask
+        dw1, db1 = xv.T @ dpre, dpre.sum(axis=0, keepdims=True)
+        return dpre @ w1.T, dw1, db1, hidden.T @ g, g.sum(axis=0, keepdims=True)
+
+    return Tensor(out, (x, params.w1, params.b1, params.w2, params.b2), grad_fn)
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
@@ -226,7 +246,7 @@ def embed_tokens(
         stop, index = start + n, slice(start, start + n)
     else:
         spans = np.asarray(spans, dtype=np.intp)
-        if spans.sum() != n or spans.min() < 1:
+        if spans.size == 0 or spans.sum() != n or spans.min() < 1:
             raise ValueError(f"spans {spans.tolist()} do not split {n} tokens")
         stop = start + int(spans.max())
         index = np.arange(n) - np.repeat(np.cumsum(spans) - spans, spans) + start

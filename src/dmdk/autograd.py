@@ -18,11 +18,19 @@ backward rule.
 ``SparseRows`` holds a constant sparse matrix as a Tensor of its nonzero
 entries; ``canonical_matmul`` multiplies it into a tensor, summing each output
 entry's products in value-sorted order.
+
+``affine`` (``x @ w + b``), ``add_layer_norm`` (layer norm of a sum) and
+``weighted_sum`` each fuse a chain of ops into one node. A node keeps its value
+while a consumer holds it as a parent, so the chain kept intermediates that no
+backward rule reads. Each fused node runs the chain's IEEE operations in the
+chain's order, with its parents in the chain's order, and equals the chain bit
+for bit (``weighted_sum``'s gradients with the one exception it gives).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -35,13 +43,14 @@ __all__ = [
     "SparseRows",
     "Tensor",
     "add",
+    "add_layer_norm",
+    "affine",
     "backward",
     "canonical_matmul",
     "cross_entropy_logits",
     "embedding",
     "finite_diff_grad",
     "grad_enabled",
-    "layer_norm",
     "leaf_gradients",
     "matmul",
     "mul",
@@ -49,8 +58,8 @@ __all__ = [
     "parameter_gradients",
     "relative_error",
     "relu",
-    "scale",
     "sum_all",
+    "weighted_sum",
 ]
 
 
@@ -239,6 +248,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(av @ bv, (a, b), grad_fn)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 1 x cols bias row ``b``: ``add(matmul(x, w), b)`` as
+    one node, bitwise, with no Tensor of the product."""
+    if x.cols != w.rows:
+        raise ValueError(f"matmul shape mismatch: {x.shape} x {w.shape}")
+    if b.shape != (1, w.cols):
+        raise ValueError(f"add shape mismatch: {(x.rows, w.cols)} + {b.shape}")
+    xv, wv = x.value, w.value
+
+    def grad_fn(g: np.ndarray):
+        return g @ wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)
+
+    out = xv @ wv
+    out += b.value
+    return Tensor(out, (x, w, b), grad_fn)
+
+
 class SparseRows(Tensor):
     """A constant ``n_rows`` x ``n_cols`` sparse matrix: a Tensor of its
     nonzero entries, one per row (so ``rows * cols`` products are formed per
@@ -365,15 +391,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(av * bv, (a, b), grad_fn)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    if not math.isfinite(c):
-        raise NonFiniteError(f"scale factor must be finite, got {c}")
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """``(c0*t0 + c1*t1) + ...`` over equal-shaped terms, left to right, as one
+    node; a repeated term gets one gradient per place. The value is the chain of
+    ``add`` over the scaled terms bit for bit, and so are the gradients unless a
+    repeated term also feeds another term and the walk first reaches it here:
+    the chain then sums that term's gradients in another order. The decoder
+    reads ``model.fuse_knowledge``'s terms before the walk reaches its mix."""
+    for t in terms[1:]:
+        if t.shape != terms[0].shape:
+            raise ValueError(f"add shape mismatch: {terms[0].shape} + {t.shape}")
+    out = terms[0].value * weights[0]
+    for t, c in zip(terms[1:], weights[1:]):
+        out += t.value * c
 
     def grad_fn(g: np.ndarray):
-        return (g * c,)
+        return tuple(g * c for c in weights)
 
-    return Tensor(a.value * c, (a,), grad_fn)
+    return Tensor(out, tuple(terms), grad_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -386,17 +421,21 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, av, 0.0), (a,), grad_fn)
 
 
-# added to each row's variance before the square root in layer_norm
+# added to each row's variance before the square root in add_layer_norm
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row standardization followed by a learned affine (gain, bias)."""
+def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row standardization of ``a + b`` followed by a learned affine (gain,
+    bias), as one node with no Tensor of the sum. The backward rule reads only
+    the standardized rows, their scales and the gain."""
+    if a.shape != b.shape:
+        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
     if gain.shape != (1, a.cols) or bias.shape != (1, a.cols):
         raise ValueError(
             f"layer_norm gain/bias must be 1x{a.cols}, got {gain.shape} and {bias.shape}"
         )
-    v = a.value
+    v = a.value + b.value
     n = v.shape[1]
     # np.add.reduce(...) / n is what ndarray.mean computes, minus its Python wrapper
     mu = np.add.reduce(v, axis=1, keepdims=True) / n
@@ -415,9 +454,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             - np.add.reduce(dxhat, axis=1, keepdims=True) / n
             - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n)
         ) * inv
-        return dx, dgain, dbias
+        return dx, dx, dgain, dbias
 
-    return Tensor(xhat * gv + bias.value, (a, gain, bias), grad_fn)
+    return Tensor(xhat * gv + bias.value, (a, b, gain, bias), grad_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -430,8 +469,14 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row lookup: stacks table rows for ``ids``; gradients scatter-add back."""
-    ids = [int(i) for i in ids]
+    """Row lookup: stacks table rows for ``ids``; gradients scatter-add back.
+
+    Each id is a Python or numpy integer; any other value raises ``ValueError``.
+    """
+    try:
+        ids = [operator.index(i) for i in ids]
+    except TypeError as e:
+        raise ValueError(f"embedding ids must be integers: {e}") from None
     n_rows = table.rows
     for i in ids:
         if not 0 <= i < n_rows:
@@ -521,10 +566,10 @@ class Adam:
         lr: float,
         weight_decay: float = 0.0,
     ):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {lr}")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -150,7 +150,7 @@ def validate_config(run: RunConfig) -> None:
     if not (math.isfinite(t.lr) and t.lr > 0):
         raise ValueError(f"train.lr must be positive and finite, got {t.lr}")
     if not (math.isfinite(t.weight_decay) and t.weight_decay >= 0):
-        raise ValueError(f"train.weight_decay must be >= 0, got {t.weight_decay}")
+        raise ValueError(f"train.weight_decay must be >= 0 and finite, got {t.weight_decay}")
     if run.paths.base_graph == "":
         raise ValueError("paths.base_graph must be null or a nonempty path")
     if run.labels.fallback not in ("all", "findings"):

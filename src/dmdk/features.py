@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor, add, matmul
+from .autograd import Tensor, affine
 from .text import decode_utf8
 
 FMAT_MAGIC = "FMAT"
@@ -72,5 +72,5 @@ class ProjectionParams:
 def project_features(raw: np.ndarray, params: ProjectionParams) -> Tensor:
     """Affine map raw @ W + b from the extractor width into the model width:
     the N x d visual tokens, N >= 1."""
-    return add(matmul(Tensor(raw), params.weight), params.bias)
+    return affine(Tensor(raw), params.weight, params.bias)
 

@@ -10,6 +10,11 @@ Every attention block (label, graph and fusion attention, and four per decoder
 layer) is one packed ``MhaParams``: d x d tensors ``<block>.wq``, ``.wk``,
 ``.wv`` and ``.wo``, with all heads attended in one autograd node.
 
+Each elementwise tail is fused into the op that produces it, so the graph keeps
+no biased product, residual sum or scaled copy: the fusion mix is one
+``weighted_sum``, each residual sublayer ends in one ``add_layer_norm``, and
+the head is one ``affine``, like the visual projection.
+
 Training and greedy decoding share ``encode_batch`` and ``decoder_forward``.
 Training runs one forward per batch: the records' visual rows, tags, graph
 nodes and tokens are each stacked in record order, and every attention block
@@ -38,17 +43,16 @@ from .autograd import (
     NonFiniteError,
     SparseRows,
     Tensor,
-    add,
+    add_layer_norm,
+    affine,
     cross_entropy_logits,
     finite_diff_grad,
     grad_enabled,
-    matmul,
-    layer_norm,
     leaf_gradients,
     no_grad,
     parameter_gradients,
     relative_error,
-    scale,
+    weighted_sum,
 )
 from .attention import (
     FfnParams,
@@ -299,13 +303,13 @@ def fuse_knowledge(
 ) -> Tensor:
     """X' = MHA(X, l1*X + l2*W' + l3*M'); all inputs must be N x d. ``rows``
     splits N into records stacked in order, each attending its own rows."""
-    mix = add(add(scale(x, weights.l1), scale(w_enh, weights.l2)), scale(m_enh, weights.l3))
+    mix = weighted_sum((x, w_enh, m_enh), (weights.l1, weights.l2, weights.l3))
     return multi_head_attention(x, mix, params, spans=None if rows is None else (rows, rows))
 
 
 def _sublayer(h: Tensor, f, norm: LayerNormParams) -> Tensor:
     """Post-norm residual sublayer: LayerNorm(h + f(h))."""
-    return layer_norm(add(h, f(h)), norm.gain, norm.bias)
+    return add_layer_norm(h, f(h), norm.gain, norm.bias)
 
 
 KV = tuple[Tensor, Tensor]  # packed (keys, values) of one attention block
@@ -410,7 +414,7 @@ def decoder_forward(
         h = _sublayer(h, lambda t: feed_forward(t, layer.ffn), norms[4])
     if cache is not None:
         cache.length += len(ids)
-    return add(matmul(h, dec.head_w), dec.head_b)
+    return affine(h, dec.head_w, dec.head_b)
 
 
 def generate_greedy(

@@ -15,7 +15,18 @@ import struct
 
 import numpy as np
 
-from dmdk.autograd import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SparseRows, Tensor
+from dmdk.autograd import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    LAYER_NORM_EPS,
+    NonFiniteError,
+    SparseRows,
+    Tensor,
+    add,
+    matmul,
+    relu,
+)
 from dmdk.graph import GraphNode, KnowledgeGraph, NodeKind
 from dmdk.text import EntityType
 
@@ -354,6 +365,61 @@ def oracle_backward(output):
             else:
                 grads[key] = pg
     return {by_id[k]: g for k, g in grads.items() if not by_id[k]._parents}
+
+
+# ---------------------------------------------------------------------------
+# the op chains that autograd's fused ops replace, op by op
+
+
+def oracle_scale(a, c):
+    """``c * a`` as its own node: the op ``weighted_sum`` folds in."""
+    c = float(c)
+    if not math.isfinite(c):
+        raise NonFiniteError(f"scale factor must be finite, got {c}")
+    return Tensor(a.value * c, (a,), lambda g: (g * c,))
+
+
+def oracle_layer_norm_node(a, gain, bias):
+    """Per-row standardization and a learned affine of ``a`` as its own node:
+    the op ``add_layer_norm`` applies to a sum it never makes a Tensor."""
+    v = a.value
+    n = v.shape[1]
+    mu = np.add.reduce(v, axis=1, keepdims=True) / n
+    centred = v - mu
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centred * inv
+    gv = gain.value
+
+    def grad_fn(g):
+        dxhat = g * gv
+        dx = (
+            dxhat
+            - np.add.reduce(dxhat, axis=1, keepdims=True) / n
+            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n)
+        ) * inv
+        return dx, np.add.reduce(g * xhat, axis=0, keepdims=True), np.add.reduce(g, axis=0, keepdims=True)
+
+    return Tensor(xhat * gv + bias.value, (a, gain, bias), grad_fn)
+
+
+def oracle_affine(x, w, b):
+    return add(matmul(x, w), b)
+
+
+def oracle_feed_forward(x, params):
+    return add(matmul(relu(add(matmul(x, params.w1), params.b1)), params.w2), params.b2)
+
+
+def oracle_add_layer_norm(a, b, gain, bias):
+    return oracle_layer_norm_node(add(a, b), gain, bias)
+
+
+def oracle_weighted_sum(terms, weights):
+    out = oracle_scale(terms[0], weights[0])
+    for t, c in zip(terms[1:], weights[1:]):
+        out = add(out, oracle_scale(t, c))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,18 @@ def test_spans_must_split_the_rows():
             heads_attention(q, q, q, 2, None, spans)
 
 
+def test_empty_spans_are_refused_by_name():
+    empty = Tensor(np.zeros((0, 4)))
+    with pytest.raises(ValueError, match=r"spans \[\] and \[\] do not split 0 query and 0 key rows"):
+        heads_attention(empty, empty, empty, 2, None, ([], []))
+
+
+def test_embed_tokens_refuses_empty_spans_by_name():
+    table = Tensor(RNG.normal(size=(5, 4)))
+    with pytest.raises(ValueError, match=r"spans \[\] do not split 0 tokens"):
+        embed_tokens([], table, 0, [])
+
+
 def test_embed_tokens_restarts_positions_for_each_span():
     table = Tensor(np.random.default_rng(6).normal(size=(7, 4)))
     ids = [1, 4, 4, 6, 2, 5]

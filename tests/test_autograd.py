@@ -12,12 +12,12 @@ from dmdk.autograd import (
     SparseRows,
     Tensor,
     add,
+    add_layer_norm,
     backward,
     canonical_matmul,
     cross_entropy_logits,
     embedding,
     finite_diff_grad,
-    layer_norm,
     leaf_gradients,
     matmul,
     mul,
@@ -25,8 +25,8 @@ from dmdk.autograd import (
     parameter_gradients,
     relative_error,
     relu,
-    scale,
     sum_all,
+    weighted_sum,
 )
 
 from oracles import from_dense, oracle_adam_step, oracle_layer_norm
@@ -148,12 +148,12 @@ def test_relu_values_and_idempotence():
 def test_layer_norm_closed_forms():
     gain = Tensor(np.ones((1, 2)))
     bias = Tensor(np.zeros((1, 2)))
-    const = layer_norm(Tensor([[5.0, 5.0]]), gain, bias).value
+    const = add_layer_norm(Tensor([[2.0, 3.0]]), Tensor([[3.0, 2.0]]), gain, bias).value
     assert np.allclose(const, 0.0, atol=1e-9)
-    sym = layer_norm(Tensor([[1.0, -1.0]]), gain, bias).value
+    sym = add_layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.zeros((1, 2))), gain, bias).value
     assert np.allclose(sym, np.array([[1.0, -1.0]]) / math.sqrt(1.0 + autograd.LAYER_NORM_EPS), atol=1e-12)
-    only_bias = layer_norm(
-        Tensor(RNG.normal(size=(2, 2))), Tensor(np.zeros((1, 2))), Tensor([[7.0, -2.0]])
+    only_bias = add_layer_norm(
+        Tensor(RNG.normal(size=(2, 2))), Tensor(RNG.normal(size=(2, 2))), Tensor(np.zeros((1, 2))), Tensor([[7.0, -2.0]])
     ).value
     assert np.allclose(only_bias, [[7.0, -2.0], [7.0, -2.0]], atol=1e-12)
 
@@ -161,13 +161,13 @@ def test_layer_norm_closed_forms():
 @pytest.mark.parametrize("d", [8, 512])
 def test_layer_norm_matches_the_oracle(d):
     rng = np.random.default_rng(d)
-    x = rng.normal(1.0, 3.0, size=(6, d))
-    x[2] = 0.75  # a constant row: every entry standardizes to 0
+    h, y = rng.normal(0.5, 2.0, size=(6, d)), rng.normal(0.5, 2.0, size=(6, d))
+    h[2], y[2] = 0.5, 0.25  # a constant row: every entry standardizes to 0
     # |gain * xhat| stays below the bias, so no output entry is a near-cancellation
     gain = rng.uniform(0.5, 1.5, size=(1, d)) * rng.choice([-1.0, 1.0], size=(1, d))
     bias = rng.uniform(8.0, 12.0, size=(1, d))
-    got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).value
-    want = oracle_layer_norm(x, gain, bias, autograd.LAYER_NORM_EPS)
+    got = add_layer_norm(Tensor(h), Tensor(y), Tensor(gain), Tensor(bias)).value
+    want = oracle_layer_norm(h + y, gain, bias, autograd.LAYER_NORM_EPS)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.array_equal(got[2], bias[0])
 
@@ -180,6 +180,15 @@ def test_embedding_gathers_rows_and_validates():
         embedding(table, [5])
     with pytest.raises(ValueError):
         embedding(table, [-1])
+
+
+def test_embedding_takes_python_and_numpy_integers_and_refuses_other_ids():
+    table = Tensor(RNG.normal(size=(5, 3)))
+    for ids in ([np.int64(4), 0, np.int32(2)], np.array([4, 0, 2]), np.array([4, 0, 2], dtype=np.uint8)):
+        assert np.array_equal(embedding(table, ids).value, table.value[[4, 0, 2]])
+    for bad in (1.7, 1.0, np.float64(2.0), "1", None):
+        with pytest.raises(ValueError, match="embedding ids must be integers: .* cannot be interpreted as an integer"):
+            embedding(table, [0, bad])
 
 
 def test_cross_entropy_uniform_logits_is_log_vocab():
@@ -277,7 +286,8 @@ def test_elementwise_op_gradients_match_fd():
     x = Tensor(RNG.normal(size=(3, 3)) + 0.3)  # offset keeps relu off its kink
     y = Tensor(RNG.normal(size=(3, 3)))
     fd_check(lambda: sum_all(mul(relu(x), y)), [x, y])
-    fd_check(lambda: sum_all(mul(scale(x, -1.7), y)), [x, y])
+    fd_check(lambda: sum_all(mul(weighted_sum([x], [-1.7]), y)), [x, y])
+    fd_check(lambda: sum_all(mul(weighted_sum([x, y, x], [0.2, -1.7, 0.5]), y)), [x, y])
 
 
 def test_broadcast_add_gradients_match_fd():
@@ -290,12 +300,13 @@ def test_softmax_and_layer_norm_gradients_match_fd():
     x = Tensor(RNG.normal(size=(3, 4)))
     gain = Tensor(np.ones((1, 4)) + 0.1 * RNG.normal(size=(1, 4)))
     bias = Tensor(0.1 * RNG.normal(size=(1, 4)))
+    r = Tensor(RNG.normal(size=(3, 4)))
     y = Tensor(RNG.normal(size=(3, 4)))
 
     def build():  # cross_entropy_logits takes the softmax of its logits
-        return cross_entropy_logits(mul(layer_norm(x, gain, bias), y), [0, 3, 1])
+        return cross_entropy_logits(mul(add_layer_norm(x, r, gain, bias), y), [0, 3, 1])
 
-    fd_check(build, [x, gain, bias])
+    fd_check(build, [x, r, gain, bias])
 
 
 def test_reduction_gradients_match_fd():
@@ -304,7 +315,7 @@ def test_reduction_gradients_match_fd():
 
     def build():
         shifted = add(a, c)
-        return add(sum_all(mul(a, a)), sum_all(mul(scale(shifted, 0.5), shifted)))
+        return add(sum_all(mul(a, a)), sum_all(mul(weighted_sum([shifted], [0.5]), shifted)))
 
     fd_check(build, [a, c])
 
@@ -418,6 +429,20 @@ def test_adam_steps_a_parameter_with_no_gradient_from_a_chunk_of_zeros():
     assert peak < p.value.nbytes // 8, peak
 
 
+@pytest.mark.parametrize(
+    "lr,weight_decay,message",
+    [
+        (float("nan"), 0.0, "lr must be positive and finite, got nan"),
+        (float("inf"), 0.0, "lr must be positive and finite, got inf"),
+        (0.1, float("nan"), "weight_decay must be >= 0 and finite, got nan"),
+        (0.1, float("inf"), "weight_decay must be >= 0 and finite, got inf"),
+    ],
+)
+def test_adam_refuses_a_rate_or_decay_that_is_not_finite(lr, weight_decay, message):
+    with pytest.raises(ValueError, match=message):
+        Adam([("p", Tensor([[1.0]]))], lr=lr, weight_decay=weight_decay)
+
+
 def test_adam_refuses_a_duplicate_parameter_name():
     a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((3, 1)))
     with pytest.raises(ValueError, match="duplicate parameter name 'w'"):
@@ -502,7 +527,7 @@ def test_relative_error_uses_floor_near_zero():
 
 
 def _small_graph(a, b):
-    return cross_entropy_logits(add(matmul(a, b), scale(a, 0.5)), [0, 2, 1])
+    return cross_entropy_logits(weighted_sum([matmul(a, b), a], [1.0, 0.5]), [0, 2, 1])
 
 
 def test_no_grad_values_are_bitwise_equal():
