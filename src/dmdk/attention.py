@@ -1,38 +1,48 @@
-"""Multi-head attention, feed-forward, embeddings.
+"""Multi-head attention, the decoder's residual sublayers, embeddings.
 
 Shapes follow one convention throughout: a sequence is rows, the model width
-``d`` is columns. ``multi_head_attention(x, y, ...)`` reads queries from ``x``
-and keys/values from ``y``, so the output always has ``x.rows`` rows.
+``d`` is columns. Queries come from one matrix and keys/values from another,
+so an attention output always has the query matrix's rows.
 
 Each attention block is packed: one d x d ``wq``, ``wk``, ``wv`` and ``wo``.
 Head h owns columns h*d_n .. (h+1)*d_n - 1 of the projected queries, keys and
-values, and ``heads_attention`` attends every head in one autograd node whose
-output holds the heads in that column order, ready for ``wo``.
+values, and ``heads_attention`` attends every head at once, its output holding
+the heads in that column order, ready for ``wo``.
 
-Attention is two steps: ``project_kv`` projects the keys and values of ``y``,
-and ``attend`` attends queries from ``x`` over them, causally from a position
-offset if asked. Incremental decoding projects a memory once and attends over
-it at every step; ``multi_head_attention`` runs the two steps back to back.
+``heads_attention`` and ``layer_norm`` work on arrays: each returns its value
+and the backward rule that maps an output gradient to its inputs' gradients.
+The autograd nodes are built from them, so the attention and the layer norm
+math each exist once:
 
-``feed_forward`` is one autograd node too, keeping no product or biased sum.
+- ``multi_head_attention`` (the encoder's blocks) is one node from the queries'
+  rows through ``wq``, the heads and ``wo``;
+- ``residual_attention`` is one decoder sublayer, LayerNorm(h + attention(h)),
+  causal from a position offset if asked;
+- ``feed_forward`` is the decoder's other sublayer, LayerNorm(h + FFN(h)).
+
+Keys and values are projected outside the nodes by ``project_kv``, so
+incremental decoding projects a memory once and attends over it at every
+step, and training and decoding share one forward. Each node runs the IEEE
+operations of the chain of single ops it replaces, in that chain's order,
+and keeps no chain intermediate that no backward rule reads.
 
 A training batch packs its records' rows into one matrix, records stacked in
 order. ``Spans`` gives each record's query and key row counts: attention then
-runs per record inside the one autograd node, so no record sees another's
-rows and no batch-sized mask is ever built. ``embed_tokens`` restarts the
-positions for each span in the same way.
+runs per record inside the one node, so no record sees another's rows and no
+batch-sized mask is ever built. ``embed_tokens`` restarts the positions for
+each span in the same way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from collections.abc import Sequence
 from itertools import accumulate
 
 import numpy as np
 
-from .autograd import NonFiniteError, Tensor, add, embedding, matmul
+from .autograd import NonFiniteError, Tensor, embedding, matmul
 
 # Query and key row counts of each record of a packed batch, records in order.
 Spans = tuple[Sequence[int], Sequence[int]]
@@ -40,6 +50,9 @@ Spans = tuple[Sequence[int], Sequence[int]]
 # Finite stand-in for -inf: keeps every tensor finite while exp() underflows
 # masked scores to exactly 0 after max subtraction.
 MASKED_SCORE = -1e9
+
+# added to each row's variance before the square root in layer_norm
+LAYER_NORM_EPS = 1e-5
 
 
 @dataclass
@@ -55,6 +68,14 @@ class MhaParams:
     wv: Tensor
     wo: Tensor  # projects the heads' outputs, concatenated in column order
     heads: int
+
+
+@dataclass
+class LayerNormParams:
+    """The learned 1 x d gain and bias that close a residual sublayer."""
+
+    gain: Tensor
+    bias: Tensor
 
 
 def causal_mask(length: int, offset: int = 0) -> np.ndarray:
@@ -118,30 +139,31 @@ def _join_records(parts: Sequence[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
+Backward = Callable[[np.ndarray], tuple]  # output gradient -> the inputs' gradients
+
+
 def heads_attention(
-    q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int | None = None, spans: Spans | None = None
-) -> Tensor:
-    """Every head's softmax(q_h k_h^T / sqrt(d_n)) v_h as one autograd node.
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, offset: int | None, spans: Spans | None
+) -> tuple[np.ndarray, Backward]:
+    """Every head's softmax(q_h k_h^T / sqrt(d_n)) v_h over packed arrays, and
+    its backward rule, which maps the output's gradient to (dq, dk, dv).
 
     ``q``, ``k`` and ``v`` are packed (head h in columns h*d_n .. (h+1)*d_n - 1);
     the output holds the heads' results in the same column order. ``offset``
     is as in ``attention_weights``. With ``spans`` the rows are records stacked
     in order: each record's queries attend its own keys only, causally from
-    ``offset`` within the record when one is given.
+    ``offset`` within the record when one is given. The scores are checked
+    finite, so a non-finite query is refused here whenever there is a key.
     """
-    if v.shape != k.shape:
-        raise ValueError(f"keys {k.shape} and values {v.shape} must share a shape")
-    if q.cols != k.cols or q.cols % heads != 0:
-        raise ValueError(f"{heads}-head attention of {q.shape} queries over {k.shape} keys")
-    bounds = _span_bounds(spans, q.rows, k.rows)
-    qh, kh, vh = _split_heads(q.value, heads), _split_heads(k.value, heads), _split_heads(v.value, heads)
-    c = 1.0 / math.sqrt(q.cols // heads)
+    bounds = _span_bounds(spans, q.shape[0], k.shape[0])
+    qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
+    c = 1.0 / math.sqrt(qh.shape[2])
     weights, out = [], []
     for qa, qb, ka, kb in bounds:
         weights.append(attention_weights(qh[:, qa:qb], kh[:, ka:kb], offset))
         out.append(weights[-1] @ vh[:, ka:kb])
 
-    def grad_fn(g: np.ndarray):
+    def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         gh = _split_heads(g, heads)
         parts = []  # (dq, dk, dv) of each record; the records tile the rows in order
         for w, (qa, qb, ka, kb) in zip(weights, bounds):
@@ -151,7 +173,34 @@ def heads_attention(
             parts.append((ds @ k_r, ds.transpose(0, 2, 1) @ qh[:, qa:qb], w.transpose(0, 2, 1) @ g_r))
         return tuple(_merge_heads(_join_records(d)) for d in zip(*parts))
 
-    return Tensor(_merge_heads(_join_records(out)), (q, k, v), grad_fn)
+    return _merge_heads(_join_records(out)), backward
+
+
+def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, Backward]:
+    """Per-row standardization of ``v`` followed by the learned 1 x cols
+    ``gain`` and ``bias``, and its backward rule, which maps the output's
+    gradient to (dv, dgain, dbias). The rule reads only the standardized rows,
+    their scales and the gain."""
+    n = v.shape[1]
+    # np.add.reduce(...) / n is what ndarray.mean computes, minus its Python wrapper
+    mu = np.add.reduce(v, axis=1, keepdims=True) / n
+    centred = v - mu
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centred * inv
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        dgain = np.add.reduce(g * xhat, axis=0, keepdims=True)
+        dbias = np.add.reduce(g, axis=0, keepdims=True)
+        dxhat = g * gain
+        dv = (
+            dxhat
+            - np.add.reduce(dxhat, axis=1, keepdims=True) / n
+            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n)
+        ) * inv
+        return dv, dgain, dbias
+
+    return xhat * gain + bias, backward
 
 
 def project_kv(y: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
@@ -159,20 +208,55 @@ def project_kv(y: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
     return matmul(y, params.wk), matmul(y, params.wv)
 
 
-def attend(
-    x: Tensor, k: Tensor, v: Tensor, params: MhaParams, offset: int | None = None, spans: Spans | None = None
-) -> Tensor:
-    """Multi-head attention of queries projected from ``x`` over packed keys
-    and values from ``project_kv``; ``offset`` and ``spans`` are as in
-    ``heads_attention``."""
-    q = matmul(x, params.wq)
-    return matmul(heads_attention(q, k, v, params.heads, offset, spans), params.wo)
+def _attend(
+    x: Tensor, k: Tensor, v: Tensor, params: MhaParams, offset: int | None, spans: Spans | None
+) -> tuple[np.ndarray, Backward]:
+    """(x @ wq attended over ``k`` and ``v``) @ wo, and its backward rule, which
+    maps the output's gradient to x's query-path gradient, then dwq, dk, dv and
+    dwo. Keeps the queries, the attention weights and the heads' output."""
+    xv, wq, wo = x.value, params.wq.value, params.wo.value
+    heads, heads_backward = heads_attention(xv @ wq, k.value, v.value, params.heads, offset, spans)
+
+    def backward(g: np.ndarray) -> tuple:
+        dq, dk, dv = heads_backward(g @ wo.T)
+        return dq @ wq.T, xv.T @ dq, dk, dv, heads.T @ g
+
+    return heads @ wo, backward
 
 
 def multi_head_attention(x: Tensor, y: Tensor, params: MhaParams, spans: Spans | None = None) -> Tensor:
     """Queries from ``x``, keys and values from ``y``, every query seeing every
-    key (of its own record, with ``spans``)."""
-    return attend(x, *project_kv(y, params), params, None, spans)
+    key (of its own record, with ``spans``): one node from ``x`` through ``wq``,
+    the heads and ``wo``, over the key and value projections of ``y``."""
+    k, v = project_kv(y, params)
+    out, backward = _attend(x, k, v, params, None, spans)
+    return Tensor(out, (x, params.wq, k, v, params.wo), backward)
+
+
+def residual_attention(
+    h: Tensor,
+    k: Tensor,
+    v: Tensor,
+    params: MhaParams,
+    norm: LayerNormParams,
+    offset: int | None = None,
+    spans: Spans | None = None,
+) -> Tensor:
+    """One post-norm attention sublayer, LayerNorm(h + attention), as one node:
+    queries from ``h`` over packed keys and values from ``project_kv``, with
+    ``offset`` and ``spans`` as in ``heads_attention``. Only its output is
+    checked finite: a non-finite heads' output or ``wo`` product makes the
+    whole row of the sum non-finite, and with it the output."""
+    out, attend_backward = _attend(h, k, v, params, offset, spans)
+    out += h.value
+    out, norm_backward = layer_norm(out, norm.gain.value, norm.bias.value)
+
+    def backward(g: np.ndarray) -> tuple:
+        ds, dgain, dbias = norm_backward(g)
+        dx, dwq, dk, dv, dwo = attend_backward(ds)
+        return ds + dx, dwq, dk, dv, dwo, dgain, dbias
+
+    return Tensor(out, (h, params.wq, k, v, params.wo, norm.gain, norm.bias), backward)
 
 
 @dataclass
@@ -185,12 +269,13 @@ class FfnParams:
     b2: Tensor
 
 
-def feed_forward(x: Tensor, params: FfnParams) -> Tensor:
-    """relu(x @ w1 + b1) @ w2 + b2 as one node, bitwise the chain of ``matmul``,
-    ``add`` and ``relu`` it replaces, keeping only the hidden activation and its
-    relu mask. The pre-activation is checked finite: relu would hide a -inf."""
-    xv, w1, w2 = x.value, params.w1.value, params.w2.value
-    pre = xv @ w1
+def feed_forward(h: Tensor, params: FfnParams, norm: LayerNormParams) -> Tensor:
+    """The post-norm feed-forward sublayer, LayerNorm(h + relu(h @ w1 + b1) @ w2
+    + b2), as one node keeping only the hidden activation, its relu mask and the
+    layer norm's rows. The pre-activation is checked finite, because relu would
+    hide a -inf; the feed-forward's output reaches the checked output."""
+    hv, w1, w2 = h.value, params.w1.value, params.w2.value
+    pre = hv @ w1
     pre += params.b1.value
     if not np.isfinite(pre).all():
         raise NonFiniteError("feed-forward pre-activation contains non-finite values")
@@ -198,13 +283,16 @@ def feed_forward(x: Tensor, params: FfnParams) -> Tensor:
     hidden = np.where(mask, pre, 0.0)
     out = hidden @ w2
     out += params.b2.value
+    out += hv
+    out, norm_backward = layer_norm(out, norm.gain.value, norm.bias.value)
 
-    def grad_fn(g: np.ndarray):
-        dpre = (g @ w2.T) * mask
-        dw1, db1 = xv.T @ dpre, dpre.sum(axis=0, keepdims=True)
-        return dpre @ w1.T, dw1, db1, hidden.T @ g, g.sum(axis=0, keepdims=True)
+    def backward(g: np.ndarray) -> tuple:
+        ds, dgain, dbias = norm_backward(g)
+        dpre = (ds @ w2.T) * mask
+        dw1, db1 = hv.T @ dpre, dpre.sum(axis=0, keepdims=True)
+        return ds + dpre @ w1.T, dw1, db1, hidden.T @ ds, ds.sum(axis=0, keepdims=True), dgain, dbias
 
-    return Tensor(out, (x, params.w1, params.b1, params.w2, params.b2), grad_fn)
+    return Tensor(out, (h, params.w1, params.b1, params.w2, params.b2, norm.gain, norm.bias), backward)
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
@@ -237,11 +325,9 @@ def embed_tokens(
     """len(ids) x d matrix of the ids' rows of the token ``table`` + the
     sinusoidal encoding of positions start, start + 1, ...; with ``spans``
     (row counts summing to len(ids)) the positions restart at ``start`` for
-    each span. Empty ``ids`` without ``spans`` give a 0 x d matrix."""
-    tok = embedding(table, ids)
-    n = tok.rows
-    if start < 0:
-        raise ValueError(f"start position must be >= 0, got {start}")
+    each span. Empty ``ids`` without ``spans`` give a 0 x d matrix. One
+    ``embedding`` node, which adds the positional rows to the rows it gathers."""
+    n = len(ids)
     if spans is None:
         stop, index = start + n, slice(start, start + n)
     else:
@@ -250,4 +336,4 @@ def embed_tokens(
             raise ValueError(f"spans {spans.tolist()} do not split {n} tokens")
         stop = start + int(spans.max())
         index = np.arange(n) - np.repeat(np.cumsum(spans) - spans, spans) + start
-    return add(tok, Tensor(sinusoidal_rows(0, stop, table.cols)[index]))
+    return embedding(table, ids, sinusoidal_rows(0, stop, table.cols)[index])

@@ -19,12 +19,14 @@ backward rule.
 entries; ``canonical_matmul`` multiplies it into a tensor, summing each output
 entry's products in value-sorted order.
 
-``affine`` (``x @ w + b``), ``add_layer_norm`` (layer norm of a sum) and
-``weighted_sum`` each fuse a chain of ops into one node. A node keeps its value
-while a consumer holds it as a parent, so the chain kept intermediates that no
-backward rule reads. Each fused node runs the chain's IEEE operations in the
-chain's order, with its parents in the chain's order, and equals the chain bit
-for bit (``weighted_sum``'s gradients with the one exception it gives).
+``affine`` (``x @ w + b``) and ``weighted_sum`` each fuse a chain of ops into
+one node, as ``attention`` does for whole decoder sublayers. A node keeps its
+value while a consumer holds it as a parent, so the chain kept intermediates
+that no backward rule reads. Each fused node runs the chain's IEEE operations
+in the chain's order, with its parents in the chain's order, and equals the
+chain bit for bit (``weighted_sum``'s gradients with the one exception it
+gives). ``embedding`` adds a constant matrix to the rows it gathers, which is
+how token and positional rows become one node.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "NonFiniteError",
     "SparseRows",
     "Tensor",
-    "add",
-    "add_layer_norm",
     "affine",
     "backward",
     "canonical_matmul",
@@ -53,7 +53,6 @@ __all__ = [
     "grad_enabled",
     "leaf_gradients",
     "matmul",
-    "mul",
     "no_grad",
     "parameter_gradients",
     "relative_error",
@@ -249,8 +248,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 1 x cols bias row ``b``: ``add(matmul(x, w), b)`` as
-    one node, bitwise, with no Tensor of the product."""
+    """``x @ w + b`` for a 1 x cols bias row ``b``: a ``matmul`` and a broadcast
+    add as one node, bitwise, with no Tensor of the product."""
     if x.cols != w.rows:
         raise ValueError(f"matmul shape mismatch: {x.shape} x {w.shape}")
     if b.shape != (1, w.cols):
@@ -367,34 +366,10 @@ def canonical_matmul(a: SparseRows, h: Tensor) -> Tensor:
     return Tensor(_sparse_product(a.groups, a.n_rows, h.value, sort=True), (h,), grad_fn)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may be a 1 x cols row vector broadcast over rows."""
-    if a.shape == b.shape:
-        def grad_fn(g: np.ndarray):
-            return g, g
-    elif b.shape == (1, a.cols):
-        def grad_fn(g: np.ndarray):
-            return g, g.sum(axis=0, keepdims=True)
-    else:
-        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-    return Tensor(a.value + b.value, (a, b), grad_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    av, bv = a.value, b.value
-
-    def grad_fn(g: np.ndarray):
-        return g * bv, g * av
-
-    return Tensor(av * bv, (a, b), grad_fn)
-
-
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     """``(c0*t0 + c1*t1) + ...`` over equal-shaped terms, left to right, as one
     node; a repeated term gets one gradient per place. The value is the chain of
-    ``add`` over the scaled terms bit for bit, and so are the gradients unless a
+    adds over the scaled terms bit for bit, and so are the gradients unless a
     repeated term also feeds another term and the walk first reaches it here:
     the chain then sums that term's gradients in another order. The decoder
     reads ``model.fuse_knowledge``'s terms before the walk reaches its mix."""
@@ -421,44 +396,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, av, 0.0), (a,), grad_fn)
 
 
-# added to each row's variance before the square root in add_layer_norm
-LAYER_NORM_EPS = 1e-5
-
-
-def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row standardization of ``a + b`` followed by a learned affine (gain,
-    bias), as one node with no Tensor of the sum. The backward rule reads only
-    the standardized rows, their scales and the gain."""
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-    if gain.shape != (1, a.cols) or bias.shape != (1, a.cols):
-        raise ValueError(
-            f"layer_norm gain/bias must be 1x{a.cols}, got {gain.shape} and {bias.shape}"
-        )
-    v = a.value + b.value
-    n = v.shape[1]
-    # np.add.reduce(...) / n is what ndarray.mean computes, minus its Python wrapper
-    mu = np.add.reduce(v, axis=1, keepdims=True) / n
-    centred = v - mu
-    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centred * inv
-    gv = gain.value
-
-    def grad_fn(g: np.ndarray):
-        dgain = np.add.reduce(g * xhat, axis=0, keepdims=True)
-        dbias = np.add.reduce(g, axis=0, keepdims=True)
-        dxhat = g * gv
-        dx = (
-            dxhat
-            - np.add.reduce(dxhat, axis=1, keepdims=True) / n
-            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n)
-        ) * inv
-        return dx, dx, dgain, dbias
-
-    return Tensor(xhat * gv + bias.value, (a, b, gain, bias), grad_fn)
-
-
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
 
@@ -468,10 +405,11 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor([[a.value.sum()]], (a,), grad_fn)
 
 
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
+def embedding(table: Tensor, ids: Sequence[int], plus: np.ndarray | None = None) -> Tensor:
     """Row lookup: stacks table rows for ``ids``; gradients scatter-add back.
 
     Each id is a Python or numpy integer; any other value raises ``ValueError``.
+    A constant len(ids) x cols matrix ``plus`` is added to the gathered rows.
     """
     try:
         ids = [operator.index(i) for i in ids]
@@ -482,6 +420,8 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         if not 0 <= i < n_rows:
             raise ValueError(f"embedding index {i} out of range [0, {n_rows})")
     out = table.value[ids]
+    if plus is not None:
+        out += plus
 
     def grad_fn(g: np.ndarray):
         gt = np.zeros((n_rows, table.cols))

@@ -23,7 +23,8 @@ def load_features(path: str | Path) -> np.ndarray:
     """Read an FMAT v1 file: header `FMAT v1 <rows> <cols>`, then the rows.
 
     Every row is split and its value count checked against the header before
-    the matrix is allocated, so a header alone cannot size it.
+    the matrix is allocated, so a header alone cannot size it. Values are
+    ASCII decimal numbers as Python's float() reads them, without underscores.
     """
     path = Path(path)
     header, _, body = decode_utf8(path.read_bytes(), str(path)).partition("\n")
@@ -45,17 +46,23 @@ def load_features(path: str | Path) -> np.ndarray:
                 f"{path}: row {r + 1} has {len(cells)} values, expected {cols}"
             )
     try:
+        if not body.isascii() or "_" in body:  # float() reads 1_0 and non-ASCII digits
+            raise ValueError
         out = np.array(lines, dtype=np.float64)  # parses each cell with Python's float()
     except ValueError:
         for r, cells in enumerate(lines):  # find the cell to name
             for c, cell in enumerate(cells):
                 try:
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError
                     float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: non-numeric value {cell!r} at row {r + 1}, column {c + 1}"
                     ) from None
-        raise
+        # no cell holds it, so a non-ASCII character separates two values
+        line = next(i for i, text in enumerate(body.split("\n"), start=2) if not text.isascii())
+        raise ValueError(f"{path}: line {line} separates values by a non-ASCII character") from None
     if not np.isfinite(out).all():
         raise ValueError(f"{path}: feature values must be finite")
     return out

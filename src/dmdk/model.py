@@ -8,12 +8,15 @@ the disabled knowledge branches, leaving parameter shapes untouched.
 
 Every attention block (label, graph and fusion attention, and four per decoder
 layer) is one packed ``MhaParams``: d x d tensors ``<block>.wq``, ``.wk``,
-``.wv`` and ``.wo``, with all heads attended in one autograd node.
+``.wv`` and ``.wo``. An encoder block is one autograd node from its queries
+through ``wo``, over keys and values projected outside it.
 
-Each elementwise tail is fused into the op that produces it, so the graph keeps
-no biased product, residual sum or scaled copy: the fusion mix is one
-``weighted_sum``, each residual sublayer ends in one ``add_layer_norm``, and
-the head is one ``affine``, like the visual projection.
+Each decoder layer is five post-norm residual sublayers, each one autograd
+node: ``attention.residual_attention`` four times (self, then X', W', M') and
+``attention.feed_forward``. The token and positional rows are one node, the
+fusion mix is one ``weighted_sum``, and the head is one ``affine``, like the
+visual projection. So the graph keeps no ``wo`` product, biased product,
+residual sum or scaled copy that no backward rule reads.
 
 Training and greedy decoding share ``encode_batch`` and ``decoder_forward``.
 Training runs one forward per batch: the records' visual rows, tags, graph
@@ -43,7 +46,6 @@ from .autograd import (
     NonFiniteError,
     SparseRows,
     Tensor,
-    add_layer_norm,
     affine,
     cross_entropy_logits,
     finite_diff_grad,
@@ -56,13 +58,14 @@ from .autograd import (
 )
 from .attention import (
     FfnParams,
+    LayerNormParams,
     MhaParams,
     Spans,
-    attend,
     embed_tokens,
     feed_forward,
     multi_head_attention,
     project_kv,
+    residual_attention,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .features import ProjectionParams, load_features, project_features
@@ -156,12 +159,6 @@ class ModelSpec:
         args["fusion"] = FusionWeights(*obj["fusion"])
         args["ablation"] = AblationMode(obj["ablation"])
         return cls(**args)
-
-
-@dataclass
-class LayerNormParams:
-    gain: Tensor
-    bias: Tensor
 
 
 @dataclass
@@ -307,11 +304,6 @@ def fuse_knowledge(
     return multi_head_attention(x, mix, params, spans=None if rows is None else (rows, rows))
 
 
-def _sublayer(h: Tensor, f, norm: LayerNormParams) -> Tensor:
-    """Post-norm residual sublayer: LayerNorm(h + f(h))."""
-    return add_layer_norm(h, f(h), norm.gain, norm.bias)
-
-
 KV = tuple[Tensor, Tensor]  # packed (keys, values) of one attention block
 
 
@@ -404,14 +396,12 @@ def decoder_forward(
             cache.cross[i] if cache is not None else _cross_kv(layer, x_fused, w_enh, m_enh)
         )
         norms = layer.norms
-        self_attn = layer.self_attn
-        h = _sublayer(
-            h, lambda t: attend(t, *_self_kv(t, i, self_attn, cache), self_attn, start, self_spans), norms[0]
-        )
-        h = _sublayer(h, lambda t: attend(t, *fused, layer.cross_fused, spans=spans), norms[1])
-        h = _sublayer(h, lambda t: attend(t, *labels, layer.cross_labels, spans=spans), norms[2])
-        h = _sublayer(h, lambda t: attend(t, *graph, layer.cross_graph, spans=spans), norms[3])
-        h = _sublayer(h, lambda t: feed_forward(t, layer.ffn), norms[4])
+        self_kv = _self_kv(h, i, layer.self_attn, cache)
+        h = residual_attention(h, *self_kv, layer.self_attn, norms[0], start, self_spans)
+        h = residual_attention(h, *fused, layer.cross_fused, norms[1], spans=spans)
+        h = residual_attention(h, *labels, layer.cross_labels, norms[2], spans=spans)
+        h = residual_attention(h, *graph, layer.cross_graph, norms[3], spans=spans)
+        h = feed_forward(h, layer.ffn, norms[4])
     if cache is not None:
         cache.length += len(ids)
     return affine(h, dec.head_w, dec.head_b)

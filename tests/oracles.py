@@ -15,15 +15,15 @@ import struct
 
 import numpy as np
 
+from dmdk.attention import LAYER_NORM_EPS, project_kv, sinusoidal_rows
 from dmdk.autograd import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    LAYER_NORM_EPS,
     NonFiniteError,
     SparseRows,
     Tensor,
-    add,
+    embedding,
     matmul,
     relu,
 )
@@ -368,7 +368,28 @@ def oracle_backward(output):
 
 
 # ---------------------------------------------------------------------------
-# the op chains that autograd's fused ops replace, op by op
+# the op chains that the fused ops replace, op by op
+
+
+def add(a, b):
+    """Elementwise sum as its own node; ``b`` may be a 1 x cols row broadcast over rows."""
+    if a.shape == b.shape:
+        def grad_fn(g):
+            return g, g
+    elif b.shape == (1, a.cols):
+        def grad_fn(g):
+            return g, g.sum(axis=0, keepdims=True)
+    else:
+        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
+    return Tensor(a.value + b.value, (a, b), grad_fn)
+
+
+def mul(a, b):
+    """Elementwise product as its own node."""
+    if a.shape != b.shape:
+        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
+    av, bv = a.value, b.value
+    return Tensor(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def oracle_scale(a, c):
@@ -381,7 +402,7 @@ def oracle_scale(a, c):
 
 def oracle_layer_norm_node(a, gain, bias):
     """Per-row standardization and a learned affine of ``a`` as its own node:
-    the op ``add_layer_norm`` applies to a sum it never makes a Tensor."""
+    the layer norm that closes each decoder sublayer."""
     v = a.value
     n = v.shape[1]
     mu = np.add.reduce(v, axis=1, keepdims=True) / n
@@ -403,12 +424,74 @@ def oracle_layer_norm_node(a, gain, bias):
     return Tensor(xhat * gv + bias.value, (a, gain, bias), grad_fn)
 
 
+def oracle_heads_attention(q, k, v, heads, offset=None, spans=None):
+    """Every head's softmax(q_h k_h^T / sqrt(d_n)) v_h over packed Tensors as
+    its own node, record by record of ``spans``, causal from ``offset`` when
+    one is given: the op the attention nodes fold in."""
+    qs, ks = ([q.rows], [k.rows]) if spans is None else spans
+    if len(qs) != len(ks) or sum(qs) != q.rows or sum(ks) != k.rows or min([*qs, *ks], default=0) < 1:
+        raise ValueError(f"spans {list(qs)} and {list(ks)} do not split {q.rows} query and {k.rows} key rows")
+    q_at, k_at = np.cumsum([0, *qs]), np.cumsum([0, *ks])
+    bounds = list(zip(q_at[:-1], q_at[1:], k_at[:-1], k_at[1:]))
+
+    def split(a):
+        return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def merge(parts):
+        a = np.concatenate(parts, axis=1)
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    qh, kh, vh = split(q.value), split(k.value), split(v.value)
+    c = 1.0 / math.sqrt(qh.shape[2])
+    weights, out = [], []
+    for qa, qb, ka, kb in bounds:
+        scores = (qh[:, qa:qb] @ kh[:, ka:kb].transpose(0, 2, 1)) * c
+        if not np.isfinite(scores).all():
+            raise NonFiniteError("attention scores contain non-finite values")
+        if offset is not None:
+            rows = qb - qa
+            if kb - ka != offset + rows:
+                raise ValueError(f"causal attention at offset {offset} needs {offset + rows} key rows, got {kb - ka}")
+            if rows > 1:
+                scores = scores + np.triu(np.full((rows, offset + rows), -1e9), k=offset + 1)
+        e = np.exp(scores - np.maximum.reduce(scores, axis=2, keepdims=True))
+        weights.append(e / np.add.reduce(e, axis=2, keepdims=True))
+        out.append(weights[-1] @ vh[:, ka:kb])
+
+    def grad_fn(g):
+        gh = split(g)
+        dq, dk, dv = [], [], []
+        for w, (qa, qb, ka, kb) in zip(weights, bounds):
+            g_r, k_r, v_r = gh[:, qa:qb], kh[:, ka:kb], vh[:, ka:kb]
+            dw = g_r @ v_r.transpose(0, 2, 1)
+            ds = (dw - np.add.reduce(dw * w, axis=2, keepdims=True)) * w * c
+            dq.append(ds @ k_r)
+            dk.append(ds.transpose(0, 2, 1) @ qh[:, qa:qb])
+            dv.append(w.transpose(0, 2, 1) @ g_r)
+        return merge(dq), merge(dk), merge(dv)
+
+    return Tensor(merge(out), (q, k, v), grad_fn)
+
+
+def oracle_attend(x, k, v, params, offset=None, spans=None):
+    return matmul(oracle_heads_attention(matmul(x, params.wq), k, v, params.heads, offset, spans), params.wo)
+
+
+def oracle_multi_head_attention(x, y, params, spans=None):
+    return oracle_attend(x, *project_kv(y, params), params, None, spans)
+
+
+def oracle_residual_attention(h, k, v, params, norm, offset=None, spans=None):
+    return oracle_add_layer_norm(h, oracle_attend(h, k, v, params, offset, spans), norm.gain, norm.bias)
+
+
 def oracle_affine(x, w, b):
     return add(matmul(x, w), b)
 
 
-def oracle_feed_forward(x, params):
-    return add(matmul(relu(add(matmul(x, params.w1), params.b1)), params.w2), params.b2)
+def oracle_feed_forward(x, params, norm):
+    ffn = add(matmul(relu(add(matmul(x, params.w1), params.b1)), params.w2), params.b2)
+    return oracle_add_layer_norm(x, ffn, norm.gain, norm.bias)
 
 
 def oracle_add_layer_norm(a, b, gain, bias):
@@ -420,6 +503,14 @@ def oracle_weighted_sum(terms, weights):
     for t, c in zip(terms[1:], weights[1:]):
         out = add(out, oracle_scale(t, c))
     return out
+
+
+def oracle_embed_tokens(ids, table, start=0, spans=None):
+    """The token rows and the positional rows as two nodes, then their sum."""
+    spans = [len(ids)] if spans is None else list(spans)
+    index = [start + i for n in spans for i in range(n)]
+    stop = max(index, default=start) + 1
+    return add(embedding(table, ids), Tensor(sinusoidal_rows(0, stop, table.cols)[index]))
 
 
 # ---------------------------------------------------------------------------

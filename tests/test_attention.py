@@ -5,8 +5,8 @@ import pytest
 
 from dmdk.attention import (
     FfnParams,
+    LayerNormParams,
     MhaParams,
-    attend,
     attention_weights,
     causal_mask,
     embed_tokens,
@@ -14,6 +14,7 @@ from dmdk.attention import (
     heads_attention,
     multi_head_attention,
     project_kv,
+    residual_attention,
     sinusoidal_encoding,
     sinusoidal_rows,
 )
@@ -22,14 +23,13 @@ from dmdk.autograd import (
     Tensor,
     finite_diff_grad,
     matmul,
-    mul,
     parameter_gradients,
     relative_error,
     sum_all,
 )
 
 from conftest import random_mha
-from oracles import oracle_attention, oracle_mha
+from oracles import mul, oracle_attention, oracle_layer_norm, oracle_mha
 
 RNG = np.random.default_rng(7)
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -38,6 +38,23 @@ TOL = dict(rtol=1e-12, atol=1e-12)
 def identity_block(d: int) -> MhaParams:
     eye = np.eye(d)
     return MhaParams(Tensor(eye), Tensor(eye), Tensor(eye), Tensor(eye), heads=1)
+
+
+def unit_norm(d: int) -> LayerNormParams:
+    """A layer norm of gain 1 and bias 0."""
+    return LayerNormParams(Tensor(np.ones((1, d))), Tensor(np.zeros((1, d))))
+
+
+def self_attention(x: np.ndarray, params: MhaParams, offset: int = 0, spans=None, keys: np.ndarray | None = None):
+    """The causal self-attention sublayer over ``x``'s rows at ``offset``, keys
+    and values projected from ``keys`` (``x`` itself when None)."""
+    kv = project_kv(Tensor(x if keys is None else keys), params)
+    return residual_attention(Tensor(x), *kv, params, unit_norm(x.shape[1]), offset, spans).value
+
+
+def post_norm(x: np.ndarray, sublayer: np.ndarray) -> np.ndarray:
+    """The oracle of LayerNorm(x + sublayer) at gain 1 and bias 0."""
+    return oracle_layer_norm(x + sublayer, 1.0, 0.0)
 
 
 def oracle_heads(params: MhaParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -92,7 +109,7 @@ def assert_stochastic_in_value_hull(d, heads, q_rows, k_rows, rng):
     w = attention_weights(per_head(q.value, heads), per_head(k.value, heads))
     assert w.shape == (heads, q_rows, k_rows)
     assert (w >= 0).all() and np.allclose(w.sum(axis=2), 1.0, atol=1e-9)
-    out = heads_attention(q, k, v, params.heads).value  # every column is one head's
+    out, _ = heads_attention(q.value, k.value, v.value, params.heads, None, None)  # every column is one head's
     assert (out <= v.value.max(axis=0) + 1e-12).all()
     assert (out >= v.value.min(axis=0) - 1e-12).all()
 
@@ -115,17 +132,17 @@ def test_causal_mask_layout():
 def test_causal_suffix_change_leaves_prefix_rows_bit_identical():
     params = random_mha(4, 2, RNG)
     seq = RNG.normal(size=(5, 4))
-    full = attend(Tensor(seq), *project_kv(Tensor(seq), params), params, 0).value
+    full = self_attention(seq, params)
     bumped = seq.copy()
     bumped[-1] += 3.5
-    redone = attend(Tensor(bumped), *project_kv(Tensor(bumped), params), params, 0).value
+    redone = self_attention(bumped, params)
     assert np.array_equal(full[:-1], redone[:-1])
 
 
 def test_causal_requires_equal_lengths():
     params = identity_block(2)
     with pytest.raises(ValueError, match="needs 2 key rows, got 3"):
-        attend(Tensor(np.zeros((2, 2))), *project_kv(Tensor(np.zeros((3, 2))), params), params, 0)
+        self_attention(np.zeros((2, 2)), params, keys=np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +183,8 @@ def test_two_head_mha_matches_loop_oracle():
 def test_causal_mha_matches_loop_oracle():
     params = random_mha(4, 2, RNG)
     x = RNG.normal(size=(4, 4))
-    expected = oracle_mha(x, x, oracle_heads(params), params.wo.value, causal=True)
-    got = attend(Tensor(x), *project_kv(Tensor(x), params), params, 0).value
-    assert np.allclose(got, expected, atol=1e-10)
+    expected = post_norm(x, oracle_mha(x, x, oracle_heads(params), params.wo.value, causal=True))
+    assert np.allclose(self_attention(x, params), expected, atol=1e-10)
 
 
 @pytest.mark.parametrize("d, heads", [(8, 2), (512, 8)])
@@ -182,12 +198,25 @@ def test_packed_heads_match_the_per_head_oracle(d, heads):
     np.testing.assert_allclose(
         multi_head_attention(Tensor(x), Tensor(y), params).value, oracle_mha(x, y, per_head, wo), **TOL
     )
-    causal = oracle_mha(x, x, per_head, wo, causal=True)
-    k, v = project_kv(Tensor(x), params)
-    np.testing.assert_allclose(attend(Tensor(x), k, v, params, 0).value, causal, **TOL)
+    causal = post_norm(x, oracle_mha(x, x, per_head, wo, causal=True))
+    np.testing.assert_allclose(self_attention(x, params), causal, **TOL)
     for offset in (1, 4, 5):
-        tail = attend(Tensor(x[offset:]), k, v, params, offset).value
+        tail = self_attention(x[offset:], params, offset, keys=x)
         np.testing.assert_allclose(tail, causal[offset:], **TOL, err_msg=f"offset {offset}")
+
+
+def assert_heads_backward_matches_finite_differences(q, k, v, offset, spans, rng):
+    """heads_attention's backward rule under a probe gradient that weights
+    every output entry differently, against central differences."""
+    probe = rng.normal(size=q.shape)
+
+    def f():
+        return float((heads_attention(q.value, k.value, v.value, 2, offset, spans)[0] * probe).sum())
+
+    grads = heads_attention(q.value, k.value, v.value, 2, offset, spans)[1](probe)
+    numeric = finite_diff_grad(f, [q, k, v])
+    for name, grad, num in zip("qkv", grads, numeric):
+        assert relative_error(num, grad).max() < 1e-6, name
 
 
 @pytest.mark.parametrize("offset", [None, 0, 2])
@@ -196,15 +225,28 @@ def test_heads_attention_gradients_match_finite_differences(offset):
     rows = 3 if offset is None else 3 - offset
     q = Tensor(rng.normal(size=(rows, 8)))
     k, v = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(3, 8)))
-    probe = Tensor(rng.normal(size=(rows, 8)))  # weights every output entry differently
+    assert_heads_backward_matches_finite_differences(q, k, v, offset, None, rng)
+
+
+@pytest.mark.parametrize("offset, spans", [(None, None), (0, None), (2, None), (0, ([2, 3], [2, 3]))])
+def test_residual_attention_gradients_match_finite_differences(offset, spans):
+    rng = np.random.default_rng(13)
+    params = random_mha(4, 2, rng)
+    norm = LayerNormParams(Tensor(rng.uniform(0.5, 1.5, size=(1, 4))), Tensor(rng.normal(size=(1, 4))))
+    keys = 5 if spans else 3
+    h = Tensor(rng.normal(size=(keys if offset is None else keys - offset, 4)))
+    y = Tensor(rng.normal(size=(keys, 4)))
+    probe = Tensor(rng.normal(size=h.shape))
+    leaves = [h, y, params.wq, params.wk, params.wv, params.wo, norm.gain, norm.bias]
 
     def build():
-        return sum_all(mul(heads_attention(q, k, v, 2, offset), probe))
+        out = residual_attention(h, *project_kv(y, params), params, norm, offset, spans)
+        return sum_all(mul(out, probe))
 
-    grads = parameter_gradients(build(), [q, k, v])
-    numeric = finite_diff_grad(lambda: float(build().value[0, 0]), [q, k, v])
-    for name, leaf, num in zip("qkv", (q, k, v), numeric):
-        assert relative_error(num, grads[leaf]).max() < 1e-6, name
+    grads = parameter_gradients(build(), leaves)
+    numeric = finite_diff_grad(lambda: float(build().value[0, 0]), leaves)
+    for leaf, num in zip(leaves, numeric):
+        assert relative_error(num, grads[leaf]).max() < 1e-4
 
 
 def test_attention_gradients_match_finite_differences():
@@ -227,6 +269,7 @@ def test_attention_gradients_match_finite_differences():
 
 
 def test_ffn_zero_weights_yield_bias_rows():
+    # the feed-forward adds its bias row to every input row before the layer norm
     d = 3
     params = FfnParams(
         Tensor(np.zeros((d, 2 * d))),
@@ -234,17 +277,21 @@ def test_ffn_zero_weights_yield_bias_rows():
         Tensor(np.zeros((2 * d, d))),
         Tensor([[1.0, -2.0, 0.5]]),
     )
-    out = feed_forward(Tensor(RNG.normal(size=(4, d))), params)
-    assert np.allclose(out.value, np.tile([1.0, -2.0, 0.5], (4, 1)), atol=1e-12)
+    x = RNG.normal(size=(4, d))
+    out = feed_forward(Tensor(x), params, unit_norm(d))
+    np.testing.assert_allclose(out.value, post_norm(x, np.tile([1.0, -2.0, 0.5], (4, 1))), **TOL)
 
 
 def test_ffn_scalar_trace():
-    # relu(3*1 - 1) * (-0.5) - 0.25 = -1.25
+    # hidden relu(3*1 + 1*0 - 1) = 2; feed-forward 2*(-0.5, 0.5) + (-0.25, 0.25) = (-1.25, 1.25);
+    # residual (1.75, 2.25) has mean 2 and variance 0.0625
     params = FfnParams(
-        Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([[-0.5]]), Tensor([[-0.25]])
+        Tensor([[1.0], [0.0]]), Tensor([[-1.0]]), Tensor([[-0.5, 0.5]]), Tensor([[-0.25, 0.25]])
     )
-    out = feed_forward(Tensor([[3.0]]), params)
-    assert out.value[0, 0] == pytest.approx(-1.25, abs=1e-12)
+    norm = LayerNormParams(Tensor([[2.0, 2.0]]), Tensor([[1.0, -1.0]]))
+    out = feed_forward(Tensor([[3.0, 1.0]]), params, norm)
+    scale = 0.25 / math.sqrt(0.0625 + 1e-5)
+    assert out.value[0] == pytest.approx([1.0 - 2.0 * scale, -1.0 + 2.0 * scale], abs=1e-12)
 
 
 def test_ffn_preserves_shape_and_passes_gradcheck():
@@ -252,13 +299,15 @@ def test_ffn_preserves_shape_and_passes_gradcheck():
         Tensor(RNG.normal(size=(4, 8))), Tensor(np.zeros((1, 8))),
         Tensor(RNG.normal(size=(8, 4))), Tensor(np.zeros((1, 4))),
     )
+    norm = LayerNormParams(Tensor(RNG.uniform(0.5, 1.5, size=(1, 4))), Tensor(RNG.normal(size=(1, 4))))
     x = Tensor(RNG.normal(size=(5, 4)) + 0.2)
-    out = feed_forward(x, params)
+    probe = Tensor(RNG.normal(size=(5, 4)))  # the rows of a layer norm sum to a constant
+    out = feed_forward(x, params, norm)
     assert out.shape == (5, 4)
-    leaves = [x, params.w1, params.b1, params.w2, params.b2]
+    leaves = [x, params.w1, params.b1, params.w2, params.b2, norm.gain, norm.bias]
 
     def build():
-        return sum_all(feed_forward(x, params))
+        return sum_all(mul(feed_forward(x, params, norm), probe))
 
     grads = parameter_gradients(build(), leaves)
     numeric = finite_diff_grad(lambda: float(build().value[0, 0]), leaves)
@@ -316,19 +365,18 @@ def test_attend_at_offset_matches_the_full_causal_rows():
     rng = np.random.default_rng(8)
     params = random_mha(6, 2, rng)
     seq = Tensor(rng.normal(size=(5, 6)))
-    k, v = project_kv(seq, params)
-    full = attend(seq, k, v, params, 0).value
-    tail = attend(Tensor(seq.value[3:]), k, v, params, offset=3).value
+    full = self_attention(seq.value, params)
+    tail = self_attention(seq.value[3:], params, offset=3, keys=seq.value)
     np.testing.assert_allclose(tail, full[3:], **TOL)
     with pytest.raises(ValueError, match="needs 4 key rows, got 5"):
-        attend(Tensor(seq.value[3:]), k, v, params, offset=2)
+        self_attention(seq.value[3:], params, offset=2, keys=seq.value)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_non_finite_scores_are_refused():
-    q = Tensor(np.full((2, 4), 1e200))
+    q = np.full((2, 4), 1e200)
     with pytest.raises(NonFiniteError, match="attention scores"):
-        heads_attention(q, q, q, heads=2)
+        heads_attention(q, q, q, 2, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +395,9 @@ def test_spans_attend_each_record_alone(offset, d, heads):
     k_rows = q_rows if offset == 0 else [4, 2, 1, 6]
     q = rng.normal(size=(sum(q_rows), d))
     k, v = rng.normal(size=(2, sum(k_rows), d))
-    packed = heads_attention(Tensor(q), Tensor(k), Tensor(v), heads, offset, (q_rows, k_rows)).value
+    packed, _ = heads_attention(q, k, v, heads, offset, (q_rows, k_rows))
     parts = zip(split_rows(q, q_rows), split_rows(k, k_rows), split_rows(v, k_rows))
-    alone = [heads_attention(Tensor(a), Tensor(b), Tensor(c), heads, offset).value for a, b, c in parts]
+    alone = [heads_attention(a, b, c, heads, offset, None)[0] for a, b, c in parts]
     assert np.array_equal(packed, np.concatenate(alone))
 
 
@@ -357,37 +405,28 @@ def test_spans_keep_the_causal_offset_within_each_record():
     rng = np.random.default_rng(4)
     params = random_mha(8, 2, rng)
     rows = [3, 5]
-    x = Tensor(rng.normal(size=(8, 8)))
-    packed = attend(x, *project_kv(x, params), params, 0, (rows, rows)).value
+    x = rng.normal(size=(8, 8))
+    packed = self_attention(x, params, 0, (rows, rows))
     for part, (a, b) in zip(split_rows(packed, rows), ((0, 3), (3, 8))):
-        seq = Tensor(x.value[a:b])
-        np.testing.assert_allclose(part, attend(seq, *project_kv(seq, params), params, 0).value, **TOL)
+        np.testing.assert_allclose(part, self_attention(x[a:b], params), **TOL)
 
 
 def test_span_attention_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
     spans = ([2, 3], [2, 3])
     q, k, v = (Tensor(rng.normal(size=(5, 8))) for _ in range(3))
-    probe = Tensor(rng.normal(size=(5, 8)))
-
-    def build():
-        return sum_all(mul(heads_attention(q, k, v, 2, 0, spans), probe))
-
-    grads = parameter_gradients(build(), [q, k, v])
-    numeric = finite_diff_grad(lambda: float(build().value[0, 0]), [q, k, v])
-    for name, leaf, num in zip("qkv", (q, k, v), numeric):
-        assert relative_error(num, grads[leaf]).max() < 1e-6, name
+    assert_heads_backward_matches_finite_differences(q, k, v, 0, spans, rng)
 
 
 def test_spans_must_split_the_rows():
-    q = Tensor(RNG.normal(size=(4, 4)))
+    q = RNG.normal(size=(4, 4))
     for spans in (([2, 2], [3, 2]), ([2, 2], [4]), ([4, 0], [2, 2]), ([1, 3], [0, 4])):
         with pytest.raises(ValueError, match="do not split"):
             heads_attention(q, q, q, 2, None, spans)
 
 
 def test_empty_spans_are_refused_by_name():
-    empty = Tensor(np.zeros((0, 4)))
+    empty = np.zeros((0, 4))
     with pytest.raises(ValueError, match=r"spans \[\] and \[\] do not split 0 query and 0 key rows"):
         heads_attention(empty, empty, empty, 2, None, ([], []))
 

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from dmdk import autograd
+from dmdk.attention import LAYER_NORM_EPS, layer_norm
 from dmdk.autograd import (
     Adam,
     NonFiniteError,
     SparseRows,
     Tensor,
-    add,
-    add_layer_norm,
     backward,
     canonical_matmul,
     cross_entropy_logits,
@@ -20,7 +19,6 @@ from dmdk.autograd import (
     finite_diff_grad,
     leaf_gradients,
     matmul,
-    mul,
     no_grad,
     parameter_gradients,
     relative_error,
@@ -29,7 +27,7 @@ from dmdk.autograd import (
     weighted_sum,
 )
 
-from oracles import from_dense, oracle_adam_step, oracle_layer_norm
+from oracles import add, from_dense, mul, oracle_adam_step, oracle_layer_norm
 
 RNG = np.random.default_rng(42)
 
@@ -145,16 +143,19 @@ def test_relu_values_and_idempotence():
     assert np.array_equal(relu(out).value, out.value)
 
 
+def layer_norm_node(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """The array-level layer norm and its backward rule as one graph node."""
+    out, backward_rule = layer_norm(x.value, gain.value, bias.value)
+    return Tensor(out, (x, gain, bias), backward_rule)
+
+
 def test_layer_norm_closed_forms():
-    gain = Tensor(np.ones((1, 2)))
-    bias = Tensor(np.zeros((1, 2)))
-    const = add_layer_norm(Tensor([[2.0, 3.0]]), Tensor([[3.0, 2.0]]), gain, bias).value
+    gain, bias = np.ones((1, 2)), np.zeros((1, 2))
+    const, _ = layer_norm(np.array([[5.0, 5.0]]), gain, bias)
     assert np.allclose(const, 0.0, atol=1e-9)
-    sym = add_layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.zeros((1, 2))), gain, bias).value
-    assert np.allclose(sym, np.array([[1.0, -1.0]]) / math.sqrt(1.0 + autograd.LAYER_NORM_EPS), atol=1e-12)
-    only_bias = add_layer_norm(
-        Tensor(RNG.normal(size=(2, 2))), Tensor(RNG.normal(size=(2, 2))), Tensor(np.zeros((1, 2))), Tensor([[7.0, -2.0]])
-    ).value
+    sym, _ = layer_norm(np.array([[1.0, -1.0]]), gain, bias)
+    assert np.allclose(sym, np.array([[1.0, -1.0]]) / math.sqrt(1.0 + LAYER_NORM_EPS), atol=1e-12)
+    only_bias, _ = layer_norm(RNG.normal(size=(2, 2)), np.zeros((1, 2)), np.array([[7.0, -2.0]]))
     assert np.allclose(only_bias, [[7.0, -2.0], [7.0, -2.0]], atol=1e-12)
 
 
@@ -166,8 +167,8 @@ def test_layer_norm_matches_the_oracle(d):
     # |gain * xhat| stays below the bias, so no output entry is a near-cancellation
     gain = rng.uniform(0.5, 1.5, size=(1, d)) * rng.choice([-1.0, 1.0], size=(1, d))
     bias = rng.uniform(8.0, 12.0, size=(1, d))
-    got = add_layer_norm(Tensor(h), Tensor(y), Tensor(gain), Tensor(bias)).value
-    want = oracle_layer_norm(h + y, gain, bias, autograd.LAYER_NORM_EPS)
+    got, _ = layer_norm(h + y, gain, bias)
+    want = oracle_layer_norm(h + y, gain, bias, LAYER_NORM_EPS)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.array_equal(got[2], bias[0])
 
@@ -304,7 +305,7 @@ def test_softmax_and_layer_norm_gradients_match_fd():
     y = Tensor(RNG.normal(size=(3, 4)))
 
     def build():  # cross_entropy_logits takes the softmax of its logits
-        return cross_entropy_logits(mul(add_layer_norm(x, r, gain, bias), y), [0, 3, 1])
+        return cross_entropy_logits(mul(layer_norm_node(add(x, r), gain, bias), y), [0, 3, 1])
 
     fd_check(build, [x, r, gain, bias])
 

@@ -415,6 +415,89 @@ def test_generate_on_a_checkpoint_whose_spec_fields_differ_exits_two(tmp_path, c
     assert str(ckpt) in err and all(name in err for name in named)
 
 
+def trained_checkpoint(tmp_path, capsys):
+    """(checkpoint, corpus) of a zero-epoch ``train`` run on a one-record corpus."""
+    corpus = tagged_corpus(tmp_path, n=1)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    return ckpt, corpus
+
+
+def generate_error(ckpt, corpus, tmp_path, capsys) -> str:
+    """``generate``'s standard error, once it has exited with code 2."""
+    assert main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")]) == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda meta: meta.pop("labels_fallback"), "is missing 'labels_fallback'"),
+        (lambda meta: meta.update(spec=[]), "'spec' must be an object"),
+        (lambda meta: meta.update(node_names=[1, 2]), "'node_names' must be a list of strings"),
+    ],
+    ids=["missing key", "spec", "node names"],
+)
+def test_generate_on_checkpoint_metadata_of_the_wrong_form_exits_two(tmp_path, capsys, edit, problem):
+    from dmdk.checkpoint import load_checkpoint, save_checkpoint
+
+    ckpt, corpus = trained_checkpoint(tmp_path, capsys)
+    tensors, meta = load_checkpoint(ckpt)
+    edit(meta)
+    save_checkpoint(ckpt, list(tensors.items()), meta)
+    assert f"{ckpt}: checkpoint metadata {problem}" in generate_error(ckpt, corpus, tmp_path, capsys)
+
+
+def test_generate_on_a_checkpoint_tensor_of_an_impossible_shape_exits_two(tmp_path, capsys):
+    # an empty tensor takes no payload bytes, whatever its other dimension
+    ckpt, corpus = trained_checkpoint(tmp_path, capsys)
+    data = ckpt.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + length])
+    header["tensors"].append({"name": "huge", "rows": 0, "cols": 2**63, "offset": 0})
+    encoded = json.dumps(header).encode()
+    ckpt.write_bytes(data[:8] + struct.pack("<Q", len(encoded)) + encoded + data[16 + length :])
+    assert f"{ckpt}: tensor 'huge' has shape 0x{2**63}" in generate_error(ckpt, corpus, tmp_path, capsys)
+
+
+def test_generate_on_a_checkpoint_that_shrinks_while_it_is_read_exits_two(tmp_path, capsys, monkeypatch):
+    # the file is cut short after its size was taken: the header still checks
+    # out against that size, but the last tensor cannot be read in full
+    from types import SimpleNamespace
+
+    from dmdk import checkpoint
+
+    ckpt, corpus = trained_checkpoint(tmp_path, capsys)
+    taken = SimpleNamespace(st_size=ckpt.stat().st_size)
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    monkeypatch.setattr(checkpoint, "os", SimpleNamespace(fstat=lambda fd: taken))
+    assert "' extends past end of file" in generate_error(ckpt, corpus, tmp_path, capsys)
+
+
+def test_train_on_a_report_that_is_not_a_string_exits_two(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    lines = tagged_corpus(tmp_path, n=2)
+    rows = [json.loads(line) for line in open(lines, encoding="utf-8")]
+    rows[1]["report"] = ["not", "a", "string"]
+    write_jsonl(corpus, rows)
+    argv = ["train", "--config", write_config(tmp_path), "--corpus", str(corpus), "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    assert f"{corpus}:2: 'report' must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empty", ["preds", "refs"])
+def test_evaluate_on_a_file_with_no_records_exits_two(tmp_path, capsys, empty):
+    files = {
+        name: write_jsonl(tmp_path / f"{name}.jsonl", [] if name == empty else [{"id": "a", "text": "x"}])
+        for name in ("preds", "refs")
+    }
+    argv = ["evaluate", "--preds", files["preds"], "--refs", files["refs"], "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    role = "prediction" if empty == "preds" else "reference"
+    assert f"{files[empty]}: no {role} records" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

@@ -111,10 +111,13 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
 
 def parse_each_cell(path, lines):
     """Cells to matrix by the per-cell ``float()`` loop ``load_features`` ran
-    before one numpy call parsed them all."""
+    before one numpy call parsed them all, refusing the cells with a non-ASCII
+    character or an underscore that ``float()`` would read."""
     for r, cells in enumerate(lines):
         for c, cell in enumerate(cells):
             try:
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError(cell)
                 cells[c] = float(cell)
             except ValueError:
                 raise ValueError(
@@ -146,6 +149,24 @@ def test_cells_parse_as_the_per_cell_loop_did(tmp_path, cell):
         assert str(got.value) == str(e)
     else:
         assert load_features(p).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "row, column, cell",
+    [("1_0 1 3", 1, "1_0"), ("1 \uff11 3", 2, "\uff11"), ("1 1 \u0663", 3, "\u0663"), ("1_0 \uff11 \u0663", 1, "1_0")],
+    ids=["underscore", "full-width digit", "Arabic-Indic digit", "all three"],
+)
+def test_cells_that_float_reads_but_are_not_ascii_decimals_are_refused(tmp_path, row, column, cell):
+    p = write(tmp_path, f"FMAT v1 2 3\n4 5 6\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-numeric value {cell!r} at row 2, column {column}")):
+        load_features(p)
+
+
+def test_a_non_ascii_separator_is_refused_with_its_line(tmp_path):
+    # str.split() takes U+3000 for a space, so no cell holds it
+    p = write(tmp_path, "FMAT v1 2 2\n1 2\n3\u30004\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line 3 separates values by a non-ASCII character")):
+        load_features(p)
 
 
 def test_non_finite_values_rejected(tmp_path):

@@ -11,7 +11,6 @@ from dmdk.autograd import (
     Tensor,
     canonical_matmul,
     finite_diff_grad,
-    mul,
     parameter_gradients,
     relative_error,
     sum_all,
@@ -39,6 +38,7 @@ from dmdk.topics import anatomy_pairs, extract_topic_labels
 from conftest import random_gcn, random_mha
 from oracles import (
     from_dense,
+    mul,
     oracle_adjacency,
     oracle_block_diagonal,
     oracle_canonical_matmul,

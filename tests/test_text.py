@@ -138,6 +138,15 @@ def test_load_corpus_errors_carry_line_numbers(tmp_path):
         load_corpus(p)
 
 
+def test_load_corpus_skips_blank_lines_and_still_counts_them(tmp_path):
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"id": "a", "features": ["x"]}\n\n   \n{"id": "b", "features": ["x"]}\n', encoding="utf-8")
+    assert [r.id for r in load_corpus(p)] == ["a", "b"]
+    p.write_text('{"id": "a", "features": ["x"]}\n\n   \n{"id": "b", "features": 3}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"c\.jsonl:4: 'features' must list"):
+        load_corpus(p)
+
+
 def test_load_corpus_missing_report_named_when_required(tmp_path):
     p = tmp_path / "c.jsonl"
     write_lines(p, [{"id": "a", "features": ["x.fmat"]}])

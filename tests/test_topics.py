@@ -179,7 +179,7 @@ def test_enhancement_rows_in_projected_tag_hull_per_head():
     x = Tensor(RNG.normal(size=(3, 4)))
     w = Tensor(RNG.normal(size=(4, 4)))
     k, v = project_kv(w, params)
-    pre = heads_attention(matmul(x, params.wq), k, v, params.heads).value
+    pre, _ = heads_attention(matmul(x, params.wq).value, k.value, v.value, params.heads, None, None)
     projected = v.value
     assert (pre <= projected.max(axis=0) + 1e-12).all()
     assert (pre >= projected.min(axis=0) - 1e-12).all()
