@@ -1,11 +1,11 @@
 """Print each line of ``src/dmdk`` that no test under ``tests/`` executes.
 
-    python3 tests/untested_lines.py [pytest arguments]
+    python3 tests/untested_lines.py
 
-Runs pytest on ``tests/`` (or on the given arguments) in this process under
-the standard library's ``trace`` module, counting the lines of ``src/dmdk``
-that execute, then prints every executable line of ``src/dmdk`` that never
-ran, as ``file:line: text``, and their count. A line is executable when the
+Runs pytest on ``tests/`` in this process under the standard library's
+``trace`` module, counting the lines of ``src/dmdk`` that execute, then
+prints every executable line of ``src/dmdk`` that never ran, as
+``file:line: text``, and their count. A line is executable when the
 compiler starts one there, so docstrings, blank lines and the continuation
 lines of a statement are never listed. ``trace`` does not follow
 subprocesses. The command exits with pytest's status.
@@ -47,12 +47,30 @@ class SourceOnly:
         return filename is None or not filename.startswith(f"{SRC}{os.sep}")
 
 
-def main(argv: list[str]) -> int:
+class Retrace:
+    """A pytest plugin that puts the tracer back after each test that lost it.
+
+    ``trace`` counts lines through a Python callback. A test that recurses
+    until ``RecursionError`` can exhaust the stack inside that callback,
+    which unsets it for the rest of the run."""
+
+    def __init__(self, tracer: trace.Trace):
+        self.tracer = tracer
+        self.lost: list[str] = []
+
+    def pytest_runtest_logfinish(self, nodeid: str) -> None:
+        if sys.gettrace() is None:
+            self.lost.append(nodeid)
+            sys.settrace(self.tracer.globaltrace)
+
+
+def main() -> int:
     import pytest  # imported here, so that importing this module runs nothing
 
     tracer = trace.Trace(count=1, trace=0)
     tracer.ignore = SourceOnly()
-    status = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider", *(argv or [str(TESTS)])])
+    retrace = Retrace(tracer)
+    status = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider", str(TESTS)], plugins=[retrace])
     ran: dict[Path, set[int]] = {}
     for filename, line in tracer.results().counts:
         ran.setdefault(Path(filename).resolve(), set()).add(line)
@@ -63,8 +81,10 @@ def main(argv: list[str]) -> int:
             print(f"src/dmdk/{path.name}:{line}: {text[line - 1].strip()}")
             total += 1
     print(f"{total} lines of src/dmdk ran in no test")
+    for nodeid in retrace.lost:
+        print(f"tracing stopped during {nodeid} and was restarted after it: a line only it runs may be listed")
     return int(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
