@@ -8,12 +8,12 @@ accumulating gradients additively across fan-out and freeing each node's
 gradient, parents and saved arrays once the walk has passed it, so
 backpropagating twice means running the forward again. The walk hands out
 each leaf's gradient as soon as the leaf's last consumer has run, so
-``Adam.step`` can update a parameter in place while the walk goes on;
-``backward`` collects the whole walk into a dict, whose ``items()`` are pairs
-``Adam.step`` takes as well. Inside ``no_grad()`` ops compute the same values
-but keep no graph, for inference. ``finite_diff_grad`` is the independent
-central-difference estimator, with step ``FD_STEP``, used to audit every
-backward rule.
+``Adam.step`` can update a large parameter in place while the walk goes on
+(it steps the small ones together once the walk ends); ``backward`` collects
+the whole walk into a dict, whose ``items()`` are pairs ``Adam.step`` takes
+as well. Inside ``no_grad()`` ops compute the same values but keep no graph,
+for inference. ``finite_diff_grad`` is the independent central-difference
+estimator, with step ``FD_STEP``, used to audit every backward rule.
 
 ``SparseRows`` holds a constant sparse matrix as a Tensor of its nonzero
 entries; ``canonical_matmul`` multiplies it into a tensor, summing each output
@@ -473,7 +473,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# elements per Adam chunk: a chunk of each operand and both scratch buffers
+# most elements per Adam chunk: a chunk of each operand and both scratch buffers
 # stay in L2, so DRAM sees p, g, m and v read once and m, v, p written once
 _ADAM_CHUNK = 32768
 
@@ -487,9 +487,9 @@ class Adam:
 
     The weight-decay term ``wd * theta`` is added to the raw gradient before
     the first/second moments are updated. Each parameter is updated in place,
-    in chunks of ``_ADAM_CHUNK`` elements through two chunk-sized scratch
-    buffers. Every chunk runs the IEEE operations of the whole-array formula
-    in the same order, so the result is bitwise equal to
+    in chunks of at most ``_ADAM_CHUNK`` elements through chunk-sized scratch
+    buffers. Every chunk runs the IEEE operations of the whole-array formula in
+    the same order, so the result is bitwise equal to
 
         g = g + wd * p
         m = b1 * m + (1 - b1) * g
@@ -498,6 +498,16 @@ class Adam:
 
     without a parameter-sized temporary. ``step`` writes into ``p.value``
     itself, so a caller that needs the pre-step values must copy them first.
+
+    A small parameter has at most ``_ADAM_CHUNK`` elements. The constructor
+    packs the values of all small parameters into one flat buffer and rebinds
+    each small ``p.value`` to a view of it, so an array taken from ``p.value``
+    before then is no longer the parameter; their moments are views of two
+    matching buffers. ``step`` updates them all in one chunked sweep over the
+    buffers. A large parameter keeps its own value and moments and is updated
+    chunk by chunk on its own. Build one ``Adam`` per set of tensors: a second
+    one rebinds the small values again, and the first then steps arrays that
+    are no longer the parameters.
     """
 
     def __init__(
@@ -517,58 +527,105 @@ class Adam:
         self._by_id: dict[int, tuple[str, Tensor]] = {}  # id(p) -> (name, p)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        names: set[str] = set()
+        small: list[tuple[str, Tensor]] = []
         for name, p in self.params:
-            if name in self._m:
+            if name in names:
                 raise ValueError(f"duplicate parameter name {name!r}")
             if id(p) in self._by_id:
                 first = self._by_id[id(p)][0]
                 raise ValueError(f"parameter {name!r} is the Tensor already listed as {first!r}")
+            names.add(name)
             self._by_id[id(p)] = (name, p)
-            # flat moments; np.zeros maps untouched pages, zeros_like would write every page
-            self._m[name], self._v[name] = np.zeros(p.value.size), np.zeros(p.value.size)
-        self._scratch: tuple[np.ndarray, np.ndarray] | None = None  # allocated by the first step
+            if p.value.size <= _ADAM_CHUNK:
+                small.append((name, p))
+            else:
+                # flat moments; np.zeros maps untouched pages, zeros_like would write every page
+                self._m[name], self._v[name] = np.zeros(p.value.size), np.zeros(p.value.size)
+        # one concatenate however many small parameters; the first step allocates
+        # their moments and the staging buffer, so that building an Adam stays cheap
+        values = [p.value for _, p in small]
+        self._values = np.concatenate(values, axis=None) if values else np.empty(0)
+        lo = 0
+        for _, p in small:
+            hi = lo + p.value.size
+            p.value = self._values[lo:hi].reshape(p.value.shape)
+            lo = hi
+        self._small = small
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _allocate(self) -> None:
+        n = self._values.size
+        self._scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
+        self._m_flat, self._v_flat = np.zeros(n), np.zeros(n)
+        # each small gradient is copied here as it arrives; the sweep then uses
+        # each chunk of it as its first temporary, once the chunk's g is dead
+        self._grads = np.empty(n)
+        self._staged: dict[int, np.ndarray] = {}  # id(p) -> p's range of _grads
+        lo = 0
+        for name, p in self._small:
+            hi = lo + p.value.size
+            self._m[name], self._v[name] = self._m_flat[lo:hi], self._v_flat[lo:hi]
+            self._staged[id(p)] = self._grads[lo:hi].reshape(p.value.shape)
+            lo = hi
 
     def step(self, grads: Iterable[tuple[Tensor, np.ndarray]]) -> None:
         """Step every parameter once from ``(tensor, gradient)`` pairs.
 
-        Each parameter is updated as its pair arrives, so ``grads`` can be the
-        ``leaf_gradients`` walk itself (or a gradient dict's ``items()``); the
-        step keeps no gradient once it is used. Pairs for tensors that are not
-        parameters are skipped. Parameters with no pair are stepped with a zero
-        gradient after the last pair, read from a chunk-sized zero buffer. If
-        ``grads`` raises part-way, the parameters already stepped stay stepped.
+        ``grads`` can be the ``leaf_gradients`` walk itself (or a gradient
+        dict's ``items()``); the step keeps no gradient array once it is used.
+        A large parameter is updated as its pair arrives; a small one's
+        gradient is copied into the staging buffer, and all small parameters
+        are updated together after the last pair. Pairs for tensors that are
+        not parameters are skipped. Parameters with no pair are stepped with a
+        zero gradient. If ``grads`` raises part-way, the large parameters
+        already stepped stay stepped and no small parameter is stepped.
         """
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         if self._scratch is None:
-            self._scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
-        waiting = dict(self._by_id)
+            self._allocate()
+        waiting, staged = dict(self._by_id), self._staged
         for leaf, g in grads:
             entry = waiting.pop(id(leaf), None)
-            if entry is not None:  # other leaves are constants
-                self._step_one(*entry, g, bc1, bc2)
+            if id(leaf) in staged:
+                np.copyto(staged[id(leaf)], g)
+            elif entry is not None:  # other leaves are constants
+                self._step_large(*entry, g, bc1, bc2)
             del g
-        for name, p in waiting.values():
-            self._step_one(name, p, None, bc1, bc2)
+        for key, (name, p) in waiting.items():
+            if key in staged:
+                staged[key].fill(0.0)
+            else:
+                self._step_large(name, p, None, bc1, bc2)
+        self._step_flat(self._values, self._grads, self._m_flat, self._v_flat, bc1, bc2)
 
-    def _step_one(self, name: str, p: Tensor, g: np.ndarray | None, bc1: float, bc2: float) -> None:
-        flat, m, v = p.value.reshape(-1, copy=False), self._m[name], self._v[name]
+    def _step_large(self, name: str, p: Tensor, g: np.ndarray | None, bc1: float, bc2: float) -> None:
         g = None if g is None else g.reshape(-1)
-        if flat.size <= _ADAM_CHUNK:
-            self._update(flat, g, m, v, bc1, bc2)
-        else:
-            for i in range(0, flat.size, _ADAM_CHUNK):
-                j = i + _ADAM_CHUNK
-                self._update(flat[i:j], None if g is None else g[i:j], m[i:j], v[i:j], bc1, bc2)
+        self._step_flat(p.value.reshape(-1, copy=False), g, self._m[name], self._v[name], bc1, bc2)
 
-    def _update(self, p, g, m, v, bc1, bc2) -> None:
-        """One chunk: ``p``, ``m`` and ``v`` in place; a ``g`` of None is zero."""
-        s1, s2 = (s[: p.size] for s in self._scratch)
+    def _step_flat(self, p, g, m, v, bc1, bc2) -> None:
+        """Flat ``p``, ``m`` and ``v`` in place, chunk by chunk; a ``g`` of None
+        is zero, and the staging buffer serves as its own first scratch."""
+        s1, s2 = self._scratch
+        staged = g is self._grads
+        chunks = -(-p.size // _ADAM_CHUNK)  # as few as fit, of near-equal size
+        for k in range(chunks):
+            i, j = p.size * k // chunks, p.size * (k + 1) // chunks
+            gi = None if g is None else g[i:j]
+            self._update(p[i:j], gi, m[i:j], v[i:j], gi if staged else s1[: j - i], s2[: j - i], bc1, bc2)
+
+    def _update(self, p, g, m, v, s1, s2, bc1, bc2) -> None:
+        """One chunk: ``p``, ``m`` and ``v`` in place; a ``g`` of None is zero.
+
+        ``s1`` and ``s2`` are scratch of the chunk's size; ``s1`` may be ``g``
+        itself, which the update then overwrites.
+        """
         if g is None:
             g = _ZERO_CHUNK[: p.size]
         if self.weight_decay:
-            g = np.add(g, np.multiply(self.weight_decay, p, out=s1), out=s1)
+            g = np.add(g, np.multiply(self.weight_decay, p, out=s2), out=s1)
         np.add(np.multiply(ADAM_BETA1, m, out=m), np.multiply(1.0 - ADAM_BETA1, g, out=s2), out=m)
         np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=s2), out=s2)
         np.add(np.multiply(ADAM_BETA2, v, out=v), s2, out=v)

@@ -256,10 +256,10 @@ class ReportModel:
                 raise ValueError(
                     f"checkpoint tensor {name!r} has shape {arr.shape}, expected {(rows, cols)}"
                 )
-        elif kind == "weight":
-            arr = self._rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, cols))
-        elif kind == "embed":
-            arr = self._rng.normal(0.0, 1.0 / math.sqrt(cols), (rows, cols))
+        elif kind in ("weight", "embed"):
+            # bitwise rng.normal(0, scale, shape), and the same generator state after
+            arr = self._rng.standard_normal((rows, cols))
+            arr *= 1.0 / math.sqrt(rows if kind == "weight" else cols)
         elif kind == "zeros":
             arr = np.zeros((rows, cols))
         elif kind == "ones":
@@ -332,9 +332,8 @@ def _cross_kv(layer: DecoderLayerParams, x_fused: Tensor, w_enh: Tensor, m_enh: 
 
 
 def _self_kv(h: Tensor, layer_index: int, params: MhaParams, cache: DecoderCache | None) -> KV:
-    k, v = project_kv(h, params)
     if cache is None:
-        return k, v
+        return project_kv(h, params)
     start, stop = cache.length, cache.length + h.rows
     bufs = cache.self_kv[layer_index]
     if bufs[0].shape[0] < stop:
@@ -342,8 +341,11 @@ def _self_kv(h: Tensor, layer_index: int, params: MhaParams, cache: DecoderCache
         for new, old in zip(grown, bufs):
             new[:start] = old[:start]
         bufs = cache.self_kv[layer_index] = grown
-    bufs[0][start:stop], bufs[1][start:stop] = k.value, v.value
-    # every row came from a checked matmul Tensor: no copy, no second scan
+    for buf, w in zip(bufs, (params.wk, params.wv)):
+        rows = np.matmul(h.value, w.value, out=buf[start:stop])
+        if not np.isfinite(rows).all():
+            raise NonFiniteError("self-attention keys or values contain non-finite values")
+    # every row was checked as it was written: no copy, no second scan
     return Tensor.checked(bufs[0][:stop]), Tensor.checked(bufs[1][:stop])
 
 

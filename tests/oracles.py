@@ -300,6 +300,24 @@ def oracle_block_diagonal(blocks):
 
 
 # ---------------------------------------------------------------------------
+# initialization
+
+
+def oracle_param(model, name, rows, cols, kind):
+    """Stand-in for ``ReportModel._param`` on a fresh model that draws each
+    weight and embedding with ``rng.normal(0, scale, shape)``."""
+    assert model._state is None
+    if kind in ("weight", "embed"):
+        scale = 1.0 / math.sqrt(rows if kind == "weight" else cols)
+        arr = model._rng.normal(0.0, scale, (rows, cols))
+    else:
+        arr = np.zeros((rows, cols)) if kind == "zeros" else np.ones((rows, cols))
+    t = Tensor(arr)
+    model._params.append((name, t))
+    return t
+
+
+# ---------------------------------------------------------------------------
 # optimization
 
 

@@ -246,9 +246,10 @@ def test_backward_frees_interior_activations():
 
 def test_adam_step_updates_the_parameter_in_place_while_the_loss_is_held():
     x, p = Tensor(RNG.normal(size=(3, 4))), Tensor(RNG.normal(size=(4, 2)))
+    opt = Adam([("p", p)], lr=0.1)  # rebinds the small p.value to a view of Adam's buffer
     loss = sum_all(matmul(x, p))
     held, before = p.value, p.value.copy()
-    Adam([("p", p)], lr=0.1).step(leaf_gradients(loss))
+    opt.step(leaf_gradients(loss))
     assert p.value is held and not np.array_equal(held, before)
     assert loss.shape == (1, 1)  # the caller still holds the loss
 
@@ -377,25 +378,30 @@ def test_adam_weight_decay_pulls_toward_zero():
 ADAM_SHAPES = [(1, 1), (3, 7), (1, autograd._ADAM_CHUNK), (512, 2048), (3, 40000)]
 
 
-@pytest.mark.parametrize("missing", [False, True], ids=["all-grads", "missing-grad"])
+@pytest.mark.parametrize(
+    "missing", [None, "p", "q", "r"], ids=["all-grads", "missing-grad", "missing-small", "missing-large"]
+)
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
 @pytest.mark.parametrize("shape", ADAM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_chunked_adam_equals_the_whole_array_formula_bitwise(shape, weight_decay, missing):
     rng = np.random.default_rng(shape[1])
-    values = {"p": rng.normal(size=shape), "q": rng.normal(size=(2, 3))}
+    # small q, s and t pack around p (small or large) and the large r; a small p
+    # of a whole chunk straddles the sweep's chunks
+    shapes = {"q": (2, 3), "p": shape, "r": (2, 20000), "s": (5, 4), "t": (1, 1)}
+    values = {name: rng.normal(size=s) for name, s in shapes.items()}
     m = {name: np.zeros(a.shape) for name, a in values.items()}
     v = {name: np.zeros(a.shape) for name, a in values.items()}
     tensors = {name: Tensor(a.copy()) for name, a in values.items()}
     opt = Adam(list(tensors.items()), lr=1e-3, weight_decay=weight_decay)
+    held = {name: t.value for name, t in tensors.items()}  # small values are views from here on
     for t in range(1, 6):
         grads = {name: rng.normal(size=a.shape) for name, a in values.items()}
         if missing and t in (2, 4):
-            del grads["p"]  # p sits out this step: a zero gradient
-        held = tensors["p"].value
+            del grads[missing]  # sits out this step: a zero gradient
         opt.step([(tensors[name], g) for name, g in grads.items()])
         values, m, v = oracle_adam_step(values, m, v, grads, t, 1e-3, weight_decay)
-        assert tensors["p"].value is held  # stepped in place, not rebound
         for name, expected in values.items():
+            assert tensors[name].value is held[name], (t, name)  # stepped in place, not rebound
             assert np.array_equal(tensors[name].value, expected), (t, name)
             assert np.array_equal(opt._m[name].reshape(expected.shape), m[name]), (t, name)
             assert np.array_equal(opt._v[name].reshape(expected.shape), v[name]), (t, name)
@@ -457,20 +463,41 @@ def test_adam_refuses_the_same_tensor_listed_twice():
 
 
 def test_adam_steps_pairs_as_they_arrive_and_skips_other_leaves():
-    p, q, const = Tensor(np.ones((2, 2))), Tensor(np.ones((1, 3))), Tensor(np.ones((2, 2)))
-    opt = Adam([("p", p), ("q", q)], lr=0.1)
+    big = (1, autograd._ADAM_CHUNK + 1)
+    p, q, const = Tensor(np.ones(big)), Tensor(np.ones((1, 3))), Tensor(np.ones((2, 2)))
+    small = Tensor(np.ones((2, 2)))
+    opt = Adam([("p", p), ("q", q), ("small", small)], lr=0.1)
     seen = []
 
     def pairs():
         yield const, np.ones((2, 2))  # not a parameter: skipped
-        yield p, np.ones((2, 2))
-        seen.append(p.value.copy())  # p is stepped before the next pair is asked for
+        yield small, np.ones((2, 2))
+        yield p, np.ones(big)
+        seen.append(p.value.copy())  # a large p is stepped before the next pair is asked for
+        assert np.array_equal(small.value, np.ones((2, 2)))  # small ones wait for the walk's end
         assert np.array_equal(q.value, np.ones((1, 3)))
 
     opt.step(pairs())
-    assert np.array_equal(seen[0], p.value) and not np.array_equal(p.value, np.ones((2, 2)))
+    assert np.array_equal(seen[0], p.value) and not np.array_equal(p.value, np.ones(big))
+    assert np.array_equal(small.value, np.full((2, 2), p.value[0, 0]))  # the same step, after the walk
     assert np.array_equal(q.value, np.ones((1, 3)))  # a zero gradient at zero decay moves nothing
     assert np.array_equal(const.value, np.ones((2, 2)))
+
+
+def test_a_walk_that_raises_leaves_the_small_parameters_unstepped():
+    big = (1, autograd._ADAM_CHUNK + 1)
+    p, small = Tensor(np.ones(big)), Tensor(np.ones((2, 2)))
+    opt = Adam([("p", p), ("small", small)], lr=0.1)
+
+    def pairs():
+        yield small, np.ones((2, 2))
+        yield p, np.ones(big)
+        raise NonFiniteError("the walk failed")
+
+    with pytest.raises(NonFiniteError, match="the walk failed"):
+        opt.step(pairs())
+    assert not np.array_equal(p.value, np.ones(big))  # stepped as its pair arrived
+    assert np.array_equal(small.value, np.ones((2, 2)))
 
 
 def test_parameter_gradients_pass_backwards_arrays_through(monkeypatch):

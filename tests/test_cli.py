@@ -235,6 +235,22 @@ def test_train_invalid_config_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"train": {"lr": "fast"}}, "config field 'train.lr' must be a number, got 'fast'"),
+        ({"ablation": 5}, "config field 'ablation' must be a string, got 5"),
+    ],
+    ids=["number", "string"],
+)
+def test_train_config_field_of_the_wrong_type_exits_two(tmp_path, capsys, fields, message):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(fields), encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--corpus", tagged_corpus(tmp_path), "--out", str(tmp_path / "m")])
+    assert code == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "field, value, allowed",
     [("d", 10**30, "1..4096"), ("decoder_layers", 33, "1..32"), ("gcn_layers", 33, "1..32"),
      ("ffn_multiplier", 17, "1..16")],
@@ -313,6 +329,15 @@ def test_build_graph_base_with_a_bad_node_name_exits_two(tmp_path, capsys, name)
     argv = ["build-graph", "--base", str(base), "--in", tagged_corpus(tmp_path, n=1), "--out-dir", str(tmp_path / "g")]
     assert main(argv) == 2
     assert f"{base}: nodes[1].name must be a nonempty string" in capsys.readouterr().err
+
+
+def test_build_graph_base_with_an_unknown_edge_relation_exits_two(tmp_path, capsys):
+    base = tmp_path / "base.json"
+    nodes = [{"name": "root", "kind": "root"}, {"name": "lung", "kind": "organ"}]
+    base.write_text(json.dumps({"nodes": nodes, "edges": [["root", "lung", "cause"]]}), encoding="utf-8")
+    argv = ["build-graph", "--base", str(base), "--in", tagged_corpus(tmp_path, n=1), "--out-dir", str(tmp_path / "g")]
+    assert main(argv) == 2
+    assert f"{base}: edges[0] has unknown relation 'cause'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", BAD_NODE_NAMES)
@@ -484,6 +509,25 @@ def test_train_on_a_report_that_is_not_a_string_exits_two(tmp_path, capsys):
     argv = ["train", "--config", write_config(tmp_path), "--corpus", str(corpus), "--out", str(tmp_path / "m")]
     assert main(argv) == 2
     assert f"{corpus}:2: 'report' must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("entities", "heart", "'entities' must be a list"),
+        ("entities", [{"text": " ", "type": "ANATOMY"}], "entities[0].text must be a nonempty string"),
+        ("id", "", "missing required field 'id'"),
+    ],
+    ids=["entities", "entity-text", "id"],
+)
+def test_train_on_a_record_field_of_the_wrong_form_exits_two(tmp_path, capsys, field, value, message):
+    corpus = tmp_path / "c.jsonl"
+    rows = [json.loads(line) for line in open(tagged_corpus(tmp_path, n=2), encoding="utf-8")]
+    rows[1][field] = value
+    write_jsonl(corpus, rows)
+    argv = ["train", "--config", write_config(tmp_path), "--corpus", str(corpus), "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    assert f"{corpus}:2: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("empty", ["preds", "refs"])

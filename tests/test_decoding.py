@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import dmdk.model
-from dmdk.autograd import Tensor, no_grad
+from dmdk.autograd import NonFiniteError, Tensor, no_grad
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
     AblationMode,
@@ -209,6 +209,17 @@ def test_cache_matches_oracle_bitwise_after_a_prefill(monkeypatch):
         monkeypatch, random_streams(16), model.decoder, model.embed, 12, prefill=[5, 9, 7, 11]
     )
     assert cache.length == 5 + 11
+
+
+@pytest.mark.parametrize("weight", ["wk", "wv"])
+def test_a_non_finite_cached_key_or_value_raises(weight):
+    model = random_model(d=16, heads=2, layers=2)
+    streams, cache = random_streams(16), DecoderCache()
+    with no_grad():
+        decoder_forward([Vocabulary.BOS, 5], *streams, model.decoder, model.embed, cache)
+        getattr(model.decoder.layers[1].self_attn, weight).value[0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="self-attention keys or values contain non-finite values"):
+            decoder_forward([9], *streams, model.decoder, model.embed, cache)
 
 
 def test_cached_step_allocates_the_same_at_any_prefix_length():

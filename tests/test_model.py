@@ -30,6 +30,7 @@ from dmdk.model import (
 from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, load_corpus, tokenize
 
 from conftest import make_config, random_mha, save_features
+from oracles import oracle_param
 
 RNG = np.random.default_rng(53)
 
@@ -140,6 +141,18 @@ def test_init_is_deterministic_per_seed():
     for (n1, p1), (n2, p2) in zip(a.parameters(), b.parameters()):
         assert n1 == n2
         assert np.array_equal(p1.value, p2.value)
+
+
+def test_initial_parameters_are_bitwise_the_rng_normal_draws_at_d512(monkeypatch):
+    spec = small_spec(d=512, heads=8, ffn_multiplier=1)
+    rngs = np.random.default_rng(19), np.random.default_rng(19)
+    model = ReportModel(small_vocab(), ["root", "lung"], spec, rng=rngs[0])
+    monkeypatch.setattr(ReportModel, "_param", oracle_param)
+    expected = ReportModel(small_vocab(), ["root", "lung"], spec, rng=rngs[1])
+    assert [n for n, _ in model.parameters()] == [n for n, _ in expected.parameters()]
+    for (name, p), (_, q) in zip(model.parameters(), expected.parameters()):
+        assert p.value.tobytes() == q.value.tobytes(), name
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state  # the same draws were used
 
 
 def test_state_dict_round_trip():

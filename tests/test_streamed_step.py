@@ -1,7 +1,8 @@
 """The streamed training step: ``Adam.step(leaf_gradients(loss))``.
 
 The walk hands each leaf's gradient to Adam as soon as the leaf's last
-consumer has run, and Adam updates the parameter in place. Every step must
+consumer has run. Adam updates a large parameter in place before it asks for
+the next pair, and the small ones together once the walk ends. Every step must
 equal, bit for bit, the engine that kept the graph (``oracle_backward``)
 followed by the whole-array Adam formula (``oracle_adam_step``); and a step
 must hold no more gradients than the layer it is working on.
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dmdk import autograd
 from dmdk import model as model_module
 from dmdk.autograd import Adam, Tensor, backward, leaf_gradients, matmul, relu, sum_all
 from dmdk.config import load_config
@@ -29,13 +31,16 @@ DESK = Path(__file__).resolve().parent.parent / "configs" / "desk_scale.json"
 class OracleCheckedSteps:
     """Stands in for ``leaf_gradients`` inside ``train()``: passes the walk's
     pairs on to Adam and checks each parameter against the oracles once Adam
-    has stepped it, with no more than one parameter's oracle state alive."""
+    has stepped it: a large one before the next pair, a small one after the
+    walk. No more than one large parameter's oracle state is alive at once."""
 
     def __init__(self):
         self.optimizers = []  # filled by the Adam that ``train()`` builds
         self.steps = 0
         self.untouched = set()  # names of parameters stepped with a zero gradient
-        self._pending = []  # (name, p, expected value, m, v) stepped or about to be
+        self.streamed, self.swept = set(), set()  # names of large and small parameters
+        self._pending = []  # (name, p, expected value, m, v) of large ones stepped or about to be
+        self._after_walk = []  # the same for small ones, stepped once the walk ends
 
     def adam(self, *args, **kwargs):
         opt = Adam(*args, **kwargs)
@@ -44,35 +49,38 @@ class OracleCheckedSteps:
 
     def __call__(self, loss):
         (opt,) = self.optimizers
-        self.check()  # the previous step's zero-gradient parameters
+        self.check()  # the previous step's small and zero-gradient parameters
         self.steps += 1
         return self._stream(opt, loss, oracle_backward(loss))
 
-    def check(self):
+    def check(self, *queues):
         (opt,) = self.optimizers
-        while self._pending:
-            name, p, value, m, v = self._pending.pop()
-            assert np.array_equal(p.value, value), (self.steps, name)
-            assert np.array_equal(opt._m[name].reshape(value.shape), m), (self.steps, name)
-            assert np.array_equal(opt._v[name].reshape(value.shape), v), (self.steps, name)
+        for queue in queues or (self._pending, self._after_walk):
+            while queue:
+                name, p, value, m, v = queue.pop()
+                assert np.array_equal(p.value, value), (self.steps, name)
+                assert np.array_equal(opt._m[name].reshape(value.shape), m), (self.steps, name)
+                assert np.array_equal(opt._v[name].reshape(value.shape), v), (self.steps, name)
 
     def _expect(self, opt, name, p, g):
         values, m, v = oracle_adam_step(
             {name: p.value}, {name: opt._m[name].reshape(p.shape)}, {name: opt._v[name].reshape(p.shape)},
             {} if g is None else {name: g}, opt.t, opt.lr, opt.weight_decay,
         )
-        self._pending.append((name, p, values[name], m[name], v[name]))
+        large = p.value.size > autograd._ADAM_CHUNK
+        (self.streamed if large else self.swept).add(name)
+        (self._pending if large else self._after_walk).append((name, p, values[name], m[name], v[name]))
 
     def _stream(self, opt, loss, expected):
         waiting = {id(p): (name, p) for name, p in opt.params}
         for leaf, g in leaf_gradients(loss):
-            self.check()  # Adam steps each pair before it asks for the next
+            self.check(self._pending)  # Adam steps each large pair before it asks for the next
             assert np.array_equal(g, expected.pop(leaf))  # KeyError: yielded twice
             if id(leaf) in waiting:
                 name, p = waiting.pop(id(leaf))
                 self._expect(opt, name, p, g)
             yield leaf, g
-        self.check()
+        self.check(self._pending)
         assert not expected  # every leaf the oracle reached was yielded
         for name, p in waiting.values():  # stepped by Adam after the walk ends
             self.untouched.add(name)
@@ -125,6 +133,7 @@ def test_training_steps_equal_the_graph_keeping_oracles_bitwise(
     checked.check()
     assert checked.steps == 5  # one batch of all eight records per epoch
     assert "embed.tokens" in fan_out  # tag pooling and the decoder input both read it
+    assert checked.swept and bool(checked.streamed) == bool(model)  # desk has no large parameter
     if ablation == "dke":  # the graph streams are off, so their parameters get no gradient
         assert {"gcn.embeddings", "graph_attn.wq"} <= checked.untouched
 
