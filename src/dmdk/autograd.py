@@ -11,9 +11,11 @@ each leaf's gradient as soon as the leaf's last consumer has run, so
 ``Adam.step`` can update a large parameter in place while the walk goes on
 (it steps the small ones together once the walk ends); ``backward`` collects
 the whole walk into a dict, whose ``items()`` are pairs ``Adam.step`` takes
-as well. Inside ``no_grad()`` ops compute the same values but keep no graph,
-for inference. ``finite_diff_grad`` is the independent central-difference
-estimator, with step ``FD_STEP``, used to audit every backward rule.
+as well, one per parameter: a model passes its constant inputs as arrays, so
+its training graph's leaves are exactly its parameters. Inside ``no_grad()``
+ops compute the same values but keep no graph, for inference.
+``finite_diff_grad`` is the independent central-difference estimator, with
+step ``FD_STEP``, used to audit every backward rule.
 
 ``SparseRows`` holds a constant sparse matrix as a Tensor of its nonzero
 entries; ``canonical_matmul`` multiplies it into a tensor, summing each output
@@ -54,7 +56,6 @@ __all__ = [
     "leaf_gradients",
     "matmul",
     "no_grad",
-    "parameter_gradients",
     "relative_error",
     "relu",
     "sum_all",
@@ -226,12 +227,6 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     return dict(leaf_gradients(output))
 
 
-def parameter_gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[Tensor, np.ndarray]:
-    """Gradient map over ``params``; parameters the loss never touched get zeros."""
-    leaf_grads = backward(loss)
-    return {p: leaf_grads[p] if p in leaf_grads else np.zeros(p.value.shape) for p in params}
-
-
 # ---------------------------------------------------------------------------
 # ops
 
@@ -247,21 +242,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(av @ bv, (a, b), grad_fn)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def affine(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for a 1 x cols bias row ``b``: a ``matmul`` and a broadcast
-    add as one node, bitwise, with no Tensor of the product."""
-    if x.cols != w.rows:
-        raise ValueError(f"matmul shape mismatch: {x.shape} x {w.shape}")
+    add as one node, bitwise, with no Tensor of the product. An ``x`` given as
+    a finite float64 array is a constant of the node: it gets no gradient."""
+    constant = not isinstance(x, Tensor)
+    xv, wv = (x if constant else x.value), w.value
+    if xv.shape[1] != w.rows:
+        raise ValueError(f"matmul shape mismatch: {xv.shape} x {w.shape}")
     if b.shape != (1, w.cols):
-        raise ValueError(f"add shape mismatch: {(x.rows, w.cols)} + {b.shape}")
-    xv, wv = x.value, w.value
+        raise ValueError(f"add shape mismatch: {(xv.shape[0], w.cols)} + {b.shape}")
 
     def grad_fn(g: np.ndarray):
-        return g @ wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)
+        gw, gb = xv.T @ g, g.sum(axis=0, keepdims=True)
+        return (gw, gb) if constant else (g @ wv.T, gw, gb)
 
     out = xv @ wv
     out += b.value
-    return Tensor(out, (x, w, b), grad_fn)
+    return Tensor(out, (w, b) if constant else (x, w, b), grad_fn)
 
 
 class SparseRows(Tensor):
@@ -435,18 +433,13 @@ def cross_entropy_logits(
     logits: Tensor, targets: Sequence[int], weights: Sequence[float] | None = None
 ) -> Tensor:
     """Sum over rows of weights[i] times row i's negative log-likelihood of
-    targets[i] under softmax(logits); the weights default to 1/rows, a mean."""
+    targets[i] under softmax(logits); the weights default to 1/rows, a mean.
+
+    The caller gives one target in [0, cols) and one weight per row; nothing
+    here checks it."""
     n = logits.rows
     targets = np.asarray(targets, dtype=np.intp).reshape(-1)
-    w = np.full(n, 1.0 / max(n, 1)) if weights is None else np.asarray(weights, dtype=np.float64)
-    if n == 0 or len(targets) != n or len(w) != n:
-        raise ValueError(
-            f"cross entropy needs one target and weight per row: {n} rows, "
-            f"{len(targets)} targets, {len(w)} weights"
-        )
-    bad = (targets < 0) | (targets >= logits.cols)
-    if bad.any():
-        raise ValueError(f"target index {targets[bad][0]} out of range [0, {logits.cols})")
+    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
     w = w.reshape(-1, 1)
     v = logits.value
     m = v.max(axis=1, keepdims=True)
@@ -477,10 +470,6 @@ ADAM_EPS = 1e-8
 # stay in L2, so DRAM sees p, g, m and v read once and m, v, p written once
 _ADAM_CHUNK = 32768
 
-# read in place of the gradient chunk of a parameter that got no gradient
-_ZERO_CHUNK = np.zeros(_ADAM_CHUNK)
-_ZERO_CHUNK.flags.writeable = False
-
 
 class Adam:
     """Adam with bias correction; optional L2 acts through the gradient.
@@ -498,6 +487,8 @@ class Adam:
 
     without a parameter-sized temporary. ``step`` writes into ``p.value``
     itself, so a caller that needs the pre-step values must copy them first.
+    Each step takes one gradient for every parameter and none for any other
+    tensor: a training graph's leaves are exactly the model's parameters.
 
     A small parameter has at most ``_ADAM_CHUNK`` elements. The constructor
     packs the values of all small parameters into one flat buffer and rebinds
@@ -570,16 +561,19 @@ class Adam:
             lo = hi
 
     def step(self, grads: Iterable[tuple[Tensor, np.ndarray]]) -> None:
-        """Step every parameter once from ``(tensor, gradient)`` pairs.
+        """Step every parameter once from ``(tensor, gradient)`` pairs, one
+        pair per parameter.
 
         ``grads`` can be the ``leaf_gradients`` walk itself (or a gradient
         dict's ``items()``); the step keeps no gradient array once it is used.
         A large parameter is updated as its pair arrives; a small one's
         gradient is copied into the staging buffer, and all small parameters
-        are updated together after the last pair. Pairs for tensors that are
-        not parameters are skipped. Parameters with no pair are stepped with a
-        zero gradient. If ``grads`` raises part-way, the large parameters
-        already stepped stay stepped and no small parameter is stepped.
+        are updated together after the last pair. A pair for a tensor that is
+        not a parameter (or for one already given) raises ``ValueError`` when
+        it arrives, and so does a parameter left without a pair once ``grads``
+        ends. If ``grads`` raises part-way, or the step refuses, the large
+        parameters already stepped stay stepped and no small parameter is
+        stepped.
         """
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
@@ -589,41 +583,37 @@ class Adam:
         waiting, staged = dict(self._by_id), self._staged
         for leaf, g in grads:
             entry = waiting.pop(id(leaf), None)
+            if entry is None:
+                raise ValueError(f"a gradient for {leaf!r}, which is not a parameter or already has one")
             if id(leaf) in staged:
                 np.copyto(staged[id(leaf)], g)
-            elif entry is not None:  # other leaves are constants
+            else:
                 self._step_large(*entry, g, bc1, bc2)
             del g
-        for key, (name, p) in waiting.items():
-            if key in staged:
-                staged[key].fill(0.0)
-            else:
-                self._step_large(name, p, None, bc1, bc2)
+        if waiting:
+            raise ValueError(f"no gradient for parameters {sorted(name for name, _ in waiting.values())}")
         self._step_flat(self._values, self._grads, self._m_flat, self._v_flat, bc1, bc2)
 
-    def _step_large(self, name: str, p: Tensor, g: np.ndarray | None, bc1: float, bc2: float) -> None:
-        g = None if g is None else g.reshape(-1)
-        self._step_flat(p.value.reshape(-1, copy=False), g, self._m[name], self._v[name], bc1, bc2)
+    def _step_large(self, name: str, p: Tensor, g: np.ndarray, bc1: float, bc2: float) -> None:
+        self._step_flat(p.value.reshape(-1, copy=False), g.reshape(-1), self._m[name], self._v[name], bc1, bc2)
 
     def _step_flat(self, p, g, m, v, bc1, bc2) -> None:
-        """Flat ``p``, ``m`` and ``v`` in place, chunk by chunk; a ``g`` of None
-        is zero, and the staging buffer serves as its own first scratch."""
+        """Flat ``p``, ``m`` and ``v`` in place, chunk by chunk; the staging
+        buffer serves as its own first scratch."""
         s1, s2 = self._scratch
         staged = g is self._grads
         chunks = -(-p.size // _ADAM_CHUNK)  # as few as fit, of near-equal size
         for k in range(chunks):
             i, j = p.size * k // chunks, p.size * (k + 1) // chunks
-            gi = None if g is None else g[i:j]
+            gi = g[i:j]
             self._update(p[i:j], gi, m[i:j], v[i:j], gi if staged else s1[: j - i], s2[: j - i], bc1, bc2)
 
     def _update(self, p, g, m, v, s1, s2, bc1, bc2) -> None:
-        """One chunk: ``p``, ``m`` and ``v`` in place; a ``g`` of None is zero.
+        """One chunk: ``p``, ``m`` and ``v`` in place.
 
         ``s1`` and ``s2`` are scratch of the chunk's size; ``s1`` may be ``g``
         itself, which the update then overwrites.
         """
-        if g is None:
-            g = _ZERO_CHUNK[: p.size]
         if self.weight_decay:
             g = np.add(g, np.multiply(self.weight_decay, p, out=s2), out=s1)
         np.add(np.multiply(ADAM_BETA1, m, out=m), np.multiply(1.0 - ADAM_BETA1, g, out=s2), out=m)

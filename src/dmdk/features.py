@@ -1,8 +1,9 @@
 """Visual feature files and the learned projection into the model width.
 
 Feature maps arrive as plain-text matrices (one file per view, at most two
-views per record) and pass through a trainable affine projection.
-``model.encode_batch`` stacks a record's views by rows.
+views per record) and pass through a trainable affine projection, whose node
+keeps the features as a constant. ``model.encode_batch`` stacks a record's
+views by rows.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class ProjectionParams:
 
 def project_features(raw: np.ndarray, params: ProjectionParams) -> Tensor:
     """Affine map raw @ W + b from the extractor width into the model width:
-    the N x d visual tokens, N >= 1."""
-    return affine(Tensor(raw), params.weight, params.bias)
+    the N x d visual tokens, N >= 1. ``raw`` holds finite float64 values, as
+    ``load_features`` returns them, and is a constant of the node."""
+    return affine(raw, params.weight, params.bias)
 

@@ -4,7 +4,9 @@ Per record the pipeline is: project the visual features to X, enhance with
 topic-tag attention (W') and graph attention (M'), fuse into X' by attending
 X over the weighted mixture of the three, then decode autoregressively with
 stacked cross-attention over X', W', and M'. Ablation modes substitute X for
-the disabled knowledge branches, leaving parameter shapes untouched.
+the disabled knowledge branches and build none of their parameters: ``dke``
+has no ``graph_attn`` or ``gcn``, ``ske`` no ``label_attn``, ``base`` none of
+the three. So every parameter gets a gradient in every training step.
 
 Every attention block (label, graph and fusion attention, and four per decoder
 layer) is one packed ``MhaParams``: d x d tensors ``<block>.wq``, ``.wk``,
@@ -47,12 +49,12 @@ from .autograd import (
     SparseRows,
     Tensor,
     affine,
+    backward,
     cross_entropy_logits,
     finite_diff_grad,
     grad_enabled,
     leaf_gradients,
     no_grad,
-    parameter_gradients,
     relative_error,
     weighted_sum,
 )
@@ -179,9 +181,11 @@ class DecoderParams:
 
 
 class ReportModel:
-    """All trainable tensors plus the structural spec and vocabulary. The one
-    place that sets parameter shapes, from the validated ``spec``, and checks
-    each checkpoint tensor against its shape on load; containers check none."""
+    """The trainable tensors of the streams ``spec.ablation`` runs, plus the
+    structural spec and vocabulary. The one place that sets parameter shapes,
+    from the validated ``spec``, and checks each checkpoint tensor against its
+    shape on load; containers check none. Every tensor is drawn in one fixed
+    order from one stream, skipping the streams the ablation does not run."""
 
     def __init__(
         self,
@@ -206,19 +210,19 @@ class ReportModel:
             self._param("proj.bias", 1, d, "zeros"),
         )
         self.embed = self._param("embed.tokens", len(vocab), d, "embed")
-        self.label_attn = self._mha("label_attn", d, spec.heads)
-        self.graph_attn = self._mha("graph_attn", d, spec.heads)
+        # each stream's tensors exist only under the ablations that run it
+        labels = spec.ablation in (AblationMode.FULL, AblationMode.DKE)
+        graphs = spec.ablation in (AblationMode.FULL, AblationMode.SKE)
+        self.label_attn = self._mha("label_attn", d, spec.heads) if labels else None
+        self.graph_attn = self._mha("graph_attn", d, spec.heads) if graphs else None
         self.fusion_attn = self._mha("fusion_attn", d, spec.heads)
-        self.gcn = GcnParams(
-            self.node_names,
-            self._param("gcn.embeddings", len(self.node_names) + 1, d, "embed"),
-            [
-                self._param(f"gcn.layer{i}.weight", d, d, "weight")
-                for i in range(spec.gcn_layers)
-            ],
-        )
-        if state is None:  # no training graph has an UNK node, so a zero row stays zero
-            self.gcn.embeddings.value[-1] = 0.0
+        self.gcn = None
+        if graphs:
+            table = self._param("gcn.embeddings", len(self.node_names) + 1, d, "embed")
+            if state is None:  # no training graph has an UNK node, so a zero row stays zero
+                table.value[-1] = 0.0
+            layers = [self._param(f"gcn.layer{i}.weight", d, d, "weight") for i in range(spec.gcn_layers)]
+            self.gcn = GcnParams(self.node_names, table, layers)
         layers = []
         for i in range(spec.decoder_layers):
             layers.append(
@@ -242,8 +246,9 @@ class ReportModel:
             self._param("head.weight", d, len(vocab), "weight"),
             self._param("head.bias", 1, len(vocab), "zeros"),
         )
-        if self._state:
-            raise ValueError(f"checkpoint has unexpected tensors: {sorted(self._state)}")
+        if self._state:  # such as a stream's that older versions built under every ablation
+            unbuilt = f"{sorted(self._state)}; a {spec.ablation.value} model does not build them"
+            raise ValueError(f"checkpoint has unexpected tensors: {unbuilt}, so retrain it")
         self._state = None
         self._rng = None
 
@@ -751,9 +756,7 @@ def run_gradient_check(run) -> list[tuple[str, float]]:
         replace(run, ablation="full"), records, views, vocab, base_graph, fallback_labels(base_graph)
     )
 
-    loss = teacher_forcing_loss(prepared, model)
-    tensors = [p for _, p in model.parameters()]
-    analytic = parameter_gradients(loss, tensors)
+    analytic = backward(teacher_forcing_loss(prepared, model))
 
     def objective() -> float:
         return float(teacher_forcing_loss(prepared, model).value[0, 0])

@@ -23,6 +23,7 @@ from dmdk.autograd import (
     NonFiniteError,
     SparseRows,
     Tensor,
+    backward,
     embedding,
     matmul,
     relu,
@@ -324,16 +325,13 @@ def oracle_param(model, name, rows, cols, kind):
 def oracle_adam_step(values, m, v, grads, t, lr, weight_decay):
     """One Adam step by the whole-array formula, over dicts keyed by name.
 
-    ``grads`` may lack a name (a zero gradient). Returns the new
-    ``(values, m, v)`` dicts and leaves the arguments untouched.
+    Returns the new ``(values, m, v)`` dicts and leaves the arguments untouched.
     """
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     new_values, new_m, new_v = {}, {}, {}
     for name, p in values.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads[name]
         if weight_decay:
             g = g + weight_decay * p
         mn = new_m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
@@ -383,6 +381,13 @@ def oracle_backward(output):
             else:
                 grads[key] = pg
     return {by_id[k]: g for k, g in grads.items() if not by_id[k]._parents}
+
+
+def parameter_gradients(loss, params):
+    """``autograd.backward``'s gradients of ``params``, as arrays it returned;
+    a tensor the loss never reached (an op's unused input) gets zeros."""
+    leaf_grads = backward(loss)
+    return {p: leaf_grads[p] if p in leaf_grads else np.zeros(p.value.shape) for p in params}
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +509,9 @@ def oracle_residual_attention(h, k, v, params, norm, offset=None, spans=None):
 
 
 def oracle_affine(x, w, b):
-    return add(matmul(x, w), b)
+    if isinstance(x, Tensor):
+        return add(matmul(x, w), b)
+    return add(Tensor(x @ w.value, (w,), lambda g: (x.T @ g,)), b)  # a constant x: no gradient
 
 
 def oracle_feed_forward(x, params, norm):
@@ -524,11 +531,13 @@ def oracle_weighted_sum(terms, weights):
 
 
 def oracle_embed_tokens(ids, table, start=0, spans=None):
-    """The token rows and the positional rows as two nodes, then their sum."""
+    """The token rows as one node, then their sum with the constant positional
+    rows as another."""
     spans = [len(ids)] if spans is None else list(spans)
     index = [start + i for n in spans for i in range(n)]
     stop = max(index, default=start) + 1
-    return add(embedding(table, ids), Tensor(sinusoidal_rows(0, stop, table.cols)[index]))
+    rows = embedding(table, ids)
+    return Tensor(rows.value + sinusoidal_rows(0, stop, table.cols)[index], (rows,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------

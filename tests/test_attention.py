@@ -23,13 +23,12 @@ from dmdk.autograd import (
     Tensor,
     finite_diff_grad,
     matmul,
-    parameter_gradients,
     relative_error,
     sum_all,
 )
 
 from conftest import random_mha
-from oracles import mul, oracle_attention, oracle_layer_norm, oracle_mha
+from oracles import mul, oracle_attention, oracle_layer_norm, oracle_mha, parameter_gradients
 
 RNG = np.random.default_rng(7)
 TOL = dict(rtol=1e-12, atol=1e-12)

@@ -20,14 +20,14 @@ from dmdk.autograd import (
     leaf_gradients,
     matmul,
     no_grad,
-    parameter_gradients,
     relative_error,
     relu,
     sum_all,
     weighted_sum,
 )
 
-from oracles import add, from_dense, mul, oracle_adam_step, oracle_layer_norm
+import oracles
+from oracles import add, from_dense, mul, oracle_adam_step, oracle_layer_norm, parameter_gradients
 
 RNG = np.random.default_rng(42)
 
@@ -245,9 +245,9 @@ def test_backward_frees_interior_activations():
 
 
 def test_adam_step_updates_the_parameter_in_place_while_the_loss_is_held():
-    x, p = Tensor(RNG.normal(size=(3, 4))), Tensor(RNG.normal(size=(4, 2)))
+    p = Tensor(RNG.normal(size=(4, 4)))
     opt = Adam([("p", p)], lr=0.1)  # rebinds the small p.value to a view of Adam's buffer
-    loss = sum_all(matmul(x, p))
+    loss = sum_all(matmul(p, p))
     held, before = p.value, p.value.copy()
     opt.step(leaf_gradients(loss))
     assert p.value is held and not np.array_equal(held, before)
@@ -396,10 +396,17 @@ def test_chunked_adam_equals_the_whole_array_formula_bitwise(shape, weight_decay
     held = {name: t.value for name, t in tensors.items()}  # small values are views from here on
     for t in range(1, 6):
         grads = {name: rng.normal(size=a.shape) for name, a in values.items()}
-        if missing and t in (2, 4):
-            del grads[missing]  # sits out this step: a zero gradient
-        opt.step([(tensors[name], g) for name, g in grads.items()])
-        values, m, v = oracle_adam_step(values, m, v, grads, t, 1e-3, weight_decay)
+        pairs = [(tensors[name], g) for name, g in grads.items() if name != missing or t not in (2, 4)]
+        if len(pairs) < len(grads):
+            with pytest.raises(ValueError, match=rf"no gradient for parameters \['{missing}'\]"):
+                opt.step(pairs)
+            # refused once the pairs end: each large parameter was stepped as its pair arrived
+            grads = {name: g for name, g in grads.items() if name != missing and g.size > autograd._ADAM_CHUNK}
+        else:
+            opt.step(pairs)
+        stepped = oracle_adam_step(*({n: d[n] for n in grads} for d in (values, m, v)), grads, t, 1e-3, weight_decay)
+        for before, after in zip((values, m, v), stepped):
+            before.update(after)
         for name, expected in values.items():
             assert tensors[name].value is held[name], (t, name)  # stepped in place, not rebound
             assert np.array_equal(tensors[name].value, expected), (t, name)
@@ -424,16 +431,24 @@ def test_adam_step_allocates_nothing_parameter_sized():
     assert peak <= scratch + 64 * 1024 < p.value.nbytes // 8, peak
 
 
-def test_adam_steps_a_parameter_with_no_gradient_from_a_chunk_of_zeros():
-    p = Tensor(RNG.normal(size=(512, 2048)))
-    opt = Adam([("p", p)], lr=1e-3, weight_decay=1e-3)
-    tracemalloc.start()
-    try:
-        opt.step([])  # no pair for p: it steps with a zero gradient
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < p.value.nbytes // 8, peak
+def test_adam_refuses_a_parameter_left_without_a_gradient():
+    big = (1, autograd._ADAM_CHUNK + 1)
+    p, small, left = Tensor(np.ones(big)), Tensor(np.ones((2, 2))), Tensor(np.ones((1, 3)))
+    opt = Adam([("p", p), ("small", small), ("left", left)], lr=0.1)
+    with pytest.raises(ValueError, match=r"no gradient for parameters \['left'\]"):
+        opt.step([(small, np.ones((2, 2))), (p, np.ones(big))])
+    assert not np.array_equal(p.value, np.ones(big))  # stepped as its pair arrived
+    assert np.array_equal(small.value, np.ones((2, 2))) and np.array_equal(left.value, np.ones((1, 3)))
+
+
+def test_adam_refuses_a_leaf_that_is_not_a_parameter_and_a_second_gradient():
+    p, const = Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2)))
+    opt = Adam([("p", p)], lr=0.1)
+    with pytest.raises(ValueError, match=r"for Tensor\(shape=\(3, 2\)\), which is not a parameter"):
+        opt.step([(p, np.ones((2, 2))), (const, np.ones((3, 2)))])
+    with pytest.raises(ValueError, match="which is not a parameter or already has one"):
+        opt.step([(p, np.ones((2, 2))), (p, np.ones((2, 2)))])
+    assert np.array_equal(p.value, np.ones((2, 2))) and np.array_equal(const.value, np.ones((3, 2)))
 
 
 @pytest.mark.parametrize(
@@ -462,26 +477,23 @@ def test_adam_refuses_the_same_tensor_listed_twice():
         Adam([("w", a), ("alias", a)], lr=0.1)
 
 
-def test_adam_steps_pairs_as_they_arrive_and_skips_other_leaves():
+def test_adam_steps_pairs_as_they_arrive():
     big = (1, autograd._ADAM_CHUNK + 1)
-    p, q, const = Tensor(np.ones(big)), Tensor(np.ones((1, 3))), Tensor(np.ones((2, 2)))
-    small = Tensor(np.ones((2, 2)))
+    p, q, small = Tensor(np.ones(big)), Tensor(np.ones((1, 3))), Tensor(np.ones((2, 2)))
     opt = Adam([("p", p), ("q", q), ("small", small)], lr=0.1)
     seen = []
 
     def pairs():
-        yield const, np.ones((2, 2))  # not a parameter: skipped
         yield small, np.ones((2, 2))
         yield p, np.ones(big)
         seen.append(p.value.copy())  # a large p is stepped before the next pair is asked for
         assert np.array_equal(small.value, np.ones((2, 2)))  # small ones wait for the walk's end
-        assert np.array_equal(q.value, np.ones((1, 3)))
+        yield q, np.ones((1, 3))
 
     opt.step(pairs())
     assert np.array_equal(seen[0], p.value) and not np.array_equal(p.value, np.ones(big))
-    assert np.array_equal(small.value, np.full((2, 2), p.value[0, 0]))  # the same step, after the walk
-    assert np.array_equal(q.value, np.ones((1, 3)))  # a zero gradient at zero decay moves nothing
-    assert np.array_equal(const.value, np.ones((2, 2)))
+    for t in (small, q):  # the same step, after the walk
+        assert np.array_equal(t.value, np.full(t.shape, p.value[0, 0]))
 
 
 def test_a_walk_that_raises_leaves_the_small_parameters_unstepped():
@@ -508,7 +520,7 @@ def test_parameter_gradients_pass_backwards_arrays_through(monkeypatch):
         returned.update(backward(loss))
         return returned
 
-    monkeypatch.setattr(autograd, "backward", spy)
+    monkeypatch.setattr(oracles, "backward", spy)
     grads = parameter_gradients(sum_all(mul(a, b)), [a, b, untouched])
     assert grads[a] is returned[a] and grads[b] is returned[b]
     assert untouched not in returned
@@ -519,7 +531,7 @@ def test_parameter_gradients_allocate_nothing_when_every_parameter_is_touched(mo
     params = [Tensor(RNG.normal(size=(512, 512))) for _ in range(3)]
     loss = sum_all(add(add(params[0], params[1]), params[2]))
     leaf_grads = backward(loss)
-    monkeypatch.setattr(autograd, "backward", lambda _: leaf_grads)
+    monkeypatch.setattr(oracles, "backward", lambda _: leaf_grads)
     tracemalloc.start()
     try:
         grads = parameter_gradients(loss, params)

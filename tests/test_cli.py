@@ -1,10 +1,15 @@
 import json
 import logging
+import runpy
+import shutil
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dmdk.checkpoint import load_checkpoint, save_checkpoint
 from dmdk.cli import main
 from dmdk.config import effective_dict
 from dmdk.text import load_corpus
@@ -304,8 +309,6 @@ def test_generate_missing_checkpoint_exits_two(tmp_path, capsys):
 
 
 def test_generate_malformed_checkpoint_exits_two(tmp_path, capsys):
-    from dmdk.checkpoint import load_checkpoint, save_checkpoint
-
     corpus = tagged_corpus(tmp_path, n=2)
     ckpt = tmp_path / "m.ckpt"
     assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
@@ -340,10 +343,17 @@ def test_build_graph_base_with_an_unknown_edge_relation_exits_two(tmp_path, caps
     assert f"{base}: edges[0] has unknown relation 'cause'" in capsys.readouterr().err
 
 
+def test_build_graph_base_with_an_unknown_node_kind_exits_two(tmp_path, capsys):
+    base = tmp_path / "base.json"
+    nodes = [{"name": "root", "kind": "root"}, {"name": "lung", "kind": "limb"}]
+    base.write_text(json.dumps({"nodes": nodes, "edges": []}), encoding="utf-8")
+    argv = ["build-graph", "--base", str(base), "--in", tagged_corpus(tmp_path, n=1), "--out-dir", str(tmp_path / "g")]
+    assert main(argv) == 2
+    assert f"{base}: nodes[1].kind 'limb' is not one of: root, organ, finding" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", BAD_NODE_NAMES)
 def test_generate_on_a_checkpoint_with_a_bad_base_node_name_exits_two(tmp_path, capsys, name):
-    from dmdk.checkpoint import load_checkpoint, save_checkpoint
-
     corpus = tagged_corpus(tmp_path, n=1)
     ckpt = tmp_path / "m.ckpt"
     assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
@@ -357,8 +367,6 @@ def test_generate_on_a_checkpoint_with_a_bad_base_node_name_exits_two(tmp_path, 
 
 
 def test_generate_on_a_checkpoint_with_a_repeated_node_name_exits_two(tmp_path, capsys):
-    from dmdk.checkpoint import load_checkpoint, save_checkpoint
-
     corpus = tagged_corpus(tmp_path, n=1)
     ckpt = tmp_path / "m.ckpt"
     assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
@@ -425,8 +433,6 @@ def test_generate_on_a_version_1_checkpoint_exits_two(tmp_path, capsys):
     ids=["extra", "missing"],
 )
 def test_generate_on_a_checkpoint_whose_spec_fields_differ_exits_two(tmp_path, capsys, edit, named):
-    from dmdk.checkpoint import load_checkpoint, save_checkpoint
-
     corpus = tagged_corpus(tmp_path, n=1)
     ckpt = tmp_path / "m.ckpt"
     assert main(["train", "--config", write_config(tmp_path, epochs=0), "--corpus", corpus, "--out", str(ckpt)]) == 0
@@ -465,13 +471,72 @@ def generate_error(ckpt, corpus, tmp_path, capsys) -> str:
     ids=["missing key", "spec", "node names"],
 )
 def test_generate_on_checkpoint_metadata_of_the_wrong_form_exits_two(tmp_path, capsys, edit, problem):
-    from dmdk.checkpoint import load_checkpoint, save_checkpoint
-
     ckpt, corpus = trained_checkpoint(tmp_path, capsys)
     tensors, meta = load_checkpoint(ckpt)
     edit(meta)
     save_checkpoint(ckpt, list(tensors.items()), meta)
     assert f"{ckpt}: checkpoint metadata {problem}" in generate_error(ckpt, corpus, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda meta: meta["vocab"]["tokens"].append(meta["vocab"]["tokens"][-1]),
+         "vocabulary contains duplicate tokens"),
+        (lambda meta: meta["vocab"]["tokens"].remove("<unk>"), "vocabulary must start with specials"),
+        (lambda meta: meta["spec"].update(fusion=[0.0, 0.5, 0.5]),
+         "checkpoint metadata 'spec' is invalid: fusion weights must be positive and finite"),
+    ],
+    ids=["duplicate token", "no specials", "fusion weight"],
+)
+def test_generate_on_checkpoint_metadata_that_breaks_an_invariant_exits_two(tmp_path, capsys, edit, problem):
+    ckpt, corpus = trained_checkpoint(tmp_path, capsys)
+    tensors, meta = load_checkpoint(ckpt)
+    edit(meta)
+    save_checkpoint(ckpt, list(tensors.items()), meta)
+    assert f"{ckpt}: {problem}" in generate_error(ckpt, corpus, tmp_path, capsys)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_generate_on_weights_that_overflow_exits_three(tmp_path, capsys):
+    ckpt, corpus = trained_checkpoint(tmp_path, capsys)
+    tensors, meta = load_checkpoint(ckpt)
+    tensors["proj.weight"][:] = 1e308  # finite, but the projection's sums overflow
+    save_checkpoint(ckpt, list(tensors.items()), meta)
+    assert main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(tmp_path / "p")]) == 3
+    assert "error: non-finite value" in capsys.readouterr().err
+
+
+# A full d=8 model (lr 1e-2, 150 epochs, max_length 12, the rest make_config's
+# defaults) trained on tagged_corpus's three records by ``dmdk train`` at
+# 0834218, when every ablation still built every stream's tensors, and the
+# predictions its ``dmdk generate`` wrote.
+FULL_D8 = Path(__file__).resolve().parent / "data" / "full_d8.ckpt"
+FULL_D8_PREDS = FULL_D8.with_suffix(".preds.jsonl")
+
+
+def test_generate_on_a_full_checkpoint_of_an_earlier_version_writes_its_predictions(tmp_path, capsys):
+    ckpt, corpus, preds = tmp_path / "m.ckpt", tagged_corpus(tmp_path), tmp_path / "preds.jsonl"
+    shutil.copyfile(FULL_D8, ckpt)
+    assert main(["generate", "--model", str(ckpt), "--corpus", corpus, "--out", str(preds)]) == 0
+    assert preds.read_bytes() == FULL_D8_PREDS.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "ablation, unbuilt",
+    [("dke", ["'gcn.embeddings'", "'graph_attn.wq'"]), ("ske", ["'label_attn.wq'"]),
+     ("base", ["'gcn.layer0.weight'", "'graph_attn.wo'", "'label_attn.wv'"])],
+)
+def test_generate_on_an_ablations_checkpoint_holding_streams_it_does_not_run_exits_two(
+    tmp_path, capsys, ablation, unbuilt
+):
+    # the layout of an ablation's checkpoint while every stream was built
+    corpus, ckpt = tagged_corpus(tmp_path), tmp_path / "m.ckpt"
+    tensors, meta = load_checkpoint(FULL_D8)
+    meta["spec"]["ablation"] = ablation
+    save_checkpoint(ckpt, list(tensors.items()), meta)
+    err = generate_error(ckpt, corpus, tmp_path, capsys)
+    assert str(ckpt) in err and "retrain" in err and all(name in err for name in unbuilt)
 
 
 def test_generate_on_a_checkpoint_tensor_of_an_impossible_shape_exits_two(tmp_path, capsys):
@@ -611,6 +676,14 @@ def test_gradcheck_passes_on_tiny_config(tmp_path, capsys):
     assert "proj.weight" in out  # per-tensor lines
 
 
+def test_gradcheck_seed_flag_overrides_config(tmp_path, capsys):
+    dims = dict(d=4, heads=2, gcn_layers=1, max_length=12)
+    assert main(["gradcheck", "--config", write_config(tmp_path, "a.json", seed=7, **dims)]) == 0
+    configured = capsys.readouterr().out
+    assert main(["gradcheck", "--config", write_config(tmp_path, "b.json", **dims), "--seed", "7"]) == 0
+    assert capsys.readouterr().out == configured
+
+
 def test_gradcheck_failure_exits_two(tmp_path, capsys, monkeypatch):
     import dmdk.cli as cli_mod
 
@@ -641,3 +714,16 @@ def test_log_level_env_sets_a_level_or_falls_back_to_warning(tmp_path, monkeypat
         assert logging.root.level == level
     finally:
         logging.root.setLevel(before)
+
+
+# ---------------------------------------------------------------------------
+# python -m dmdk.cli
+
+
+@pytest.mark.filterwarnings("ignore:'dmdk.cli' found in sys.modules")
+def test_running_the_module_exits_with_the_code_main_returns(tmp_path, monkeypatch):
+    preds = write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "text": "x y"}])
+    monkeypatch.setattr(sys, "argv", ["dmdk", "evaluate", "--preds", preds, "--refs", preds, "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as err:
+        runpy.run_module("dmdk.cli", run_name="__main__")
+    assert err.value.code == 2  # the report cannot be written to a directory

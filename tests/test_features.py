@@ -238,7 +238,9 @@ def test_fuse_width_mismatch_rejected():
 
 
 def test_projection_gradients_flow():
-    from dmdk.autograd import finite_diff_grad, parameter_gradients, relative_error, sum_all
+    from dmdk.autograd import finite_diff_grad, relative_error, sum_all
+
+    from oracles import parameter_gradients
 
     params = ProjectionParams(Tensor(RNG.normal(size=(3, 4))), Tensor(np.zeros((1, 4))))
     raw = RNG.normal(size=(2, 3))

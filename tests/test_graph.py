@@ -11,7 +11,6 @@ from dmdk.autograd import (
     Tensor,
     canonical_matmul,
     finite_diff_grad,
-    parameter_gradients,
     relative_error,
     sum_all,
 )
@@ -46,6 +45,7 @@ from oracles import (
     oracle_normalized_adjacency,
     oracle_specific_graph,
     oracle_triples,
+    parameter_gradients,
 )
 
 RNG = np.random.default_rng(23)

@@ -135,6 +135,26 @@ def test_parameter_count_and_naming():
     assert not any("embed.positions" == n for n in names)  # positions are sinusoidal, not trained
 
 
+# the tensors of the streams each ablation does not run
+UNRUN = {"full": (), "dke": ("graph_attn.", "gcn."), "ske": ("label_attn.",), "base": ("label_attn.", "graph_attn.", "gcn.")}
+
+
+@pytest.mark.parametrize("ablation", list(UNRUN))
+def test_an_ablation_builds_the_full_tensors_less_its_unrun_streams(ablation):
+    def build(mode):
+        return ReportModel(small_vocab(), ["root", "lung"], small_spec(ablation=mode), rng=np.random.default_rng(5))
+
+    full, model = build(AblationMode.FULL), build(AblationMode(ablation))
+    names = [n for n, _ in model.parameters()]
+    assert names == [n for n, _ in full.parameters() if not n.startswith(UNRUN[ablation])]
+    assert (model.label_attn is None) == ("label_attn." in UNRUN[ablation])
+    assert (model.graph_attn is None) == (model.gcn is None) == ("gcn." in UNRUN[ablation])
+    # one stream in one order: each tensor before the first skipped one is drawn as under full
+    skipped = [i for i, (n, _) in enumerate(full.parameters()) if n.startswith(UNRUN[ablation])]
+    for (name, p), (_, q) in zip(model.parameters()[: min(skipped, default=len(names))], full.parameters()):
+        assert p.value.tobytes() == q.value.tobytes(), name
+
+
 def test_init_is_deterministic_per_seed():
     a = ReportModel(small_vocab(), ["root"], small_spec(), rng=np.random.default_rng(3))
     b = ReportModel(small_vocab(), ["root"], small_spec(), rng=np.random.default_rng(3))

@@ -37,7 +37,7 @@ class OracleCheckedSteps:
     def __init__(self):
         self.optimizers = []  # filled by the Adam that ``train()`` builds
         self.steps = 0
-        self.untouched = set()  # names of parameters stepped with a zero gradient
+        self.untouched = set()  # names of parameters the walk gave no gradient
         self.streamed, self.swept = set(), set()  # names of large and small parameters
         self._pending = []  # (name, p, expected value, m, v) of large ones stepped or about to be
         self._after_walk = []  # the same for small ones, stepped once the walk ends
@@ -49,7 +49,7 @@ class OracleCheckedSteps:
 
     def __call__(self, loss):
         (opt,) = self.optimizers
-        self.check()  # the previous step's small and zero-gradient parameters
+        self.check()  # the previous step's small parameters
         self.steps += 1
         return self._stream(opt, loss, oracle_backward(loss))
 
@@ -65,7 +65,7 @@ class OracleCheckedSteps:
     def _expect(self, opt, name, p, g):
         values, m, v = oracle_adam_step(
             {name: p.value}, {name: opt._m[name].reshape(p.shape)}, {name: opt._v[name].reshape(p.shape)},
-            {} if g is None else {name: g}, opt.t, opt.lr, opt.weight_decay,
+            {name: g}, opt.t, opt.lr, opt.weight_decay,
         )
         large = p.value.size > autograd._ADAM_CHUNK
         (self.streamed if large else self.swept).add(name)
@@ -76,15 +76,12 @@ class OracleCheckedSteps:
         for leaf, g in leaf_gradients(loss):
             self.check(self._pending)  # Adam steps each large pair before it asks for the next
             assert np.array_equal(g, expected.pop(leaf))  # KeyError: yielded twice
-            if id(leaf) in waiting:
-                name, p = waiting.pop(id(leaf))
-                self._expect(opt, name, p, g)
+            name, p = waiting.pop(id(leaf))  # KeyError: a leaf that is not a parameter
+            self._expect(opt, name, p, g)
             yield leaf, g
         self.check(self._pending)
         assert not expected  # every leaf the oracle reached was yielded
-        for name, p in waiting.values():  # stepped by Adam after the walk ends
-            self.untouched.add(name)
-            self._expect(opt, name, p, None)
+        self.untouched.update(name for name, _ in waiting.values())
 
 
 def _graph(loss):
@@ -134,8 +131,24 @@ def test_training_steps_equal_the_graph_keeping_oracles_bitwise(
     assert checked.steps == 5  # one batch of all eight records per epoch
     assert "embed.tokens" in fan_out  # tag pooling and the decoder input both read it
     assert checked.swept and bool(checked.streamed) == bool(model)  # desk has no large parameter
-    if ablation == "dke":  # the graph streams are off, so their parameters get no gradient
-        assert {"gcn.embeddings", "graph_attn.wq"} <= checked.untouched
+    assert not checked.untouched  # an ablation builds no parameter that its streams do not read
+
+
+@pytest.mark.parametrize("ablation", ["full", "dke", "ske", "base"])
+def test_a_training_steps_leaves_are_exactly_the_parameters_each_once(overfit_corpus, monkeypatch, ablation):
+    run = load_config(DESK)
+    run = replace(run, train=replace(run.train, epochs=1), ablation=ablation)
+    steps = []
+
+    def walk(loss):
+        pairs = list(leaf_gradients(loss))
+        steps.append([leaf for leaf, _ in pairs])
+        return pairs
+
+    monkeypatch.setattr(model_module, "leaf_gradients", walk)
+    model, _ = train(load_corpus(overfit_corpus), run, load_base_graph(default_base_graph_path()))
+    (leaves,) = steps  # one batch of all eight records
+    assert sorted(map(id, leaves)) == sorted(id(p) for _, p in model.parameters())
 
 
 def test_each_leaf_is_yielded_once_right_after_its_last_consumers_rule():
@@ -174,12 +187,12 @@ def test_a_leaf_output_is_yielded_with_a_unit_gradient():
 def test_a_streamed_step_holds_one_layer_of_gradients():
     rng = np.random.default_rng(11)
     d, layers = 256, 8
-    x = rng.normal(size=(4, d))
+    x = Tensor(rng.normal(size=(4, d)))
     ws = [Tensor(rng.normal(0.0, 1.0 / 16, size=(d, d))) for _ in range(layers)]
-    opt = Adam([(f"w{i}", w) for i, w in enumerate(ws)], lr=1e-3, weight_decay=1e-3)
+    opt = Adam([("x", x)] + [(f"w{i}", w) for i, w in enumerate(ws)], lr=1e-3, weight_decay=1e-3)
 
     def forward():
-        h = Tensor(x)
+        h = x
         for w in ws:
             h = matmul(h, w)
         return sum_all(h)
