@@ -429,18 +429,15 @@ def embedding(table: Tensor, ids: Sequence[int], plus: np.ndarray | None = None)
     return Tensor(out, (table,), grad_fn)
 
 
-def cross_entropy_logits(
-    logits: Tensor, targets: Sequence[int], weights: Sequence[float] | None = None
-) -> Tensor:
+def cross_entropy_logits(logits: Tensor, targets: Sequence[int], weights: Sequence[float]) -> Tensor:
     """Sum over rows of weights[i] times row i's negative log-likelihood of
-    targets[i] under softmax(logits); the weights default to 1/rows, a mean.
+    targets[i] under softmax(logits); weights of 1/rows give the mean.
 
     The caller gives one target in [0, cols) and one weight per row; nothing
     here checks it."""
     n = logits.rows
     targets = np.asarray(targets, dtype=np.intp).reshape(-1)
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
-    w = w.reshape(-1, 1)
+    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
     v = logits.value
     m = v.max(axis=1, keepdims=True)
     z = v - m

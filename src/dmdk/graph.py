@@ -6,6 +6,11 @@ relation) triples add edges (labeled with the target's entity type), and every
 triple endpoint outside the base graph becomes a new finding node. The GCN
 reads a graph as one sparse operator, ``normalized_adjacency``, built from its
 edge list; no dense matrix is formed.
+
+A graph is checked where it is built from outside input (``graph_from_dict``,
+for a base-graph config file or a checkpoint's base graph). Copies and their
+extensions are not checked again: a copy keeps the base graph's guarantees,
+and an extension adds only names it has looked up first.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ class GraphNode:
 
 
 class KnowledgeGraph:
-    """Undirected graph over named nodes; edges may carry an entity-type relation."""
+    """Undirected graph over named nodes; edges may carry an entity-type relation.
+    Its names are unique, one node is the root, and each edge key is (low,
+    high) with low < high < len(nodes); ``graph_from_dict`` checks these."""
 
     def __init__(
         self,
@@ -48,22 +55,7 @@ class KnowledgeGraph:
     ):
         self.nodes = list(nodes)
         self._index = {n.name: i for i, n in enumerate(self.nodes)}
-        if len(self._index) != len(self.nodes):
-            raise ValueError("graph node names must be unique")
-        roots = [n for n in self.nodes if n.kind is NodeKind.ROOT]
-        if len(roots) != 1:
-            raise ValueError(f"graph must have exactly one root node, found {len(roots)}")
-        self.edges: dict[tuple[int, int], EntityType | None] = {}
-        for (a, b), rel in (edges or {}).items():
-            self._check_endpoint(a)
-            self._check_endpoint(b)
-            if a == b:
-                raise ValueError(f"self-edge on node {self.nodes[a].name!r} not allowed")
-            self.edges[(min(a, b), max(a, b))] = rel
-
-    def _check_endpoint(self, i: int) -> None:
-        if not 0 <= i < len(self.nodes):
-            raise ValueError(f"edge endpoint {i} out of range [0, {len(self.nodes)})")
+        self.edges: dict[tuple[int, int], EntityType | None] = dict(edges or {})
 
     @property
     def names(self) -> list[str]:
@@ -76,8 +68,7 @@ class KnowledgeGraph:
         return len(self.nodes)
 
     def add_node(self, name: str, kind: NodeKind) -> int:
-        if name in self._index:
-            raise ValueError(f"node {name!r} already present")
+        """Append a node; the caller has checked that ``name`` is new."""
         self.nodes.append(GraphNode(name, kind))
         self._index[name] = len(self.nodes) - 1
         return self._index[name]
@@ -92,12 +83,7 @@ class KnowledgeGraph:
         self.edges[(min(a, b), max(a, b))] = relation
 
     def copy(self) -> "KnowledgeGraph":
-        return KnowledgeGraph(list(self.nodes), dict(self.edges))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnowledgeGraph):
-            return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return KnowledgeGraph(self.nodes, self.edges)
 
 
 def entity_names(g: KnowledgeGraph, kinds: Sequence[NodeKind] | None = None) -> list[str]:
@@ -129,6 +115,11 @@ def graph_from_dict(obj: dict, where: str = "graph config") -> KnowledgeGraph:
             ) from None
         nodes.append(GraphNode(name, kind))
     index = {n.name: i for i, n in enumerate(nodes)}
+    if len(index) != len(nodes):
+        raise ValueError(f"{where}: graph node names must be unique")
+    roots = sum(n.kind is NodeKind.ROOT for n in nodes)
+    if roots != 1:
+        raise ValueError(f"{where}: graph must have exactly one root node, found {roots}")
     edges: dict[tuple[int, int], EntityType | None] = {}
     for k, item in enumerate(obj["edges"]):
         if not isinstance(item, list) or len(item) not in (2, 3):
@@ -146,11 +137,10 @@ def graph_from_dict(obj: dict, where: str = "graph config") -> KnowledgeGraph:
                     f"{where}: edges[{k}] has unknown relation {item[2]!r}"
                 ) from None
         a, b = index[src], index[tgt]
+        if a == b:
+            raise ValueError(f"{where}: self-edge on node {src!r} not allowed")
         edges[(min(a, b), max(a, b))] = rel
-    try:
-        return KnowledgeGraph(nodes, edges)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
+    return KnowledgeGraph(nodes, edges)
 
 
 def load_base_graph(path: str | Path) -> KnowledgeGraph:

@@ -32,9 +32,7 @@ ROUGE_BETA = 1.2  # ROUGE-L weighs recall beta^2 times precision
 
 
 def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
-    """Sliding-window counts of length-n windows; shorter sequences give {}."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    """Sliding-window counts of length-n windows (n >= 1); shorter sequences give {}."""
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 

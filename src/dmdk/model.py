@@ -185,7 +185,8 @@ class ReportModel:
     structural spec and vocabulary. The one place that sets parameter shapes,
     from the validated ``spec``, and checks each checkpoint tensor against its
     shape on load; containers check none. Every tensor is drawn in one fixed
-    order from one stream, skipping the streams the ablation does not run."""
+    order from one stream, skipping the streams the ablation does not run.
+    ``node_names`` name the GCN's embedding rows; only full and ske read them."""
 
     def __init__(
         self,
@@ -198,7 +199,6 @@ class ReportModel:
         if rng is None and state is None:
             raise ValueError("need either an rng (fresh init) or a state dict (load)")
         self.vocab = vocab
-        self.node_names = list(node_names)
         self.spec = spec
         self._rng = rng
         self._state = dict(state) if state is not None else None
@@ -218,11 +218,11 @@ class ReportModel:
         self.fusion_attn = self._mha("fusion_attn", d, spec.heads)
         self.gcn = None
         if graphs:
-            table = self._param("gcn.embeddings", len(self.node_names) + 1, d, "embed")
+            table = self._param("gcn.embeddings", len(node_names) + 1, d, "embed")
             if state is None:  # no training graph has an UNK node, so a zero row stays zero
                 table.value[-1] = 0.0
             layers = [self._param(f"gcn.layer{i}.weight", d, d, "weight") for i in range(spec.gcn_layers)]
-            self.gcn = GcnParams(self.node_names, table, layers)
+            self.gcn = GcnParams(list(node_names), table, layers)
         layers = []
         for i in range(spec.decoder_layers):
             layers.append(
@@ -364,8 +364,9 @@ def decoder_forward(
     cache: DecoderCache | None = None,
     spans: Spans | None = None,
 ) -> Tensor:
-    """Logits for every position of ``ids``: masked self-attention, then stacked
-    cross-attention over X', W', M', then feed-forward, then the affine head.
+    """Logits for every position of the nonempty ``ids``: masked self-attention,
+    then stacked cross-attention over X', W', M', then feed-forward, then the
+    affine head.
 
     Without a cache ``ids`` is the whole BOS-prefixed sequence. With one, ``ids``
     are the next tokens after the ``cache.length`` already fed: the cross-attention
@@ -378,13 +379,8 @@ def decoder_forward(
     record, stacked in order. Each record's tokens take positions from 0 and
     attend only their own tokens and memory rows.
     """
-    ids = list(ids)
-    if not ids:
-        raise ValueError("decoder prefix must be nonempty")
     start = 0
     if cache is not None:
-        if spans is not None:
-            raise ValueError("a decoder cache serves one record and takes no spans")
         if grad_enabled():
             raise RuntimeError("a decoder cache keeps no graph: decode inside no_grad()")
         start = cache.length
@@ -509,9 +505,7 @@ def prepare_record(
         if mode in (AblationMode.FULL, AblationMode.SKE):
             graph = build_specific_graph(base_graph, extract_relations(rec.entities))
     input_ids = target_ids = None
-    if with_report:
-        if not (rec.report and rec.report.strip()):
-            raise ValueError(f"record {rec.id!r} has no report text")
+    if with_report:  # ``train`` has checked that every record has report text
         ids = vocab.encode(tokenize(rec.report))
         input_ids = [Vocabulary.BOS] + ids
         target_ids = ids + [Vocabulary.EOS]
@@ -549,12 +543,8 @@ def encode_record(model: ReportModel, rec: PreparedRecord) -> tuple[Tensor, Tens
 
 def teacher_forcing_loss(batch: Sequence[PreparedRecord], model: ReportModel) -> Tensor:
     """Mean over records of the per-record mean token NLL (BOS-fed, EOS-terminated),
-    from one forward over the whole batch: row i of record r weighs 1 / (B n_r)."""
-    if not batch:
-        raise ValueError("teacher forcing needs a nonempty batch")
-    for rec in batch:
-        if rec.input_ids is None or rec.target_ids is None:
-            raise ValueError(f"record {rec.id!r} was prepared without a report")
+    from one forward over the whole batch: row i of record r weighs 1 / (B n_r).
+    Every record was prepared with its report."""
     x_fused, w_enh, m_enh, rows = encode_batch(model, batch)
     ids = [i for rec in batch for i in rec.input_ids]
     lengths = np.array([len(rec.input_ids) for rec in batch])
@@ -665,14 +655,17 @@ def generate_for_records(
 
 def model_meta(model: ReportModel, base_graph: KnowledgeGraph, fallback: str) -> dict:
     """Everything generate-time needs travels with the weights: the structural
-    spec, the vocabulary, the node list, the base graph, and the fallback rule."""
-    return {
+    spec, the vocabulary, the GCN's node list (full and ske only), the base
+    graph, and the fallback rule."""
+    meta = {
         "spec": model.spec.to_dict(),
         "vocab": {"tokens": model.vocab.tokens, "min_freq": model.vocab.min_freq},
-        "node_names": model.node_names,
         "base_graph": graph_to_dict(base_graph),
         "labels_fallback": fallback,
     }
+    if model.gcn is not None:  # the GCN's embedding rows are the only reader
+        meta["node_names"] = model.gcn.names
+    return meta
 
 
 def save_model(path, model: ReportModel, base_graph: KnowledgeGraph, fallback: str = "all") -> None:
@@ -690,10 +683,10 @@ def load_model(path) -> tuple[ReportModel, KnowledgeGraph, str]:
     def bad(problem: str) -> ValueError:
         return ValueError(f"{path}: checkpoint metadata {problem}")
 
-    for key in ("spec", "vocab", "node_names", "base_graph", "labels_fallback"):
+    for key in ("spec", "vocab", "base_graph", "labels_fallback"):
         if key not in meta:
             raise bad(f"is missing {key!r}")
-    vocab, spec, node_names = meta["vocab"], meta["spec"], meta["node_names"]
+    vocab, spec = meta["vocab"], meta["spec"]
     if not (
         isinstance(vocab, dict)
         and isinstance(vocab.get("tokens"), list)
@@ -710,14 +703,19 @@ def load_model(path) -> tuple[ReportModel, KnowledgeGraph, str]:
     unknown = [k for k in spec if k not in names]
     if unknown:  # such as options an older version had
         raise bad(f"'spec' has unknown fields {', '.join(map(repr, unknown))}; retrain the model")
-    if not (isinstance(node_names, list) and all(isinstance(n, str) for n in node_names)):
-        raise bad("'node_names' must be a list of strings")
     if meta["labels_fallback"] not in ("all", "findings"):
         raise bad(f"'labels_fallback' must be 'all' or 'findings', got {meta['labels_fallback']!r}")
     try:
         spec = ModelSpec.from_dict(spec)
     except (TypeError, ValueError) as e:
         raise bad(f"'spec' is invalid: {e}") from None
+    node_names = []
+    if spec.ablation in (AblationMode.FULL, AblationMode.SKE):  # only a GCN reads them
+        if "node_names" not in meta:
+            raise bad("is missing 'node_names'")
+        node_names = meta["node_names"]
+        if not (isinstance(node_names, list) and all(isinstance(n, str) for n in node_names)):
+            raise bad("'node_names' must be a list of strings")
     try:
         vocab = Vocabulary(vocab["tokens"], vocab["min_freq"])
         model = ReportModel(vocab, node_names, spec, state=state)

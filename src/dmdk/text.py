@@ -58,9 +58,8 @@ class Vocabulary:
 
     @classmethod
     def build(cls, reports: Iterable[Sequence[str]], min_freq: int = 3) -> "Vocabulary":
-        """Keep tokens seen >= min_freq times, ordered by count desc then lexicographic."""
-        if min_freq < 1:
-            raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+        """Keep tokens seen >= min_freq times, ordered by count desc then
+        lexicographic; a ``min_freq`` below 1 keeps what 1 keeps."""
         counts: Counter[str] = Counter()
         for report in reports:
             counts.update(report)

@@ -65,13 +65,10 @@ def pool_tag_embeddings(tag_token_ids: Sequence[Sequence[int]], table: Tensor) -
     """One row per tag: mean of the tag's embedded (token + position) rows.
 
     Every tag's tokens are embedded at once, positions restarting at 0 for
-    each tag, and pooled by one constant sparse product.
+    each tag, and pooled by one constant sparse product. ``extract_topic_labels``
+    and the loaders guarantee at least one tag, each with a token.
     """
-    if not tag_token_ids:
-        raise ValueError("cannot embed an empty tag list")
     lengths = [len(ids) for ids in tag_token_ids]
-    if min(lengths) == 0:
-        raise ValueError("cannot embed an empty tag")
     rows = embed_tokens([i for ids in tag_token_ids for i in ids], table, spans=lengths)
     tag = np.repeat(np.arange(len(lengths)), lengths)
     pool = SparseRows(tag, np.arange(len(tag)), 1.0 / np.asarray(lengths)[tag], (len(lengths), len(tag)))

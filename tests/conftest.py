@@ -10,7 +10,7 @@ import pytest
 from dmdk.attention import MhaParams
 from dmdk.autograd import Tensor
 from dmdk.config import RunConfig, parse_config
-from dmdk.graph import GcnParams
+from dmdk.graph import GcnParams, KnowledgeGraph
 
 # Eight short reports built from lexicon vocabulary. The entity lists mirror
 # what the bundled lexicon would produce; some records deliberately yield no
@@ -43,6 +43,11 @@ OVERFIT_ENTITIES = [
 # faces an irreducible first-token ambiguity on those pairs, so fitting them
 # separates the full pipeline from the base ablation by more than seed noise.
 OVERFIT_ALIASES = {1: 0, 4: 3, 7: 6}
+
+
+def same_graph(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
+    """Equal nodes in the same order, and equal edges with equal relations."""
+    return a.nodes == b.nodes and a.edges == b.edges
 
 
 def save_features(path, values) -> None:

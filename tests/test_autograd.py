@@ -194,14 +194,14 @@ def test_embedding_takes_python_and_numpy_integers_and_refuses_other_ids():
 
 def test_cross_entropy_uniform_logits_is_log_vocab():
     logits = Tensor(np.zeros((3, 7)))
-    loss = cross_entropy_logits(logits, [0, 3, 6])
+    loss = cross_entropy_logits(logits, [0, 3, 6], np.full(3, 1.0 / 3))
     assert math.isclose(loss.value[0, 0], math.log(7.0), rel_tol=1e-12)
 
 
 def test_cross_entropy_matches_manual_nll():
     z = RNG.normal(size=(2, 4))
     targets = [1, 3]
-    loss = cross_entropy_logits(Tensor(z), targets).value[0, 0]
+    loss = cross_entropy_logits(Tensor(z), targets, np.full(2, 1.0 / 2)).value[0, 0]
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     manual = -np.mean([math.log(probs[i, t]) for i, t in enumerate(targets)])
     assert math.isclose(loss, manual, rel_tol=1e-12)
@@ -306,7 +306,7 @@ def test_softmax_and_layer_norm_gradients_match_fd():
     y = Tensor(RNG.normal(size=(3, 4)))
 
     def build():  # cross_entropy_logits takes the softmax of its logits
-        return cross_entropy_logits(mul(layer_norm_node(add(x, r), gain, bias), y), [0, 3, 1])
+        return cross_entropy_logits(mul(layer_norm_node(add(x, r), gain, bias), y), [0, 3, 1], np.full(3, 1.0 / 3))
 
     fd_check(build, [x, r, gain, bias])
 
@@ -334,7 +334,7 @@ def test_embedding_gradient_scatter_adds_duplicates():
 
 def test_cross_entropy_gradients_match_fd():
     z = Tensor(RNG.normal(size=(3, 5)))
-    fd_check(lambda: cross_entropy_logits(z, [0, 2, 4]), [z])
+    fd_check(lambda: cross_entropy_logits(z, [0, 2, 4], np.full(3, 1.0 / 3)), [z])
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +567,7 @@ def test_relative_error_uses_floor_near_zero():
 
 
 def _small_graph(a, b):
-    return cross_entropy_logits(weighted_sum([matmul(a, b), a], [1.0, 0.5]), [0, 2, 1])
+    return cross_entropy_logits(weighted_sum([matmul(a, b), a], [1.0, 0.5]), [0, 2, 1], np.full(3, 1.0 / 3))
 
 
 def test_no_grad_values_are_bitwise_equal():

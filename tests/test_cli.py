@@ -14,7 +14,7 @@ from dmdk.cli import main
 from dmdk.config import effective_dict
 from dmdk.text import load_corpus
 
-from conftest import OVERFIT_ENTITIES, OVERFIT_REPORTS, build_corpus, make_config, save_features
+from conftest import OVERFIT_ENTITIES, OVERFIT_REPORTS, build_corpus, make_config, same_graph, save_features
 
 
 def write_config(tmp_path, name="run.json", **kw):
@@ -141,7 +141,7 @@ def test_build_graph_exports_the_graphs_the_model_is_given(tmp_path, capsys):
         prep = prepare_record(rec, vocab, base, fallback_labels(base), spec, with_report=False)
         g = graph_from_dict(json.loads((out_dir / f"{rec.id}.json").read_text()))
         assert g.names == prep.node_names
-        assert g == prep.graph
+        assert same_graph(g, prep.graph)
         grown += g.node_count() > base.node_count()
     assert grown >= 2
 
@@ -467,8 +467,9 @@ def generate_error(ckpt, corpus, tmp_path, capsys) -> str:
         (lambda meta: meta.pop("labels_fallback"), "is missing 'labels_fallback'"),
         (lambda meta: meta.update(spec=[]), "'spec' must be an object"),
         (lambda meta: meta.update(node_names=[1, 2]), "'node_names' must be a list of strings"),
+        (lambda meta: meta.pop("node_names"), "is missing 'node_names'"),
     ],
-    ids=["missing key", "spec", "node names"],
+    ids=["missing key", "spec", "node names", "missing node names"],
 )
 def test_generate_on_checkpoint_metadata_of_the_wrong_form_exits_two(tmp_path, capsys, edit, problem):
     ckpt, corpus = trained_checkpoint(tmp_path, capsys)

@@ -34,7 +34,7 @@ from dmdk.text import Entity, EntityType
 from dmdk.model import fallback_labels
 from dmdk.topics import anatomy_pairs, extract_topic_labels
 
-from conftest import random_gcn, random_mha
+from conftest import random_gcn, random_mha, same_graph
 from oracles import (
     from_dense,
     mul,
@@ -167,12 +167,10 @@ def test_base_graph_errors_name_the_file(tmp_path, obj, problem):
 
 
 def test_graph_requires_exactly_one_root():
-    with pytest.raises(ValueError, match="root"):
-        KnowledgeGraph([GraphNode("a", NodeKind.ORGAN)])
-    with pytest.raises(ValueError, match="root"):
-        KnowledgeGraph(
-            [GraphNode("a", NodeKind.ROOT), GraphNode("b", NodeKind.ROOT)]
-        )
+    with pytest.raises(ValueError, match="exactly one root node, found 0"):
+        graph_from_dict({"nodes": [{"name": "a", "kind": "organ"}], "edges": []})
+    with pytest.raises(ValueError, match="exactly one root node, found 2"):
+        graph_from_dict({"nodes": [ROOT, {"name": "b", "kind": "root"}], "edges": []})
 
 
 def test_operator_entries_are_the_edges_both_ways_and_the_diagonal():
@@ -236,10 +234,23 @@ def test_trachea_gets_added_with_its_edge():
     assert base.node_index("trachea") is None
 
 
+def test_changing_a_specific_graph_leaves_its_base_unchanged():
+    base = tiny_graph()
+    g = build_specific_graph(base, extract_relations(ents(("lung", A), ("nodule", O))))
+    g.add_node("trachea", NodeKind.FINDING)
+    g.ensure_edge("root", "trachea", A)
+    g.nodes[0] = GraphNode("other", NodeKind.ROOT)
+    g.edges[(0, 1)] = O
+    del g.edges[(1, 2)]
+    assert same_graph(base, tiny_graph())
+    names = ("root", "lung", "opacity", "nodule", "trachea", "other")
+    assert [base.node_index(n) for n in names] == [0, 1, 2, None, None, None]
+
+
 def test_empty_triples_reproduce_base_graph_exactly():
     base = load_base_graph(default_base_graph_path())
     g = build_specific_graph(base, extract_relations([]))
-    assert g == base
+    assert same_graph(g, base)
 
 
 def test_existing_edge_relation_last_write_wins():
@@ -284,6 +295,7 @@ def test_graph_from_triples_equals_the_tag_based_rule(fallback):
         want = oracle_specific_graph(base, extract_topic_labels(seq, base_labels), triples)
         assert g.nodes == want.nodes
         assert list(g.edges.items()) == list(want.edges.items())
+        assert [g.node_index(name) for name in g.names] == list(range(g.node_count()))
         grown += g.node_count() > base.node_count()
     assert grown > 100  # the random records do add nodes
 
@@ -296,7 +308,7 @@ def test_json_round_trip_identity():
     g = tiny_graph()
     g.ensure_edge("lung", "opacity", O)
     again = graph_from_dict(json.loads(export_graph(g, "json")))
-    assert again == g
+    assert same_graph(again, g)
 
 
 def test_dot_export_contains_node_statements_and_labels():
@@ -316,7 +328,7 @@ def test_unknown_export_format_rejected():
 
 def test_graph_dict_round_trip():
     g = tiny_graph()
-    assert graph_from_dict(graph_to_dict(g)) == g
+    assert same_graph(graph_from_dict(graph_to_dict(g)), g)
 
 
 # ---------------------------------------------------------------------------

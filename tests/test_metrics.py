@@ -102,6 +102,12 @@ def test_bleu_rejects_mismatched_lengths():
         bleu([["a"]], [])
 
 
+@pytest.mark.parametrize("metric, name", [(bleu, "BLEU"), (cider, "CIDEr")])
+def test_an_empty_corpus_is_refused_naming_the_metric(metric, name):
+    with pytest.raises(ValueError, match=f"^{name} needs a nonempty corpus$"):
+        metric([], [])
+
+
 def test_bleu_rejects_empty_reference():
     with pytest.raises(ValueError, match="sample 1 has an empty reference"):
         bleu([["a"], ["b"]], [["a"], []])

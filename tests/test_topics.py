@@ -147,14 +147,6 @@ def test_oov_tag_tokens_map_to_unk():
     assert np.allclose(out, [unk], atol=1e-12)
 
 
-def test_empty_tag_rejected():
-    table = make_table(8, 4)
-    with pytest.raises(ValueError):
-        pool_tag_embeddings([[]], table)
-    with pytest.raises(ValueError):
-        pool_tag_embeddings([], table)
-
-
 def test_single_tag_enhancement_is_constant_rows():
     # with one key row, every pre-projection attention row is that value row,
     # so the mixed output rows are all identical

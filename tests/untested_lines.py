@@ -8,7 +8,8 @@ prints every executable line of ``src/dmdk`` that never ran, as
 ``file:line: text``, and their count. A line is executable when the
 compiler starts one there, so docstrings, blank lines and the continuation
 lines of a statement are never listed. ``trace`` does not follow
-subprocesses. The command exits with pytest's status.
+subprocesses. The command exits 1 when it lists any line, and otherwise
+with pytest's status.
 
 Its name does not start with ``test_``, so the suite does not collect it: under
 ``trace`` the suite runs about 3.5 times slower.
@@ -83,7 +84,7 @@ def main() -> int:
     print(f"{total} lines of src/dmdk ran in no test")
     for nodeid in retrace.lost:
         print(f"tracing stopped during {nodeid} and was restarted after it: a line only it runs may be listed")
-    return int(status)
+    return 1 if total else int(status)
 
 
 if __name__ == "__main__":
