@@ -27,8 +27,9 @@ operations of the chain of single ops it replaces, in that chain's order,
 and keeps no chain intermediate that no backward rule reads.
 
 A training batch packs its records' rows into one matrix, records stacked in
-order. ``Spans`` gives each record's query and key row counts: attention then
-runs per record inside the one node, so no record sees another's rows and no
+order. ``Spans`` gives each record's query and key row counts. Inside the one
+node, the records that share both counts attend as one stack along a leading
+record axis, without padding, so no record sees another's rows and no
 batch-sized mask is ever built. ``embed_tokens`` restarts the positions for
 each span in the same way.
 """
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -87,57 +87,78 @@ def causal_mask(length: int, offset: int = 0) -> np.ndarray:
     return np.triu(np.full((length, offset + length), MASKED_SCORE), k=offset + 1)
 
 
-def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """rows x d -> heads x rows x d_n, a view: head h reads its own columns."""
-    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+def _split_heads(a: np.ndarray, heads: int, records: int = 1) -> np.ndarray:
+    """rows x d -> heads x rows x d_n, a view: head h reads its own columns.
+    With several records of equal row counts stacked in the rows, records x
+    heads x rows x d_n."""
+    rows, width = a.shape
+    if records == 1:
+        return a.reshape(rows, heads, width // heads).swapaxes(0, 1)
+    return a.reshape(records, rows // records, heads, width // heads).swapaxes(1, 2)
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """heads x rows x d_n -> rows x d, heads concatenated in column order."""
-    heads, rows, width = a.shape
-    return a.transpose(1, 0, 2).reshape(rows, heads * width)
+    """heads x rows x d_n -> rows x d, or records x heads x rows x d_n ->
+    records * rows x d: heads concatenated in column order, records in order."""
+    return a.swapaxes(-2, -3).reshape(-1, a.shape[-3] * a.shape[-1])
 
 
 def attention_weights(qh: np.ndarray, kh: np.ndarray, offset: int | None = None) -> np.ndarray:
-    """heads x rows x keys: softmax(q_h k_h^T / sqrt(d_n)) for each head h of
-    ``qh`` (heads x rows x d_n) and ``kh`` (heads x keys x d_n).
+    """... x heads x rows x keys: softmax(q_h k_h^T / sqrt(d_n)) for each head h
+    of ``qh`` (... x heads x rows x d_n) and ``kh`` (... x heads x keys x d_n).
+    Any leading axes, such as a stack of records, run as one batch of products.
 
     With an ``offset`` the attention is causal: query row i sits at position
     offset + i and sees key columns <= offset + i, so there must be exactly
     offset + rows keys. ``None`` lets every query see every key.
     """
-    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(qh.shape[2]))
+    rows = qh.shape[-2]
+    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
     if not np.isfinite(scores).all():
         raise NonFiniteError("attention scores contain non-finite values")
     if offset is not None:
-        if kh.shape[1] != offset + qh.shape[1]:
+        if kh.shape[-2] != offset + rows:
             raise ValueError(
-                f"causal attention at offset {offset} needs {offset + qh.shape[1]} key rows, "
-                f"got {kh.shape[1]}"
+                f"causal attention at offset {offset} needs {offset + rows} key rows, got {kh.shape[-2]}"
             )
-        if qh.shape[1] > 1:  # a single query row at the end sees every key
-            scores = scores + causal_mask(qh.shape[1], offset)
-    e = np.exp(scores - np.maximum.reduce(scores, axis=2, keepdims=True))
-    return e / np.add.reduce(e, axis=2, keepdims=True)
+        if rows > 1:  # a single query row at the end sees every key
+            scores = scores + causal_mask(rows, offset)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _span_bounds(spans: Spans | None, q_rows: int, k_rows: int) -> list[tuple[int, int, int, int]]:
-    """(query start, query stop, key start, key stop) of each record. The
-    callers count ``spans`` from the lists they stack, so the spans split the
-    rows."""
-    if spans is None:
-        return [(0, q_rows, 0, k_rows)]
-    qs, ks = spans
-    q_ends, k_ends = list(accumulate(qs)), list(accumulate(ks))
-    return [(qe - qn, qe, ke - kn, ke) for qn, qe, kn, ke in zip(qs, q_ends, ks, k_ends)]
-
-
-def _join_records(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """heads x rows x d_n blocks of consecutive records, stacked along the rows."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+def _record_groups(spans: Spans) -> list[tuple[int, slice | np.ndarray, slice | np.ndarray]]:
+    """The records of ``spans`` grouped by their (query rows, key rows), groups
+    in order of their first record: each group's record count and its records'
+    query and key rows, a slice when the records are adjacent (as a lone
+    record is), else an index array. The callers count ``spans`` from the
+    lists they stack, so the spans split the rows."""
+    starts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    qa = ka = 0
+    for qn, kn in zip(*spans):
+        starts.setdefault((qn, kn), []).append((qa, ka))
+        qa, ka = qa + qn, ka + kn
+    every = np.arange(max(qa, ka))
+    groups = []
+    for (qn, kn), at in starts.items():
+        n, (qa, ka) = len(at), at[0]
+        if at[-1][0] - qa == (n - 1) * qn:  # no other record between them
+            groups.append((n, slice(qa, qa + n * qn), slice(ka, ka + n * kn)))
+        else:
+            q_rows = np.concatenate([every[i : i + qn] for i, _ in at])
+            groups.append((n, q_rows, np.concatenate([every[i : i + kn] for _, i in at])))
+    return groups
 
 
 Backward = Callable[[np.ndarray], tuple]  # output gradient -> the inputs' gradients
+
+
+def _heads_backward(gh, qh, kh, vh, w, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dq, dk, dv) per head, over any leading axes, of softmax(q_h k_h^T c) v_h
+    with weights ``w``, given the output's gradient ``gh``."""
+    dw = gh @ vh.swapaxes(-1, -2)
+    ds = (dw - np.add.reduce(dw * w, axis=-1, keepdims=True)) * w * c
+    return ds @ kh, ds.swapaxes(-1, -2) @ qh, w.swapaxes(-1, -2) @ gh
 
 
 def heads_attention(
@@ -150,28 +171,39 @@ def heads_attention(
     the output holds the heads' results in the same column order. ``offset``
     is as in ``attention_weights``. With ``spans`` the rows are records stacked
     in order: each record's queries attend its own keys only, causally from
-    ``offset`` within the record when one is given. The scores are checked
-    finite, so a non-finite query is refused here whenever there is a key.
+    ``offset`` within the record when one is given. The records that share
+    their query and key row counts run as one stack, records x heads x rows x
+    d_n, and each result goes back to its record's rows. The stack is a view
+    when the records are adjacent; otherwise it is a gathered copy, which the
+    rule gathers again rather than keep. The scores are checked finite, so a
+    non-finite query is refused here whenever there is a key.
     """
-    bounds = _span_bounds(spans, q.shape[0], k.shape[0])
-    qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
-    c = 1.0 / math.sqrt(qh.shape[2])
-    weights, out = [], []
-    for qa, qb, ka, kb in bounds:
-        weights.append(attention_weights(qh[:, qa:qb], kh[:, ka:kb], offset))
-        out.append(weights[-1] @ vh[:, ka:kb])
+    c = 1.0 / math.sqrt(q.shape[1] // heads)
+    if spans is None or len(spans[0]) == 1:  # one record, as in every decode step: no groups
+        qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
+        w = attention_weights(qh, kh, offset)
+
+        def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            return tuple(map(_merge_heads, _heads_backward(_split_heads(g, heads), qh, kh, vh, w, c)))
+
+        return _merge_heads(w @ vh), backward
+
+    groups = _record_groups(spans)
+    out = np.empty((q.shape[0], v.shape[1]))
+    weights = []
+    for n, qi, ki in groups:
+        weights.append(attention_weights(_split_heads(q[qi], heads, n), _split_heads(k[ki], heads, n), offset))
+        out[qi] = _merge_heads(weights[-1] @ _split_heads(v[ki], heads, n))
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        gh = _split_heads(g, heads)
-        parts = []  # (dq, dk, dv) of each record; the records tile the rows in order
-        for w, (qa, qb, ka, kb) in zip(weights, bounds):
-            g_r, k_r, v_r = gh[:, qa:qb], kh[:, ka:kb], vh[:, ka:kb]
-            dw = g_r @ v_r.transpose(0, 2, 1)
-            ds = (dw - np.add.reduce(dw * w, axis=2, keepdims=True)) * w * c
-            parts.append((ds @ k_r, ds.transpose(0, 2, 1) @ qh[:, qa:qb], w.transpose(0, 2, 1) @ g_r))
-        return tuple(_merge_heads(_join_records(d)) for d in zip(*parts))
+        grads = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for (n, qi, ki), w in zip(groups, weights):
+            gh, qh, kh, vh = (_split_heads(a[i], heads, n) for a, i in ((g, qi), (q, qi), (k, ki), (v, ki)))
+            for grad, i, part in zip(grads, (qi, ki, ki), _heads_backward(gh, qh, kh, vh, w, c)):
+                grad[i] = _merge_heads(part)
+        return grads
 
-    return _merge_heads(_join_records(out)), backward
+    return out, backward
 
 
 def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, Backward]:

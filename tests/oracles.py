@@ -447,13 +447,14 @@ def oracle_layer_norm_node(a, gain, bias):
     return Tensor(xhat * gv + bias.value, (a, gain, bias), grad_fn)
 
 
-def oracle_heads_attention(q, k, v, heads, offset=None, spans=None):
-    """Every head's softmax(q_h k_h^T / sqrt(d_n)) v_h over packed Tensors as
-    its own node, record by record of ``spans``, causal from ``offset`` when
-    one is given: the op the attention nodes fold in."""
-    qs, ks = ([q.rows], [k.rows]) if spans is None else spans
-    if len(qs) != len(ks) or sum(qs) != q.rows or sum(ks) != k.rows or min([*qs, *ks], default=0) < 1:
-        raise ValueError(f"spans {list(qs)} and {list(ks)} do not split {q.rows} query and {k.rows} key rows")
+def oracle_heads_loop(q, k, v, heads, offset=None, spans=None):
+    """Every head's softmax(q_h k_h^T / sqrt(d_n)) v_h over packed arrays, one
+    record of ``spans`` at a time, causal from ``offset`` when one is given,
+    and the backward rule that maps the output's gradient to (dq, dk, dv): the
+    per-record loop that ``heads_attention`` groups."""
+    qs, ks = ([q.shape[0]], [k.shape[0]]) if spans is None else spans
+    if len(qs) != len(ks) or sum(qs) != q.shape[0] or sum(ks) != k.shape[0] or min([*qs, *ks], default=0) < 1:
+        raise ValueError(f"spans {list(qs)} and {list(ks)} do not split {q.shape[0]} query and {k.shape[0]} key rows")
     q_at, k_at = np.cumsum([0, *qs]), np.cumsum([0, *ks])
     bounds = list(zip(q_at[:-1], q_at[1:], k_at[:-1], k_at[1:]))
 
@@ -464,7 +465,7 @@ def oracle_heads_attention(q, k, v, heads, offset=None, spans=None):
         a = np.concatenate(parts, axis=1)
         return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
-    qh, kh, vh = split(q.value), split(k.value), split(v.value)
+    qh, kh, vh = split(q), split(k), split(v)
     c = 1.0 / math.sqrt(qh.shape[2])
     weights, out = [], []
     for qa, qb, ka, kb in bounds:
@@ -493,7 +494,14 @@ def oracle_heads_attention(q, k, v, heads, offset=None, spans=None):
             dv.append(w.transpose(0, 2, 1) @ g_r)
         return merge(dq), merge(dk), merge(dv)
 
-    return Tensor(merge(out), (q, k, v), grad_fn)
+    return merge(out), grad_fn
+
+
+def oracle_heads_attention(q, k, v, heads, offset=None, spans=None):
+    """``oracle_heads_loop`` over packed Tensors as its own node: the op the
+    attention nodes fold in."""
+    out, grad_fn = oracle_heads_loop(q.value, k.value, v.value, heads, offset, spans)
+    return Tensor(out, (q, k, v), grad_fn)
 
 
 def oracle_attend(x, k, v, params, offset=None, spans=None):

@@ -28,7 +28,7 @@ from dmdk.autograd import (
 )
 
 from conftest import random_mha
-from oracles import mul, oracle_attention, oracle_layer_norm, oracle_mha, parameter_gradients
+from oracles import mul, oracle_attention, oracle_heads_loop, oracle_layer_norm, oracle_mha, parameter_gradients
 
 RNG = np.random.default_rng(7)
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -398,6 +398,47 @@ def test_spans_attend_each_record_alone(offset, d, heads):
     parts = zip(split_rows(q, q_rows), split_rows(k, k_rows), split_rows(v, k_rows))
     alone = [heads_attention(a, b, c, heads, offset, None)[0] for a, b, c in parts]
     assert np.array_equal(packed, np.concatenate(alone))
+
+
+# (query rows, key rows) of each record: one shape for every record, a shape
+# each, and two groups around a lone record; causal blocks take the query rows
+# as key rows
+SPANS = {
+    "equal": ([4, 4, 4, 4], [6, 6, 6, 6]),
+    "distinct": ([3, 1, 5, 2], [4, 2, 1, 6]),
+    "mixed": ([3, 2, 3, 5, 2, 3], [4, 1, 4, 2, 1, 4]),
+    "one record": ([5], [7]),
+    "no spans": None,
+}
+
+
+@pytest.mark.parametrize("offset", [None, 0])
+@pytest.mark.parametrize("case", list(SPANS))
+@pytest.mark.parametrize("d,heads", [(8, 2), (512, 8)])
+def test_grouped_records_equal_the_per_record_loop(d, heads, case, offset):
+    rng = np.random.default_rng(d)
+    q_rows, k_rows = SPANS[case] or ([6], [9])
+    if offset == 0:
+        k_rows = q_rows
+    spans = None if SPANS[case] is None else (q_rows, k_rows)
+    q, g = rng.normal(size=(2, sum(q_rows), d))
+    k, v = rng.normal(size=(2, sum(k_rows), d))
+    out, rule = heads_attention(q, k, v, heads, offset, spans)
+    expected, oracle_rule = oracle_heads_loop(q, k, v, heads, offset, spans)
+    assert np.array_equal(out, expected)
+    for name, grad, oracle_grad in zip("qkv", rule(g), oracle_rule(g)):
+        assert np.array_equal(grad, oracle_grad), name
+
+
+@pytest.mark.parametrize("offset", [None, 0, 2])
+def test_attention_weights_of_stacked_records_equal_one_call_per_record(offset):
+    rng = np.random.default_rng(3)
+    qh = rng.normal(size=(3, 2, 4, 8))
+    kh = rng.normal(size=(3, 2, 4 + (2 if offset is None else offset), 8))
+    stacked = attention_weights(qh, kh, offset)
+    assert stacked.shape == (3, 2, 4, kh.shape[2])
+    for r in range(3):
+        assert np.array_equal(stacked[r], attention_weights(qh[r], kh[r], offset))
 
 
 def test_spans_keep_the_causal_offset_within_each_record():

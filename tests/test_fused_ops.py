@@ -367,3 +367,27 @@ def test_a_decoder_forward_at_d512_keeps_no_chain_intermediate():
     # output and five residual sums, and the token and positional rows; before
     # the sublayers were nodes a forward here held 2.1 MB more than this bound
     assert held <= kept + 64 * 1024, (held, kept)
+
+
+@pytest.mark.parametrize("rows", [[98] * 4, [98, 98, 49, 98, 98]], ids=["adjacent", "apart"])
+def test_a_packed_attention_node_at_d512_keeps_no_stacked_copy(rows):
+    # the fusion block of a packed training forward at full width: four
+    # records of 98 rows, adjacent or around a lone record, attend as one stack
+    d, heads = 512, 8
+    rng = np.random.default_rng(9)
+    params = random_mha(d, heads, rng)
+    x, y = (Tensor(rng.normal(size=(sum(rows), d))) for _ in range(2))
+    multi_head_attention(x, y, params, spans=(rows, rows))
+    tracemalloc.start()
+    try:
+        out = multi_head_attention(x, y, params, spans=(rows, rows))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = sum(rows)
+    assert out.shape == (n, d)
+    # the keys, values and queries, the heads' output, the node's output and
+    # the attention weights; stacked copies of the keys and values kept next
+    # to them would add 3.2 MB
+    kept = 8 * (5 * n * d + heads * sum(r * r for r in rows))
+    assert held <= kept + 64 * 1024, (held, kept)

@@ -157,6 +157,7 @@ ROOT = {"name": "a", "kind": "root"}
         ({"nodes": [ROOT], "edges": [["a", "a"]]}, "self-edge"),
         ({"nodes": 5, "edges": []}, "'nodes' and 'edges' lists"),
         ({"nodes": [ROOT], "edges": [[["a"], "a"]]}, "unknown node"),
+        ({"nodes": [ROOT], "edges": [["a"]]}, r"edges\[0\] must be \[source, target\]"),
     ],
 )
 def test_base_graph_errors_name_the_file(tmp_path, obj, problem):

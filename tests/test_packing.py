@@ -44,7 +44,10 @@ FEATURES = 6
 # (report, entities, rows of each view). Record 0 mines dynamic tags and adds
 # the novel node "enlarged"; record 1 has no anatomy pair, so it falls back to
 # the base labels and keeps the base graph; record 2 adds "trachea", which the
-# model knows, and "deviated", which maps to the GCN's UNK row.
+# model knows, and "deviated", which maps to the GCN's UNK row. Record 3 has
+# record 0's token count, view rows, tag count and node count but other
+# tokens, features, tags and edges, so every packed attention block stacks
+# the two records as one group.
 RECORDS = [
     ("the heart is enlarged .", [Entity("heart", A), Entity("enlarged", O)], [3]),
     ("lungs are clear", [Entity("clear", O)], [2, 2]),
@@ -53,6 +56,7 @@ RECORDS = [
         [Entity("trachea", A), Entity("nodule", O), Entity("lung", A), Entity("deviated", O)],
         [4],
     ),
+    ("the lungs are enlarged .", [Entity("lung", A), Entity("enlarged", O)], [3]),
 ]
 
 CONFIGS = {
@@ -100,7 +104,14 @@ def build(tmp_path, config):
 def test_the_records_cover_the_cases(tmp_path):
     model, preps = build(tmp_path, CONFIGS["full"])
     base_names = load_base_graph(default_base_graph_path()).names
-    assert [len(p.raw_views) for p in preps] == [1, 2, 1]
+    assert [len(p.raw_views) for p in preps] == [1, 2, 1, 1]
+    first, same = preps[0], preps[3]
+    assert len(same.input_ids) == len(first.input_ids)
+    assert [len(v) for v in same.raw_views] == [len(v) for v in first.raw_views]
+    assert len(same.tag_token_ids) == len(first.tag_token_ids)
+    assert len(same.node_names) == len(first.node_names)
+    assert same.input_ids != first.input_ids and same.tag_token_ids != first.tag_token_ids
+    assert not np.array_equal(same.a_hat.value, first.a_hat.value)
     assert len(preps[1].tag_token_ids) == len(fallback_labels(load_base_graph(default_base_graph_path())))
     assert preps[1].node_names == base_names
     assert preps[0].node_names == base_names + ["enlarged"]
@@ -140,21 +151,21 @@ def test_packed_logits_equal_one_record_logits(tmp_path, name):
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_a_record_never_sees_another_records_values(tmp_path, name):
+    # record 3 shares its attention stacks with record 0
     model, preps = build(tmp_path, CONFIGS[name])
     rng = np.random.default_rng(7)
     other = dataclasses.replace(
-        preps[1],
-        raw_views=[rng.normal(size=v.shape) for v in preps[1].raw_views],
-        input_ids=[(i + 3) % len(model.vocab) for i in preps[1].input_ids],
-        target_ids=[(i + 5) % len(model.vocab) for i in preps[1].target_ids],
+        preps[3],
+        raw_views=[rng.normal(size=v.shape) for v in preps[3].raw_views],
+        input_ids=[(i + 3) % len(model.vocab) for i in preps[3].input_ids],
+        target_ids=[(i + 5) % len(model.vocab) for i in preps[3].target_ids],
     )
-    assert other.input_ids != preps[1].input_ids
+    assert other.input_ids != preps[3].input_ids
     before = batch_logits(preps, model).value
-    after = batch_logits([preps[0], other, preps[2]], model).value
-    first, second = len(preps[0].input_ids), len(preps[0].input_ids) + len(preps[1].input_ids)
-    assert np.array_equal(after[:first], before[:first])
-    assert np.array_equal(after[second:], before[second:])
-    assert not np.array_equal(after[first:second], before[first:second])
+    after = batch_logits(preps[:3] + [other], model).value
+    changed = sum(len(p.input_ids) for p in preps[:3])
+    assert np.array_equal(after[:changed], before[:changed])
+    assert not np.array_equal(after[changed:], before[changed:])
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
