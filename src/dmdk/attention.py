@@ -26,12 +26,15 @@ step, and training and decoding share one forward. Each node runs the IEEE
 operations of the chain of single ops it replaces, in that chain's order,
 and keeps no chain intermediate that no backward rule reads.
 
-A training batch packs its records' rows into one matrix, records stacked in
-order. ``Spans`` gives each record's query and key row counts. Inside the one
-node, the records that share both counts attend as one stack along a leading
-record axis, without padding, so no record sees another's rows and no
-batch-sized mask is ever built. ``embed_tokens`` restarts the positions for
-each span in the same way.
+Every attention call is packed: its rows are records stacked in order, and
+each record's queries attend its own keys only. ``pack`` turns the records'
+query and key row counts into a ``Packing``, the groups of records that share
+both counts; each group attends as one stack along a leading record axis,
+without padding, so no record sees another's rows and no batch-sized mask is
+ever built. A lone record, such as one decode step, is a group of one: there
+is no other path. The callers that know the row counts pack once per forward
+and hand the same packing to every block over those rows. ``embed_tokens``
+restarts the positions for each record in the same way.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ import numpy as np
 
 from .autograd import NonFiniteError, Tensor, embedding, matmul
 
-# Query and key row counts of each record of a packed batch, records in order.
-Spans = tuple[Sequence[int], Sequence[int]]
+# The groups ``pack`` builds, one per (query rows, key rows) of a packed call's
+# records: their record count, and their query rows and key rows, each a slice
+# when the records are adjacent, else an index array.
+Packing = list[tuple[int, slice | np.ndarray, slice | np.ndarray]]
 
 # Finite stand-in for -inf: keeps every tensor finite while exp() underflows
 # masked scores to exactly 0 after max subtraction.
@@ -87,20 +92,17 @@ def causal_mask(length: int, offset: int = 0) -> np.ndarray:
     return np.triu(np.full((length, offset + length), MASKED_SCORE), k=offset + 1)
 
 
-def _split_heads(a: np.ndarray, heads: int, records: int = 1) -> np.ndarray:
-    """rows x d -> heads x rows x d_n, a view: head h reads its own columns.
-    With several records of equal row counts stacked in the rows, records x
-    heads x rows x d_n."""
+def _split_heads(a: np.ndarray, heads: int, records: int) -> np.ndarray:
+    """The rows of ``records`` records of equal row counts, stacked in order ->
+    records x heads x rows x d_n, a view: head h reads its own columns."""
     rows, width = a.shape
-    if records == 1:
-        return a.reshape(rows, heads, width // heads).swapaxes(0, 1)
     return a.reshape(records, rows // records, heads, width // heads).swapaxes(1, 2)
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """heads x rows x d_n -> rows x d, or records x heads x rows x d_n ->
-    records * rows x d: heads concatenated in column order, records in order."""
-    return a.swapaxes(-2, -3).reshape(-1, a.shape[-3] * a.shape[-1])
+    """records x heads x rows x d_n -> records * rows x d: heads concatenated
+    in column order, records in order."""
+    return a.swapaxes(1, 2).reshape(-1, a.shape[1] * a.shape[3])
 
 
 def attention_weights(qh: np.ndarray, kh: np.ndarray, offset: int | None = None) -> np.ndarray:
@@ -127,26 +129,26 @@ def attention_weights(qh: np.ndarray, kh: np.ndarray, offset: int | None = None)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _record_groups(spans: Spans) -> list[tuple[int, slice | np.ndarray, slice | np.ndarray]]:
-    """The records of ``spans`` grouped by their (query rows, key rows), groups
-    in order of their first record: each group's record count and its records'
-    query and key rows, a slice when the records are adjacent (as a lone
-    record is), else an index array. The callers count ``spans`` from the
-    lists they stack, so the spans split the rows."""
+def pack(q_rows: Sequence[int], k_rows: Sequence[int]) -> Packing:
+    """The packing of records stacked in order, record r with ``q_rows[r]``
+    query rows and ``k_rows[r]`` key rows: the records grouped by their (query
+    rows, key rows), groups in order of their first record. A group's rows are
+    a slice when its records are adjacent (as a lone record is), else an index
+    array. The callers count the rows from the lists they stack, so the counts
+    split the rows."""
     starts: dict[tuple[int, int], list[tuple[int, int]]] = {}
     qa = ka = 0
-    for qn, kn in zip(*spans):
+    for qn, kn in zip(q_rows, k_rows):
         starts.setdefault((qn, kn), []).append((qa, ka))
         qa, ka = qa + qn, ka + kn
-    every = np.arange(max(qa, ka))
     groups = []
     for (qn, kn), at in starts.items():
         n, (qa, ka) = len(at), at[0]
         if at[-1][0] - qa == (n - 1) * qn:  # no other record between them
             groups.append((n, slice(qa, qa + n * qn), slice(ka, ka + n * kn)))
         else:
-            q_rows = np.concatenate([every[i : i + qn] for i, _ in at])
-            groups.append((n, q_rows, np.concatenate([every[i : i + kn] for _, i in at])))
+            q_index = np.concatenate([np.arange(i, i + qn) for i, _ in at])
+            groups.append((n, q_index, np.concatenate([np.arange(i, i + kn) for _, i in at])))
     return groups
 
 
@@ -162,42 +164,32 @@ def _heads_backward(gh, qh, kh, vh, w, c: float) -> tuple[np.ndarray, np.ndarray
 
 
 def heads_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, offset: int | None, spans: Spans | None
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, offset: int | None, packing: Packing
 ) -> tuple[np.ndarray, Backward]:
     """Every head's softmax(q_h k_h^T / sqrt(d_n)) v_h over packed arrays, and
     its backward rule, which maps the output's gradient to (dq, dk, dv).
 
     ``q``, ``k`` and ``v`` are packed (head h in columns h*d_n .. (h+1)*d_n - 1);
-    the output holds the heads' results in the same column order. ``offset``
-    is as in ``attention_weights``. With ``spans`` the rows are records stacked
-    in order: each record's queries attend its own keys only, causally from
-    ``offset`` within the record when one is given. The records that share
-    their query and key row counts run as one stack, records x heads x rows x
-    d_n, and each result goes back to its record's rows. The stack is a view
-    when the records are adjacent; otherwise it is a gathered copy, which the
-    rule gathers again rather than keep. The scores are checked finite, so a
+    the output holds the heads' results in the same column order. Their rows
+    are the records of ``packing``: each record's queries attend its own keys
+    only, causally from ``offset`` within the record when one is given (as in
+    ``attention_weights``). Each group of the packing runs as one stack,
+    records x heads x rows x d_n, and each result goes back to its records'
+    rows; a lone record is a group of one. The stack is a view when the
+    records are adjacent; otherwise it is a gathered copy, which the rule
+    gathers again rather than keep. The scores are checked finite, so a
     non-finite query is refused here whenever there is a key.
     """
     c = 1.0 / math.sqrt(q.shape[1] // heads)
-    if spans is None or len(spans[0]) == 1:  # one record, as in every decode step: no groups
-        qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
-        w = attention_weights(qh, kh, offset)
-
-        def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return tuple(map(_merge_heads, _heads_backward(_split_heads(g, heads), qh, kh, vh, w, c)))
-
-        return _merge_heads(w @ vh), backward
-
-    groups = _record_groups(spans)
     out = np.empty((q.shape[0], v.shape[1]))
     weights = []
-    for n, qi, ki in groups:
+    for n, qi, ki in packing:
         weights.append(attention_weights(_split_heads(q[qi], heads, n), _split_heads(k[ki], heads, n), offset))
         out[qi] = _merge_heads(weights[-1] @ _split_heads(v[ki], heads, n))
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         grads = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        for (n, qi, ki), w in zip(groups, weights):
+        for (n, qi, ki), w in zip(packing, weights):
             gh, qh, kh, vh = (_split_heads(a[i], heads, n) for a, i in ((g, qi), (q, qi), (k, ki), (v, ki)))
             for grad, i, part in zip(grads, (qi, ki, ki), _heads_backward(gh, qh, kh, vh, w, c)):
                 grad[i] = _merge_heads(part)
@@ -239,13 +231,13 @@ def project_kv(y: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
 
 
 def _attend(
-    x: Tensor, k: Tensor, v: Tensor, params: MhaParams, offset: int | None, spans: Spans | None
+    x: Tensor, k: Tensor, v: Tensor, params: MhaParams, offset: int | None, packing: Packing
 ) -> tuple[np.ndarray, Backward]:
     """(x @ wq attended over ``k`` and ``v``) @ wo, and its backward rule, which
     maps the output's gradient to x's query-path gradient, then dwq, dk, dv and
     dwo. Keeps the queries, the attention weights and the heads' output."""
     xv, wq, wo = x.value, params.wq.value, params.wo.value
-    heads, heads_backward = heads_attention(xv @ wq, k.value, v.value, params.heads, offset, spans)
+    heads, heads_backward = heads_attention(xv @ wq, k.value, v.value, params.heads, offset, packing)
 
     def backward(g: np.ndarray) -> tuple:
         dq, dk, dv = heads_backward(g @ wo.T)
@@ -254,12 +246,12 @@ def _attend(
     return heads @ wo, backward
 
 
-def multi_head_attention(x: Tensor, y: Tensor, params: MhaParams, spans: Spans | None = None) -> Tensor:
+def multi_head_attention(x: Tensor, y: Tensor, params: MhaParams, packing: Packing) -> Tensor:
     """Queries from ``x``, keys and values from ``y``, every query seeing every
-    key (of its own record, with ``spans``): one node from ``x`` through ``wq``,
+    key of its own record of ``packing``: one node from ``x`` through ``wq``,
     the heads and ``wo``, over the key and value projections of ``y``."""
     k, v = project_kv(y, params)
-    out, backward = _attend(x, k, v, params, None, spans)
+    out, backward = _attend(x, k, v, params, None, packing)
     return Tensor(out, (x, params.wq, k, v, params.wo), backward)
 
 
@@ -269,15 +261,15 @@ def residual_attention(
     v: Tensor,
     params: MhaParams,
     norm: LayerNormParams,
-    offset: int | None = None,
-    spans: Spans | None = None,
+    offset: int | None,
+    packing: Packing,
 ) -> Tensor:
     """One post-norm attention sublayer, LayerNorm(h + attention), as one node:
     queries from ``h`` over packed keys and values from ``project_kv``, with
-    ``offset`` and ``spans`` as in ``heads_attention``. Only its output is
+    ``offset`` and ``packing`` as in ``heads_attention``. Only its output is
     checked finite: a non-finite heads' output or ``wo`` product makes the
     whole row of the sum non-finite, and with it the output."""
-    out, attend_backward = _attend(h, k, v, params, offset, spans)
+    out, attend_backward = _attend(h, k, v, params, offset, packing)
     out += h.value
     out, norm_backward = layer_norm(out, norm.gain.value, norm.bias.value)
 

@@ -279,28 +279,22 @@ class SparseRows(Tensor):
         n, m = shape
         super().__init__(vals.reshape(-1, 1))
         vals = self.value[:, 0]
-        self._arrange(n, m, _by_count(row, col, vals, n), _by_count(col, row, vals, m))
-
-    def _arrange(self, n: int, m: int, entries: tuple, t_entries: tuple) -> None:
         self.n_rows, self.n_cols = n, m
-        self.entries, self.t_entries = entries, t_entries
-        self.groups, self.t_groups = _groups(*entries), _groups(*t_entries)
+        self.entries, self.t_entries = _by_count(row, col, vals, n), _by_count(col, row, vals, m)
+        self.groups, self.t_groups = _groups(*self.entries), _groups(*self.t_entries)
 
     @classmethod
     def block_diagonal(cls, parts: Sequence["SparseRows"]) -> "SparseRows":
-        """``parts`` placed along the diagonal. Their sorted entries are offset,
-        concatenated and stably sorted by count: nothing is located again."""
+        """``parts`` placed along the diagonal: their entries, offset by block,
+        in row-major order."""
         if len(parts) == 1:
             return parts[0]
         at = np.cumsum([(0, 0)] + [(p.n_rows, p.n_cols) for p in parts], axis=0)
-        out = cls.__new__(cls)
-        Tensor.__init__(out, np.concatenate([p.value for p in parts]))
-        out._arrange(
-            *at[-1],
-            _stack([p.entries for p in parts], at[:-1, 0], at[:-1, 1]),
-            _stack([p.t_entries for p in parts], at[:-1, 1], at[:-1, 0]),
-        )
-        return out
+        sizes = [len(p.entries[0]) for p in parts]
+        row, col, vals, _ = (np.concatenate(a) for a in zip(*(p.entries for p in parts)))
+        row, col = row + np.repeat(at[:-1, 0], sizes), col + np.repeat(at[:-1, 1], sizes)
+        order = np.argsort(row, kind="stable")  # a row's entries are already in column order
+        return cls(row[order], col[order], vals[order], tuple(at[-1]))
 
 
 def _by_count(row, col, vals, n: int) -> tuple:
@@ -308,18 +302,6 @@ def _by_count(row, col, vals, n: int) -> tuple:
     then row, then column."""
     counts = np.bincount(row, minlength=n)[row]
     order = np.lexsort((col, row, counts))
-    return row[order], col[order], vals[order], counts[order]
-
-
-def _stack(parts: Sequence[tuple], row_at: np.ndarray, col_at: np.ndarray) -> tuple:
-    """``_by_count`` of block-diagonal parts whose rows start at ``row_at`` and
-    columns at ``col_at``. A block's rows all precede the next block's, so a
-    stable sort by count alone restores the order."""
-    sizes = [len(entries[0]) for entries in parts]
-    row, col, vals, counts = (np.concatenate(a) for a in zip(*parts))
-    row = row + np.repeat(row_at, sizes)
-    col = col + np.repeat(col_at, sizes)
-    order = np.argsort(counts, kind="stable")
     return row[order], col[order], vals[order], counts[order]
 
 

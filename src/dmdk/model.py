@@ -23,13 +23,19 @@ residual sum or scaled copy that no backward rule reads.
 Training and greedy decoding share ``encode_batch`` and ``decoder_forward``.
 Training runs one forward per batch: the records' visual rows, tags, graph
 nodes and tokens are each stacked in record order, and every attention block
-attends within each record's rows (``attention.Spans``). Each record's graph
+attends within each record's rows. The two functions that know the row
+counts pack them once per call (``attention.pack``): ``encode_batch`` packs
+the visual rows against the tags, the graph nodes and the visual rows, and
+``decoder_forward`` the tokens against the tokens and the memory rows. Every
+block over the same rows reads the same packing. Each record's graph
 operator is derived from its edges on first use and kept for the run; a
 batch's operators form one block-diagonal ``SparseRows``. Decoding encodes a
 batch of one record, runs under ``no_grad`` and feeds one token per step
 through a ``DecoderCache``: the packed cross-attention keys and values over
 X', W' and M' are projected once per record and layer, and each layer's
-self-attention keys and values grow in place by one row per token.
+self-attention keys and values grow in place by one row per token. A lone
+record is a packing of one, so a decode step runs the attention code that
+training runs.
 """
 
 from __future__ import annotations
@@ -62,10 +68,11 @@ from .attention import (
     FfnParams,
     LayerNormParams,
     MhaParams,
-    Spans,
+    Packing,
     embed_tokens,
     feed_forward,
     multi_head_attention,
+    pack,
     project_kv,
     residual_attention,
 )
@@ -300,16 +307,19 @@ class ReportModel:
 
 
 def fuse_knowledge(
-    x: Tensor, w_enh: Tensor, m_enh: Tensor, weights: FusionWeights, params: MhaParams,
-    rows: Sequence[int] | None = None,
+    x: Tensor, w_enh: Tensor, m_enh: Tensor, weights: FusionWeights, params: MhaParams, packing: Packing
 ) -> Tensor:
-    """X' = MHA(X, l1*X + l2*W' + l3*M'); all inputs must be N x d. ``rows``
-    splits N into records stacked in order, each attending its own rows."""
+    """X' = MHA(X, l1*X + l2*W' + l3*M'); all inputs must be N x d, and
+    ``packing`` (visual rows by visual rows) splits N into records stacked in
+    order, each attending its own rows."""
     mix = weighted_sum((x, w_enh, m_enh), (weights.l1, weights.l2, weights.l3))
-    return multi_head_attention(x, mix, params, spans=None if rows is None else (rows, rows))
+    return multi_head_attention(x, mix, params, packing)
 
 
 KV = tuple[Tensor, Tensor]  # packed (keys, values) of one attention block
+
+# Query and key row counts of each record of a packed batch, records in order.
+Spans = tuple[Sequence[int], Sequence[int]]
 
 
 @dataclass
@@ -377,7 +387,8 @@ def decoder_forward(
 
     ``spans`` packs a batch without a cache: (token rows, memory rows) of each
     record, stacked in order. Each record's tokens take positions from 0 and
-    attend only their own tokens and memory rows.
+    attend only their own tokens and memory rows. Without ``spans`` the ids
+    are one record's, attending every row of each memory: a packing of one.
     """
     start = 0
     if cache is not None:
@@ -391,19 +402,23 @@ def decoder_forward(
             cache.self_kv = [(np.empty((0, table.cols)),) * 2 for _ in dec.layers]
         elif any(a is not b for a, b in zip(cache.memories, memories)):
             raise ValueError("a decoder cache serves the memories of one record only")
-    tokens = None if spans is None else spans[0]
-    self_spans = None if spans is None else (tokens, tokens)
-    h = embed_tokens(ids, table, start, tokens)
+    if spans is None:
+        tokens = [len(ids)]
+        crosses = [pack(tokens, [m.rows]) for m in (x_fused, w_enh, m_enh)]
+    else:
+        tokens, crosses = spans[0], [pack(*spans)] * 3
+    self_packing = pack(tokens, [start + n for n in tokens])
+    h = embed_tokens(ids, table, start, None if spans is None else tokens)
     for i, layer in enumerate(dec.layers):
         fused, labels, graph = (
             cache.cross[i] if cache is not None else _cross_kv(layer, x_fused, w_enh, m_enh)
         )
         norms = layer.norms
         self_kv = _self_kv(h, i, layer.self_attn, cache)
-        h = residual_attention(h, *self_kv, layer.self_attn, norms[0], start, self_spans)
-        h = residual_attention(h, *fused, layer.cross_fused, norms[1], spans=spans)
-        h = residual_attention(h, *labels, layer.cross_labels, norms[2], spans=spans)
-        h = residual_attention(h, *graph, layer.cross_graph, norms[3], spans=spans)
+        h = residual_attention(h, *self_kv, layer.self_attn, norms[0], start, self_packing)
+        h = residual_attention(h, *fused, layer.cross_fused, norms[1], None, crosses[0])
+        h = residual_attention(h, *labels, layer.cross_labels, norms[2], None, crosses[1])
+        h = residual_attention(h, *graph, layer.cross_graph, norms[3], None, crosses[2])
         h = feed_forward(h, layer.ffn, norms[4])
     if cache is not None:
         cache.length += len(ids)
@@ -526,13 +541,13 @@ def encode_batch(
     if spec.ablation in (AblationMode.FULL, AblationMode.DKE):
         w = pool_tag_embeddings([ids for rec in batch for ids in rec.tag_token_ids], model.embed)
         tags = [len(rec.tag_token_ids) for rec in batch]
-        w_enh = multi_head_attention(x, w, model.label_attn, spans=(rows, tags))
+        w_enh = multi_head_attention(x, w, model.label_attn, pack(rows, tags))
     if spec.ablation in (AblationMode.FULL, AblationMode.SKE):
         a_hat = SparseRows.block_diagonal([rec.a_hat for rec in batch])
         m = gcn_forward([name for rec in batch for name in rec.node_names], a_hat, model.gcn)
         nodes = [len(rec.node_names) for rec in batch]
-        m_enh = multi_head_attention(x, m, model.graph_attn, spans=(rows, nodes))
-    x_fused = fuse_knowledge(x, w_enh, m_enh, spec.fusion, model.fusion_attn, rows)
+        m_enh = multi_head_attention(x, m, model.graph_attn, pack(rows, nodes))
+    x_fused = fuse_knowledge(x, w_enh, m_enh, spec.fusion, model.fusion_attn, pack(rows, rows))
     return x_fused, w_enh, m_enh, rows
 
 

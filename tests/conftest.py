@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmdk.attention import MhaParams
+from dmdk.attention import MhaParams, pack
 from dmdk.autograd import Tensor
 from dmdk.config import RunConfig, parse_config
 from dmdk.graph import GcnParams, KnowledgeGraph
@@ -138,6 +138,11 @@ def make_config(
 def random_mha(d: int, heads: int, rng: np.random.Generator) -> MhaParams:
     """An attention block of normal(0, 1/sqrt(d)) wq, wk, wv, wo, drawn in that order."""
     return MhaParams(*(Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, d))) for _ in range(4)), heads)
+
+
+def lone(q, k):
+    """The packing of one record: every row of ``q`` attends every row of ``k``."""
+    return pack([q.shape[0]], [k.shape[0]])
 
 
 def random_gcn(names, d: int, rng: np.random.Generator, n_layers: int = 2) -> GcnParams:

@@ -497,23 +497,34 @@ def oracle_heads_loop(q, k, v, heads, offset=None, spans=None):
     return merge(out), grad_fn
 
 
-def oracle_heads_attention(q, k, v, heads, offset=None, spans=None):
+def spans_of(packing):
+    """The (query rows, key rows) of each record of an ``attention.pack``
+    packing, records in order: the spans ``oracle_heads_loop`` takes."""
+    records = sorted(
+        (int(qs[0]), len(qs), len(ks))
+        for n, qi, ki in packing
+        for qs, ks in zip(np.r_[qi].reshape(n, -1), np.r_[ki].reshape(n, -1))
+    )
+    return [r[1] for r in records], [r[2] for r in records]
+
+
+def oracle_heads_attention(q, k, v, heads, offset, packing):
     """``oracle_heads_loop`` over packed Tensors as its own node: the op the
     attention nodes fold in."""
-    out, grad_fn = oracle_heads_loop(q.value, k.value, v.value, heads, offset, spans)
+    out, grad_fn = oracle_heads_loop(q.value, k.value, v.value, heads, offset, spans_of(packing))
     return Tensor(out, (q, k, v), grad_fn)
 
 
-def oracle_attend(x, k, v, params, offset=None, spans=None):
-    return matmul(oracle_heads_attention(matmul(x, params.wq), k, v, params.heads, offset, spans), params.wo)
+def oracle_attend(x, k, v, params, offset, packing):
+    return matmul(oracle_heads_attention(matmul(x, params.wq), k, v, params.heads, offset, packing), params.wo)
 
 
-def oracle_multi_head_attention(x, y, params, spans=None):
-    return oracle_attend(x, *project_kv(y, params), params, None, spans)
+def oracle_multi_head_attention(x, y, params, packing):
+    return oracle_attend(x, *project_kv(y, params), params, None, packing)
 
 
-def oracle_residual_attention(h, k, v, params, norm, offset=None, spans=None):
-    return oracle_add_layer_norm(h, oracle_attend(h, k, v, params, offset, spans), norm.gain, norm.bias)
+def oracle_residual_attention(h, k, v, params, norm, offset, packing):
+    return oracle_add_layer_norm(h, oracle_attend(h, k, v, params, offset, packing), norm.gain, norm.bias)
 
 
 def oracle_affine(x, w, b):

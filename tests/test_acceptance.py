@@ -46,6 +46,7 @@ from conftest import (
     OVERFIT_ENTITIES,
     OVERFIT_REPORTS,
     build_corpus,
+    lone,
     make_config,
     random_gcn,
     random_mha,
@@ -341,15 +342,15 @@ def test_criterion_8_fusion_invariances():
         w = Tensor(rng.normal(size=(6, 16)))
         m = Tensor(rng.normal(size=(6, 16)))
 
-        reference = fuse_knowledge(x, w, m, FusionWeights.from_raw(1.0, 2.0, 5.0), params)
+        reference = fuse_knowledge(x, w, m, FusionWeights.from_raw(1.0, 2.0, 5.0), params, lone(x, x))
         for c in (0.5, 2.0, 10.0):
             scaled = fuse_knowledge(
-                x, w, m, FusionWeights.from_raw(1.0 * c, 2.0 * c, 5.0 * c), params
+                x, w, m, FusionWeights.from_raw(1.0 * c, 2.0 * c, 5.0 * c), params, lone(x, x)
             )
             assert np.array_equal(scaled.value, reference.value), f"scale {c}"
 
-        collapsed = fuse_knowledge(x, x, x, FusionWeights.from_raw(3.0, 1.0, 4.0), params)
-        plain = multi_head_attention(x, x, params)
+        collapsed = fuse_knowledge(x, x, x, FusionWeights.from_raw(3.0, 1.0, 4.0), params, lone(x, x))
+        plain = multi_head_attention(x, x, params, lone(x, x))
         edge = np.abs(collapsed.value - plain.value).max()
         print(f"  self-fusion max deviation {edge:.2e}", flush=True)
         assert edge < 1e-12

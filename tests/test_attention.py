@@ -13,6 +13,7 @@ from dmdk.attention import (
     feed_forward,
     heads_attention,
     multi_head_attention,
+    pack,
     project_kv,
     residual_attention,
     sinusoidal_encoding,
@@ -26,8 +27,10 @@ from dmdk.autograd import (
     relative_error,
     sum_all,
 )
+from dmdk.model import FusionWeights, ModelSpec, ReportModel, decoder_forward
+from dmdk.text import Vocabulary
 
-from conftest import random_mha
+from conftest import lone, random_mha
 from oracles import mul, oracle_attention, oracle_heads_loop, oracle_layer_norm, oracle_mha, parameter_gradients
 
 RNG = np.random.default_rng(7)
@@ -46,9 +49,12 @@ def unit_norm(d: int) -> LayerNormParams:
 
 def self_attention(x: np.ndarray, params: MhaParams, offset: int = 0, spans=None, keys: np.ndarray | None = None):
     """The causal self-attention sublayer over ``x``'s rows at ``offset``, keys
-    and values projected from ``keys`` (``x`` itself when None)."""
-    kv = project_kv(Tensor(x if keys is None else keys), params)
-    return residual_attention(Tensor(x), *kv, params, unit_norm(x.shape[1]), offset, spans).value
+    and values projected from ``keys`` (``x`` itself when None), one record
+    unless ``spans`` packs several."""
+    keys = x if keys is None else keys
+    packing = lone(x, keys) if spans is None else pack(*spans)
+    kv = project_kv(Tensor(keys), params)
+    return residual_attention(Tensor(x), *kv, params, unit_norm(x.shape[1]), offset, packing).value
 
 
 def post_norm(x: np.ndarray, sublayer: np.ndarray) -> np.ndarray:
@@ -72,14 +78,14 @@ def oracle_heads(params: MhaParams) -> list[tuple[np.ndarray, np.ndarray, np.nda
 def test_single_key_row_passes_value_through():
     x = Tensor(RNG.normal(size=(3, 2)))
     y = Tensor([[4.0, -1.0]])
-    out = multi_head_attention(x, y, identity_block(2))
+    out = multi_head_attention(x, y, identity_block(2), lone(x, y))
     assert np.allclose(out.value, np.tile([4.0, -1.0], (3, 1)), atol=1e-12)
 
 
 def test_zero_query_gives_uniform_average():
     x = Tensor(np.zeros((1, 2)))
     y = Tensor([[2.0, 0.0], [4.0, 6.0]])
-    out = multi_head_attention(x, y, identity_block(2))
+    out = multi_head_attention(x, y, identity_block(2), lone(x, y))
     assert np.allclose(out.value, [[3.0, 3.0]], atol=1e-12)
 
 
@@ -89,7 +95,7 @@ def test_quarter_three_quarter_split_closed_form():
     x = Tensor([[math.sqrt(2.0), 0.0]])
     y = Tensor([[0.0, 1.0], [math.log(3.0), 5.0]])
     weights = attention_weights(x.value[None], y.value[None])
-    out = multi_head_attention(x, y, identity_block(2))
+    out = multi_head_attention(x, y, identity_block(2), lone(x, y))
     assert np.allclose(weights, [[[0.25, 0.75]]], atol=1e-12)
     assert np.allclose(out.value, [[0.75 * math.log(3.0), 4.0]], atol=1e-12)
 
@@ -108,7 +114,7 @@ def assert_stochastic_in_value_hull(d, heads, q_rows, k_rows, rng):
     w = attention_weights(per_head(q.value, heads), per_head(k.value, heads))
     assert w.shape == (heads, q_rows, k_rows)
     assert (w >= 0).all() and np.allclose(w.sum(axis=2), 1.0, atol=1e-9)
-    out, _ = heads_attention(q.value, k.value, v.value, params.heads, None, None)  # every column is one head's
+    out, _ = heads_attention(q.value, k.value, v.value, params.heads, None, lone(q, k))  # every column is one head's
     assert (out <= v.value.max(axis=0) + 1e-12).all()
     assert (out >= v.value.min(axis=0) - 1e-12).all()
 
@@ -156,7 +162,7 @@ def test_single_head_identity_projection_collapse():
     x = RNG.normal(size=(3, d))
     y = RNG.normal(size=(5, d))
     np.testing.assert_allclose(
-        multi_head_attention(Tensor(x), Tensor(y), params).value,
+        multi_head_attention(Tensor(x), Tensor(y), params, lone(x, y)).value,
         oracle_attention(x, y, *(t.value for t in w)),
         **TOL,
     )
@@ -167,7 +173,7 @@ def test_mha_output_shape_ignores_key_length():
     x = Tensor(RNG.normal(size=(4, 6)))
     for rows in (1, 2, 9):
         y = Tensor(RNG.normal(size=(rows, 6)))
-        assert multi_head_attention(x, y, params).shape == (4, 6)
+        assert multi_head_attention(x, y, params, lone(x, y)).shape == (4, 6)
 
 
 def test_two_head_mha_matches_loop_oracle():
@@ -175,7 +181,7 @@ def test_two_head_mha_matches_loop_oracle():
     x = RNG.normal(size=(3, 4))
     y = RNG.normal(size=(5, 4))
     expected = oracle_mha(x, y, oracle_heads(params), params.wo.value)
-    got = multi_head_attention(Tensor(x), Tensor(y), params).value
+    got = multi_head_attention(Tensor(x), Tensor(y), params, lone(x, y)).value
     assert np.allclose(got, expected, atol=1e-10)
 
 
@@ -195,7 +201,7 @@ def test_packed_heads_match_the_per_head_oracle(d, heads):
     y = rng.normal(size=(9, d))
     per_head, wo = oracle_heads(params), params.wo.value
     np.testing.assert_allclose(
-        multi_head_attention(Tensor(x), Tensor(y), params).value, oracle_mha(x, y, per_head, wo), **TOL
+        multi_head_attention(Tensor(x), Tensor(y), params, lone(x, y)).value, oracle_mha(x, y, per_head, wo), **TOL
     )
     causal = post_norm(x, oracle_mha(x, x, per_head, wo, causal=True))
     np.testing.assert_allclose(self_attention(x, params), causal, **TOL)
@@ -204,15 +210,15 @@ def test_packed_heads_match_the_per_head_oracle(d, heads):
         np.testing.assert_allclose(tail, causal[offset:], **TOL, err_msg=f"offset {offset}")
 
 
-def assert_heads_backward_matches_finite_differences(q, k, v, offset, spans, rng):
+def assert_heads_backward_matches_finite_differences(q, k, v, offset, packing, rng):
     """heads_attention's backward rule under a probe gradient that weights
     every output entry differently, against central differences."""
     probe = rng.normal(size=q.shape)
 
     def f():
-        return float((heads_attention(q.value, k.value, v.value, 2, offset, spans)[0] * probe).sum())
+        return float((heads_attention(q.value, k.value, v.value, 2, offset, packing)[0] * probe).sum())
 
-    grads = heads_attention(q.value, k.value, v.value, 2, offset, spans)[1](probe)
+    grads = heads_attention(q.value, k.value, v.value, 2, offset, packing)[1](probe)
     numeric = finite_diff_grad(f, [q, k, v])
     for name, grad, num in zip("qkv", grads, numeric):
         assert relative_error(num, grad).max() < 1e-6, name
@@ -224,7 +230,7 @@ def test_heads_attention_gradients_match_finite_differences(offset):
     rows = 3 if offset is None else 3 - offset
     q = Tensor(rng.normal(size=(rows, 8)))
     k, v = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(3, 8)))
-    assert_heads_backward_matches_finite_differences(q, k, v, offset, None, rng)
+    assert_heads_backward_matches_finite_differences(q, k, v, offset, lone(q, k), rng)
 
 
 @pytest.mark.parametrize("offset, spans", [(None, None), (0, None), (2, None), (0, ([2, 3], [2, 3]))])
@@ -236,10 +242,11 @@ def test_residual_attention_gradients_match_finite_differences(offset, spans):
     h = Tensor(rng.normal(size=(keys if offset is None else keys - offset, 4)))
     y = Tensor(rng.normal(size=(keys, 4)))
     probe = Tensor(rng.normal(size=h.shape))
+    packing = lone(h, y) if spans is None else pack(*spans)
     leaves = [h, y, params.wq, params.wk, params.wv, params.wo, norm.gain, norm.bias]
 
     def build():
-        out = residual_attention(h, *project_kv(y, params), params, norm, offset, spans)
+        out = residual_attention(h, *project_kv(y, params), params, norm, offset, packing)
         return sum_all(mul(out, probe))
 
     grads = parameter_gradients(build(), leaves)
@@ -255,7 +262,7 @@ def test_attention_gradients_match_finite_differences():
     leaves = [x, y, params.wq, params.wk, params.wv, params.wo]
 
     def build():
-        return sum_all(multi_head_attention(x, y, params))
+        return sum_all(multi_head_attention(x, y, params, lone(x, y)))
 
     grads = parameter_gradients(build(), leaves)
     numeric = finite_diff_grad(lambda: float(build().value[0, 0]), leaves)
@@ -375,7 +382,7 @@ def test_attend_at_offset_matches_the_full_causal_rows():
 def test_non_finite_scores_are_refused():
     q = np.full((2, 4), 1e200)
     with pytest.raises(NonFiniteError, match="attention scores"):
-        heads_attention(q, q, q, 2, None, None)
+        heads_attention(q, q, q, 2, None, lone(q, q))
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +401,24 @@ def test_spans_attend_each_record_alone(offset, d, heads):
     k_rows = q_rows if offset == 0 else [4, 2, 1, 6]
     q = rng.normal(size=(sum(q_rows), d))
     k, v = rng.normal(size=(2, sum(k_rows), d))
-    packed, _ = heads_attention(q, k, v, heads, offset, (q_rows, k_rows))
+    packed, _ = heads_attention(q, k, v, heads, offset, pack(q_rows, k_rows))
     parts = zip(split_rows(q, q_rows), split_rows(k, k_rows), split_rows(v, k_rows))
-    alone = [heads_attention(a, b, c, heads, offset, None)[0] for a, b, c in parts]
+    alone = [heads_attention(a, b, c, heads, offset, lone(a, b))[0] for a, b, c in parts]
     assert np.array_equal(packed, np.concatenate(alone))
 
 
 # (query rows, key rows) of each record: one shape for every record, a shape
-# each, and two groups around a lone record; causal blocks take the query rows
-# as key rows
+# each, two groups around a lone record, one record (which the loop also runs
+# unsplit, as "no spans"), and one token of a cached decode step. Causal
+# blocks take each record's offset + query rows as its key rows, the offset
+# being 0 but for the decode step's four cached tokens.
 SPANS = {
     "equal": ([4, 4, 4, 4], [6, 6, 6, 6]),
     "distinct": ([3, 1, 5, 2], [4, 2, 1, 6]),
     "mixed": ([3, 2, 3, 5, 2, 3], [4, 1, 4, 2, 1, 4]),
     "one record": ([5], [7]),
-    "no spans": None,
+    "no spans": ([6], [9]),
+    "decode step": ([1], [5]),
 }
 
 
@@ -417,17 +427,35 @@ SPANS = {
 @pytest.mark.parametrize("d,heads", [(8, 2), (512, 8)])
 def test_grouped_records_equal_the_per_record_loop(d, heads, case, offset):
     rng = np.random.default_rng(d)
-    q_rows, k_rows = SPANS[case] or ([6], [9])
-    if offset == 0:
-        k_rows = q_rows
-    spans = None if SPANS[case] is None else (q_rows, k_rows)
+    q_rows, k_rows = SPANS[case]
+    if offset is not None:
+        offset = 4 if case == "decode step" else 0
+        k_rows = [n + offset for n in q_rows]
+    spans = None if case == "no spans" else (q_rows, k_rows)
     q, g = rng.normal(size=(2, sum(q_rows), d))
     k, v = rng.normal(size=(2, sum(k_rows), d))
-    out, rule = heads_attention(q, k, v, heads, offset, spans)
+    out, rule = heads_attention(q, k, v, heads, offset, pack(q_rows, k_rows))
     expected, oracle_rule = oracle_heads_loop(q, k, v, heads, offset, spans)
     assert np.array_equal(out, expected)
     for name, grad, oracle_grad in zip("qkv", rule(g), oracle_rule(g)):
         assert np.array_equal(grad, oracle_grad), name
+
+
+@pytest.mark.parametrize("d,heads", [(8, 2), (512, 8)])
+def test_a_decoder_forward_without_spans_is_a_packed_batch_of_one(d, heads):
+    # one record's logits, as a replay check recomputes them, bit for bit
+    spec = ModelSpec(
+        d=d, heads=heads, decoder_layers=2, gcn_layers=1, ffn_multiplier=2, feature_dim=8,
+        fusion=FusionWeights.from_raw(1.0, 1.0, 1.0),
+    )
+    vocab = Vocabulary(list(Vocabulary.SPECIALS) + [f"w{i}" for i in range(12)], 1)
+    model = ReportModel(vocab, ["root"], spec, rng=np.random.default_rng(d))
+    rng = np.random.default_rng(d + 1)
+    memories = [Tensor(rng.normal(size=(7, d))) for _ in range(3)]
+    ids = [Vocabulary.BOS, 5, 9, 4, 11]
+    alone = decoder_forward(ids, *memories, model.decoder, model.embed).value
+    packed = decoder_forward(ids, *memories, model.decoder, model.embed, spans=([len(ids)], [7])).value
+    assert alone.tobytes() == packed.tobytes()
 
 
 @pytest.mark.parametrize("offset", [None, 0, 2])
@@ -455,7 +483,7 @@ def test_span_attention_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
     spans = ([2, 3], [2, 3])
     q, k, v = (Tensor(rng.normal(size=(5, 8))) for _ in range(3))
-    assert_heads_backward_matches_finite_differences(q, k, v, 0, spans, rng)
+    assert_heads_backward_matches_finite_differences(q, k, v, 0, pack(*spans), rng)
 
 
 def test_embed_tokens_restarts_positions_for_each_span():

@@ -244,8 +244,9 @@ def test_train_invalid_config_exits_two(tmp_path, capsys):
     [
         ({"train": {"lr": "fast"}}, "config field 'train.lr' must be a number, got 'fast'"),
         ({"ablation": 5}, "config field 'ablation' must be a string, got 5"),
+        ({"paths": {"base_graph": 3}}, "config field 'paths.base_graph' must be a string or null, got 3"),
     ],
-    ids=["number", "string"],
+    ids=["number", "string", "string or null"],
 )
 def test_train_config_field_of_the_wrong_type_exits_two(tmp_path, capsys, fields, message):
     cfg = tmp_path / "typed.json"
@@ -583,8 +584,9 @@ def test_train_on_a_report_that_is_not_a_string_exits_two(tmp_path, capsys):
         ("entities", "heart", "'entities' must be a list"),
         ("entities", [{"text": " ", "type": "ANATOMY"}], "entities[0].text must be a nonempty string"),
         ("id", "", "missing required field 'id'"),
+        ("entities", [{"text": "heart"}], "entities[0] needs 'text' and 'type'"),
     ],
-    ids=["entities", "entity-text", "id"],
+    ids=["entities", "entity-text", "id", "entity-fields"],
 )
 def test_train_on_a_record_field_of_the_wrong_form_exits_two(tmp_path, capsys, field, value, message):
     corpus = tmp_path / "c.jsonl"

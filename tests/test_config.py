@@ -40,6 +40,8 @@ def test_partial_overlay_keeps_other_defaults():
 def test_unknown_section_rejected():
     with pytest.raises(ValueError, match="unknown config section 'optimizer'"):
         parse_config({"optimizer": {}})
+    with pytest.raises(ValueError, match="config section 'model' must be an object"):
+        parse_config({"model": 5})
 
 
 def test_unknown_key_rejected_with_dotted_name():

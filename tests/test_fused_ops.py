@@ -29,6 +29,7 @@ from dmdk.attention import (
     embed_tokens,
     feed_forward,
     multi_head_attention,
+    pack,
     project_kv,
     residual_attention,
 )
@@ -38,7 +39,7 @@ from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import FusionWeights, ModelSpec, ReportModel, decoder_forward, train
 from dmdk.text import Vocabulary, load_corpus
 
-from conftest import random_mha
+from conftest import lone, random_mha
 from oracles import (
     mul,
     oracle_affine,
@@ -118,10 +119,11 @@ def test_residual_attention_is_bitwise_the_attend_add_layer_norm_chain(d, spans,
         memory, offset, spans = h, 0, spans and (spans[0], spans[0])
     else:
         memory, offset = normal(rng, 8 if spans else 5, d), None
+    packing = pack(*spans) if spans else lone(h, memory)
     leaves = [h, params.wq, params.wk, params.wv, params.wo, norm.gain, norm.bias] + ([] if causal else [memory])
 
     def node(op):
-        return lambda: op(h, *project_kv(memory, params), params, norm, offset, spans)
+        return lambda: op(h, *project_kv(memory, params), params, norm, offset, packing)
 
     assert_bitwise_equal(node(residual_attention), node(oracle_residual_attention), leaves, rng)
 
@@ -132,9 +134,10 @@ def test_multi_head_attention_is_bitwise_the_matmul_heads_matmul_chain(d, spans)
     rng = np.random.default_rng(d + 4)
     params, spans = random_mha(d, 2 if d == 8 else 8, rng), SPANS[spans]
     x, y = normal(rng, 6, d), normal(rng, 8 if spans else 5, d)
+    packing = pack(*spans) if spans else lone(x, y)
     leaves = [x, y, params.wq, params.wk, params.wv, params.wo]
     fused, chain = multi_head_attention, oracle_multi_head_attention
-    assert_bitwise_equal(lambda: fused(x, y, params, spans), lambda: chain(x, y, params, spans), leaves, rng)
+    assert_bitwise_equal(lambda: fused(x, y, params, packing), lambda: chain(x, y, params, packing), leaves, rng)
 
 
 @pytest.mark.parametrize("start, spans", [(0, None), (3, None), (0, [2, 1, 3])], ids=["from0", "from3", "spans"])
@@ -252,8 +255,8 @@ def attention_cases(params, x, k, v):
     queries from ``x`` over ``k`` and ``v``."""
     norm = unit_norm()
     return [
-        (residual_attention, oracle_residual_attention, (x, k, v, params, norm)),
-        (residual_attention, oracle_residual_attention, (x, k, v, params, norm, 0)),
+        (residual_attention, oracle_residual_attention, (x, k, v, params, norm, None, lone(x, k))),
+        (residual_attention, oracle_residual_attention, (x, k, v, params, norm, 0, lone(x, k))),
     ]
 
 
@@ -269,7 +272,7 @@ def test_a_non_finite_query_is_refused_by_the_score_scan(wq):
     params, x = block(wq=wq), Tensor([[HUGE, HUGE]])
     y = Tensor([[1.0, 2.0]])
     cases = attention_cases(params, x, *project_kv(y, params))
-    assert_both_raise(cases + [(multi_head_attention, oracle_multi_head_attention, (x, y, params))])
+    assert_both_raise(cases + [(multi_head_attention, oracle_multi_head_attention, (x, y, params, lone(x, y)))])
 
 
 @pytest.mark.parametrize("bad", [-np.inf, np.nan], ids=["-inf", "nan"])
@@ -290,8 +293,8 @@ def test_a_non_finite_heads_output_is_refused_by_the_output_scan(monkeypatch, ba
 
     monkeypatch.setattr(attention_module, "heads_attention", injected)
     for node in (
-        lambda: multi_head_attention(x, x, params),
-        lambda: residual_attention(x, *project_kv(x, params), params, unit_norm(), 0),
+        lambda: multi_head_attention(x, x, params, lone(x, x)),
+        lambda: residual_attention(x, *project_kv(x, params), params, unit_norm(), 0, lone(x, x)),
     ):
         with pytest.raises(NonFiniteError, match="tensor contains"), np.errstate(invalid="ignore"):
             node()
@@ -377,10 +380,10 @@ def test_a_packed_attention_node_at_d512_keeps_no_stacked_copy(rows):
     rng = np.random.default_rng(9)
     params = random_mha(d, heads, rng)
     x, y = (Tensor(rng.normal(size=(sum(rows), d))) for _ in range(2))
-    multi_head_attention(x, y, params, spans=(rows, rows))
+    multi_head_attention(x, y, params, pack(rows, rows))
     tracemalloc.start()
     try:
-        out = multi_head_attention(x, y, params, spans=(rows, rows))
+        out = multi_head_attention(x, y, params, pack(rows, rows))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -34,7 +34,7 @@ from dmdk.text import Entity, EntityType
 from dmdk.model import fallback_labels
 from dmdk.topics import anatomy_pairs, extract_topic_labels
 
-from conftest import random_gcn, random_mha, same_graph
+from conftest import lone, random_gcn, random_mha, same_graph
 from oracles import (
     from_dense,
     mul,
@@ -158,6 +158,7 @@ ROOT = {"name": "a", "kind": "root"}
         ({"nodes": 5, "edges": []}, "'nodes' and 'edges' lists"),
         ({"nodes": [ROOT], "edges": [[["a"], "a"]]}, "unknown node"),
         ({"nodes": [ROOT], "edges": [["a"]]}, r"edges\[0\] must be \[source, target\]"),
+        ({"nodes": [ROOT, {"name": "b"}], "edges": []}, r"nodes\[1\] needs 'name' and 'kind'"),
     ],
 )
 def test_base_graph_errors_name_the_file(tmp_path, obj, problem):
@@ -451,7 +452,7 @@ def test_graph_attend_single_node_constant_rows():
     params = random_mha(4, 2, RNG)
     x = Tensor(RNG.normal(size=(5, 4)))
     m = Tensor(RNG.normal(size=(1, 4)))
-    out = multi_head_attention(x, m, params).value
+    out = multi_head_attention(x, m, params, lone(x, m)).value
     assert np.allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)
 
 

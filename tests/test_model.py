@@ -30,7 +30,7 @@ from dmdk.model import (
 )
 from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, load_corpus, tokenize
 
-from conftest import make_config, random_mha, same_graph, save_features
+from conftest import lone, make_config, random_mha, same_graph, save_features
 from oracles import oracle_param
 
 RNG = np.random.default_rng(53)
@@ -224,15 +224,15 @@ def test_fuse_knowledge_shape_mismatch_rejected():
     x = Tensor(RNG.normal(size=(3, 4)))
     w = Tensor(RNG.normal(size=(2, 4)))
     with pytest.raises(ValueError, match=r"add shape mismatch: \(3, 4\) \+ \(2, 4\)"):
-        fuse_knowledge(x, w, x, FusionWeights.from_raw(1, 1, 1), params)
+        fuse_knowledge(x, w, x, FusionWeights.from_raw(1, 1, 1), params, lone(x, x))
 
 
 def test_fuse_knowledge_self_collapse_matches_plain_attention():
     # when both enhanced streams equal X the mix is exactly X again
     params = random_mha(8, 2, RNG)
     x = Tensor(RNG.normal(size=(5, 8)))
-    fused = fuse_knowledge(x, x, x, FusionWeights.from_raw(2.0, 3.0, 7.0), params)
-    plain = multi_head_attention(x, x, params)
+    fused = fuse_knowledge(x, x, x, FusionWeights.from_raw(2.0, 3.0, 7.0), params, lone(x, x))
+    plain = multi_head_attention(x, x, params, lone(x, x))
     assert np.allclose(fused.value, plain.value, atol=1e-12)
 
 
@@ -241,10 +241,10 @@ def test_fuse_knowledge_raw_scale_invariance_end_to_end():
     x = Tensor(RNG.normal(size=(4, 8)))
     w = Tensor(RNG.normal(size=(4, 8)))
     m = Tensor(RNG.normal(size=(4, 8)))
-    base = fuse_knowledge(x, w, m, FusionWeights.from_raw(1.0, 2.0, 5.0), params)
+    base = fuse_knowledge(x, w, m, FusionWeights.from_raw(1.0, 2.0, 5.0), params, lone(x, x))
     for c in (0.5, 2.0, 10.0):
         scaled = fuse_knowledge(
-            x, w, m, FusionWeights.from_raw(c, 2.0 * c, 5.0 * c), params
+            x, w, m, FusionWeights.from_raw(c, 2.0 * c, 5.0 * c), params, lone(x, x)
         )
         assert np.array_equal(scaled.value, base.value)
 
@@ -255,12 +255,12 @@ def test_fusion_invariances_hold_at_paper_width(rows):
     rng = np.random.default_rng(rows)
     params = random_mha(512, 8, rng)
     x, w, m = (Tensor(rng.normal(size=(rows, 512))) for _ in range(3))
-    base = fuse_knowledge(x, w, m, FusionWeights.from_raw(1.0, 2.0, 5.0), params)
+    base = fuse_knowledge(x, w, m, FusionWeights.from_raw(1.0, 2.0, 5.0), params, lone(x, x))
     for c in (0.5, 2.0, 10.0):
-        scaled = fuse_knowledge(x, w, m, FusionWeights.from_raw(c, 2.0 * c, 5.0 * c), params)
+        scaled = fuse_knowledge(x, w, m, FusionWeights.from_raw(c, 2.0 * c, 5.0 * c), params, lone(x, x))
         assert np.array_equal(scaled.value, base.value)
-    collapsed = fuse_knowledge(x, x, x, FusionWeights.from_raw(3.0, 1.0, 4.0), params)
-    np.testing.assert_allclose(collapsed.value, multi_head_attention(x, x, params).value, rtol=0, atol=1e-12)
+    collapsed = fuse_knowledge(x, x, x, FusionWeights.from_raw(3.0, 1.0, 4.0), params, lone(x, x))
+    np.testing.assert_allclose(collapsed.value, multi_head_attention(x, x, params, lone(x, x)).value, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

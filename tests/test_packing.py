@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from dmdk import model as model_module
+from dmdk.attention import pack
 from dmdk.autograd import backward
 from dmdk.config import load_config
 from dmdk.graph import default_base_graph_path, load_base_graph
@@ -31,10 +32,11 @@ from dmdk.model import (
     prepare_record,
     run_gradient_check,
     teacher_forcing_loss,
+    train,
 )
-from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, tokenize
+from dmdk.text import CorpusRecord, Entity, EntityType, Vocabulary, load_corpus, tokenize
 
-from conftest import save_features
+from conftest import make_config, save_features
 from oracles import oracle_backward, parameter_gradients
 
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -198,3 +200,20 @@ def test_gradient_check_fixture_gradients_equal_the_graph_keeping_engine(monkeyp
     config = Path(__file__).resolve().parent.parent / "configs" / "gradcheck.json"
     results = run_gradient_check(load_config(config))
     assert len(checked) == len(results) > 0
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_a_forward_packs_each_distinct_shape_once(overfit_corpus, monkeypatch, layers):
+    # one epoch of one batch is one teacher_forcing_loss; it packs visual rows
+    # by tags, by graph nodes and by visual rows, then tokens by tokens and by
+    # visual rows, however many blocks and layers attend over each
+    calls = []
+
+    def counted(q_rows, k_rows):
+        calls.append((list(q_rows), list(k_rows)))
+        return pack(q_rows, k_rows)
+
+    monkeypatch.setattr(model_module, "pack", counted)
+    run = make_config(decoder_layers=layers, epochs=1, batch=8)
+    train(load_corpus(overfit_corpus), run, load_base_graph(default_base_graph_path()))
+    assert len(calls) == 5, calls

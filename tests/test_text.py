@@ -136,6 +136,9 @@ def test_load_corpus_errors_carry_line_numbers(tmp_path):
     p.write_text('{"id": "a", "features": ["x"]}\n{oops\n', encoding="utf-8")
     with pytest.raises(ValueError, match=r"c\.jsonl:2"):
         load_corpus(p)
+    p.write_text('{"id": "a", "features": ["x"]}\n["b"]\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"c\.jsonl:2: each line must be a JSON object"):
+        load_corpus(p)
 
 
 def test_load_corpus_skips_blank_lines_and_still_counts_them(tmp_path):

@@ -14,7 +14,7 @@ from dmdk.topics import (
     pool_tag_embeddings,
 )
 
-from conftest import random_mha
+from conftest import lone, random_mha
 from oracles import oracle_pairs, oracle_tags
 
 RNG = np.random.default_rng(13)
@@ -153,7 +153,7 @@ def test_single_tag_enhancement_is_constant_rows():
     params = random_mha(4, 2, RNG)
     x = Tensor(RNG.normal(size=(5, 4)))
     w = Tensor(RNG.normal(size=(1, 4)))
-    out = multi_head_attention(x, w, params).value
+    out = multi_head_attention(x, w, params, lone(x, w)).value
     assert np.allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)
 
 
@@ -162,7 +162,7 @@ def test_enhancement_shape_independent_of_tag_count():
     x = Tensor(RNG.normal(size=(5, 4)))
     for m in (1, 3, 9):
         w = Tensor(RNG.normal(size=(m, 4)))
-        assert multi_head_attention(x, w, params).shape == (5, 4)
+        assert multi_head_attention(x, w, params, lone(x, w)).shape == (5, 4)
 
 
 def test_enhancement_rows_in_projected_tag_hull_per_head():
@@ -171,7 +171,7 @@ def test_enhancement_rows_in_projected_tag_hull_per_head():
     x = Tensor(RNG.normal(size=(3, 4)))
     w = Tensor(RNG.normal(size=(4, 4)))
     k, v = project_kv(w, params)
-    pre, _ = heads_attention(matmul(x, params.wq).value, k.value, v.value, params.heads, None, None)
+    pre, _ = heads_attention(matmul(x, params.wq).value, k.value, v.value, params.heads, None, lone(x, w))
     projected = v.value
     assert (pre <= projected.max(axis=0) + 1e-12).all()
     assert (pre >= projected.min(axis=0) - 1e-12).all()
