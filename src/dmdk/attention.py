@@ -111,20 +111,16 @@ def attention_weights(qh: np.ndarray, kh: np.ndarray, offset: int | None = None)
     Any leading axes, such as a stack of records, run as one batch of products.
 
     With an ``offset`` the attention is causal: query row i sits at position
-    offset + i and sees key columns <= offset + i, so there must be exactly
-    offset + rows keys. ``None`` lets every query see every key.
+    offset + i and sees key columns <= offset + i, over exactly offset + rows
+    keys, as every causal caller packs them. ``None`` lets every query see
+    every key.
     """
     rows = qh.shape[-2]
     scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
     if not np.isfinite(scores).all():
         raise NonFiniteError("attention scores contain non-finite values")
-    if offset is not None:
-        if kh.shape[-2] != offset + rows:
-            raise ValueError(
-                f"causal attention at offset {offset} needs {offset + rows} key rows, got {kh.shape[-2]}"
-            )
-        if rows > 1:  # a single query row at the end sees every key
-            scores = scores + causal_mask(rows, offset)
+    if offset is not None and rows > 1:  # a single query row at the end sees every key
+        scores = scores + causal_mask(rows, offset)
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
@@ -144,7 +140,7 @@ def pack(q_rows: Sequence[int], k_rows: Sequence[int]) -> Packing:
     groups = []
     for (qn, kn), at in starts.items():
         n, (qa, ka) = len(at), at[0]
-        if at[-1][0] - qa == (n - 1) * qn:  # no other record between them
+        if at[-1] == (qa + (n - 1) * qn, ka + (n - 1) * kn):  # no other record's rows between them
             groups.append((n, slice(qa, qa + n * qn), slice(ka, ka + n * kn)))
         else:
             q_index = np.concatenate([np.arange(i, i + qn) for i, _ in at])
@@ -351,7 +347,7 @@ def embed_tokens(
     0 x d matrix. One ``embedding`` node, which adds the positional rows to the
     rows it gathers."""
     n = len(ids)
-    if spans is None:
+    if spans is None:  # a decode step's fast path: a slice costs less than the spans arithmetic
         stop, index = start + n, slice(start, start + n)
     else:
         spans = np.asarray(spans, dtype=np.intp)

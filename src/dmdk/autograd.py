@@ -52,7 +52,6 @@ __all__ = [
     "cross_entropy_logits",
     "embedding",
     "finite_diff_grad",
-    "grad_enabled",
     "leaf_gradients",
     "matmul",
     "no_grad",
@@ -82,11 +81,6 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled.reset(token)
-
-
-def grad_enabled() -> bool:
-    """False inside ``no_grad()``, where ops record no graph."""
-    return _grad_enabled.get()
 
 
 _all_true = np.logical_and.reduce  # ndarray.all without its Python-level wrapper

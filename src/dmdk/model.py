@@ -26,16 +26,18 @@ nodes and tokens are each stacked in record order, and every attention block
 attends within each record's rows. The two functions that know the row
 counts pack them once per call (``attention.pack``): ``encode_batch`` packs
 the visual rows against the tags, the graph nodes and the visual rows, and
-``decoder_forward`` the tokens against the tokens and the memory rows. Every
-block over the same rows reads the same packing. Each record's graph
-operator is derived from its edges on first use and kept for the run; a
-batch's operators form one block-diagonal ``SparseRows``. Decoding encodes a
-batch of one record, runs under ``no_grad`` and feeds one token per step
-through a ``DecoderCache``: the packed cross-attention keys and values over
-X', W' and M' are projected once per record and layer, and each layer's
-self-attention keys and values grow in place by one row per token. A lone
-record is a packing of one, so a decode step runs the attention code that
-training runs.
+``decoder_forward`` the tokens against the tokens and the memory rows. X',
+W' and M' all take X's rows as queries, so they share their rows and one
+cross packing serves all three. Every block over the same rows reads the
+same packing. Each record's graph operator is derived from its edges on
+first use and kept for the run; a batch's operators form one block-diagonal
+``SparseRows``. Decoding encodes a batch of one record, runs under
+``no_grad`` and feeds one token per step through a ``DecoderCache``, which
+serves that record's memories only: the packed cross-attention keys and
+values over X', W' and M' are projected once per record and layer, and each
+layer's self-attention keys and values grow in place by one row per token.
+A lone record is a packing of one, so a decode step runs the attention code
+that training runs.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .autograd import (
     backward,
     cross_entropy_logits,
     finite_diff_grad,
-    grad_enabled,
     leaf_gradients,
     no_grad,
     relative_error,
@@ -332,7 +333,6 @@ class DecoderCache:
     so far, written in place and grown like ``attention.sinusoidal_rows``.
     """
 
-    memories: tuple[Tensor, Tensor, Tensor] | None = None
     cross: list[tuple[KV, KV, KV]] = field(default_factory=list)
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     length: int = 0
@@ -376,38 +376,29 @@ def decoder_forward(
 ) -> Tensor:
     """Logits for every position of the nonempty ``ids``: masked self-attention,
     then stacked cross-attention over X', W', M', then feed-forward, then the
-    affine head.
+    affine head. X', W' and M' have the same rows, as ``encode_batch`` builds
+    them, so one packing serves all three.
 
     Without a cache ``ids`` is the whole BOS-prefixed sequence. With one, ``ids``
     are the next tokens after the ``cache.length`` already fed: the cross-attention
-    keys and values come from the cache (projected on its first call, so every
-    call with one cache must pass the same memories), and each layer's
-    self-attention keys and values grow by len(ids) rows. The cache keeps no
-    graph, so it runs only inside ``no_grad()``.
+    keys and values come from the cache, projected on its first call, and each
+    layer's self-attention keys and values grow by len(ids) rows. A cache keeps
+    no graph and serves one record's memories: every call with it runs inside
+    ``no_grad()`` and passes the same X', W' and M', as ``generate_greedy`` does.
 
     ``spans`` packs a batch without a cache: (token rows, memory rows) of each
     record, stacked in order. Each record's tokens take positions from 0 and
     attend only their own tokens and memory rows. Without ``spans`` the ids
-    are one record's, attending every row of each memory: a packing of one.
+    are one record's, attending every memory row: a packing of one.
     """
     start = 0
     if cache is not None:
-        if grad_enabled():
-            raise RuntimeError("a decoder cache keeps no graph: decode inside no_grad()")
         start = cache.length
-        memories = (x_fused, w_enh, m_enh)
-        if cache.memories is None:
-            cache.memories = memories
-            cache.cross = [_cross_kv(layer, *memories) for layer in dec.layers]
+        if not cache.cross:
+            cache.cross = [_cross_kv(layer, x_fused, w_enh, m_enh) for layer in dec.layers]
             cache.self_kv = [(np.empty((0, table.cols)),) * 2 for _ in dec.layers]
-        elif any(a is not b for a, b in zip(cache.memories, memories)):
-            raise ValueError("a decoder cache serves the memories of one record only")
-    if spans is None:
-        tokens = [len(ids)]
-        crosses = [pack(tokens, [m.rows]) for m in (x_fused, w_enh, m_enh)]
-    else:
-        tokens, crosses = spans[0], [pack(*spans)] * 3
-    self_packing = pack(tokens, [start + n for n in tokens])
+    tokens, memory_rows = ([len(ids)], [x_fused.rows]) if spans is None else spans
+    self_packing, cross = pack(tokens, [start + n for n in tokens]), pack(tokens, memory_rows)
     h = embed_tokens(ids, table, start, None if spans is None else tokens)
     for i, layer in enumerate(dec.layers):
         fused, labels, graph = (
@@ -416,9 +407,9 @@ def decoder_forward(
         norms = layer.norms
         self_kv = _self_kv(h, i, layer.self_attn, cache)
         h = residual_attention(h, *self_kv, layer.self_attn, norms[0], start, self_packing)
-        h = residual_attention(h, *fused, layer.cross_fused, norms[1], None, crosses[0])
-        h = residual_attention(h, *labels, layer.cross_labels, norms[2], None, crosses[1])
-        h = residual_attention(h, *graph, layer.cross_graph, norms[3], None, crosses[2])
+        h = residual_attention(h, *fused, layer.cross_fused, norms[1], None, cross)
+        h = residual_attention(h, *labels, layer.cross_labels, norms[2], None, cross)
+        h = residual_attention(h, *graph, layer.cross_graph, norms[3], None, cross)
         h = feed_forward(h, layer.ffn, norms[4])
     if cache is not None:
         cache.length += len(ids)

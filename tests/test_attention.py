@@ -144,12 +144,6 @@ def test_causal_suffix_change_leaves_prefix_rows_bit_identical():
     assert np.array_equal(full[:-1], redone[:-1])
 
 
-def test_causal_requires_equal_lengths():
-    params = identity_block(2)
-    with pytest.raises(ValueError, match="needs 2 key rows, got 3"):
-        self_attention(np.zeros((2, 2)), params, keys=np.zeros((3, 2)))
-
-
 # ---------------------------------------------------------------------------
 # multi-head
 
@@ -374,8 +368,6 @@ def test_attend_at_offset_matches_the_full_causal_rows():
     full = self_attention(seq.value, params)
     tail = self_attention(seq.value[3:], params, offset=3, keys=seq.value)
     np.testing.assert_allclose(tail, full[3:], **TOL)
-    with pytest.raises(ValueError, match="needs 4 key rows, got 5"):
-        self_attention(seq.value[3:], params, offset=2, keys=seq.value)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -405,6 +397,26 @@ def test_spans_attend_each_record_alone(offset, d, heads):
     parts = zip(split_rows(q, q_rows), split_rows(k, k_rows), split_rows(v, k_rows))
     alone = [heads_attention(a, b, c, heads, offset, lone(a, b))[0] for a, b, c in parts]
     assert np.array_equal(packed, np.concatenate(alone))
+
+
+def test_a_record_without_queries_keeps_the_key_rows_of_its_neighbours_apart():
+    # records 0 and 2 share a shape; record 1 has no query rows but 4 key rows,
+    # so the group's queries are adjacent and its keys are not
+    [(n, qi, ki), (m, qj, kj)] = pack([2, 0, 2], [3, 4, 3])
+    assert (n, m) == (2, 1)
+    assert list(np.r_[qi]) == [0, 1, 2, 3] and list(np.r_[ki]) == [0, 1, 2, 7, 8, 9]
+    assert (qj, kj) == (slice(2, 2), slice(3, 7))
+    rng = np.random.default_rng(12)
+    q, g = rng.normal(size=(2, 4, 8))
+    k, v = rng.normal(size=(2, 10, 8))
+    out, rule = heads_attention(q, k, v, 2, None, pack([2, 0, 2], [3, 4, 3]))
+    keep = np.r_[0:3, 7:10]  # the two records' keys, without record 1's
+    expected, oracle_rule = oracle_heads_loop(q, k[keep], v[keep], 2, None, ([2, 2], [3, 3]))
+    assert np.array_equal(out, expected)
+    dq, dk, dv = rule(g)
+    for name, grad, oracle_grad in zip("qkv", (dq, dk[keep], dv[keep]), oracle_rule(g)):
+        assert np.array_equal(grad, oracle_grad), name
+    assert not dk[3:7].any() and not dv[3:7].any()
 
 
 # (query rows, key rows) of each record: one shape for every record, a shape

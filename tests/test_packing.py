@@ -18,11 +18,12 @@ import pytest
 
 from dmdk import model as model_module
 from dmdk.attention import pack
-from dmdk.autograd import backward
+from dmdk.autograd import backward, no_grad
 from dmdk.config import load_config
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
     AblationMode,
+    DecoderCache,
     FusionWeights,
     ModelSpec,
     ReportModel,
@@ -217,3 +218,26 @@ def test_a_forward_packs_each_distinct_shape_once(overfit_corpus, monkeypatch, l
     run = make_config(decoder_layers=layers, epochs=1, batch=8)
     train(load_corpus(overfit_corpus), run, load_base_graph(default_base_graph_path()))
     assert len(calls) == 5, calls
+
+
+def test_a_one_record_decoder_forward_packs_twice(tmp_path, monkeypatch):
+    # tokens by tokens and tokens by the memory rows that X', W' and M' share,
+    # in the one-record form that replays a decode and in each cached step
+    model, preps = build(tmp_path, CONFIGS["full"])
+    x_fused, w_enh, m_enh, _ = encode_batch(model, preps[:1])
+    calls = []
+
+    def counted(q_rows, k_rows):
+        calls.append((list(q_rows), list(k_rows)))
+        return pack(q_rows, k_rows)
+
+    monkeypatch.setattr(model_module, "pack", counted)
+    ids = preps[0].input_ids
+    decoder_forward(ids, x_fused, w_enh, m_enh, model.decoder, model.embed)
+    assert calls == [([len(ids)], [len(ids)]), ([len(ids)], [3])]
+    cache = DecoderCache()
+    with no_grad():
+        for step, token in enumerate(ids[:3]):
+            calls.clear()
+            decoder_forward([token], x_fused, w_enh, m_enh, model.decoder, model.embed, cache)
+            assert calls == [([1], [step + 1]), ([1], [3])], step
