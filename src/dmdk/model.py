@@ -78,7 +78,7 @@ from .attention import (
     residual_attention,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .features import ProjectionParams, load_features, project_features
+from .features import ProjectionParams, keep_views, load_features, project_features
 from .graph import (
     GcnParams,
     GraphNode,
@@ -611,7 +611,7 @@ def train(records: Sequence[CorpusRecord], run, base_graph: KnowledgeGraph):
         if not (rec.report and rec.report.strip()):
             raise ValueError(f"record {rec.id!r} has no report text")
     vocab = Vocabulary.build((tokenize(r.report) for r in records), run.train.min_freq)
-    views = [[load_features(p) for p in r.features] for r in records]
+    views = keep_views(r.features for r in records)
     base_labels = fallback_labels(base_graph, run.labels.fallback)
     model, prepared = _model_and_records(run, records, views, vocab, base_graph, base_labels)
     opt = Adam(

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dmdk import features
 from dmdk.attention import MhaParams, pack
 from dmdk.autograd import Tensor
 from dmdk.config import RunConfig, parse_config
@@ -43,6 +44,13 @@ OVERFIT_ENTITIES = [
 # faces an irreducible first-token ambiguity on those pairs, so fitting them
 # separates the full pipeline from the base ablation by more than seed noise.
 OVERFIT_ALIASES = {1: 0, 4: 3, 7: 6}
+
+
+@pytest.fixture(autouse=True)
+def no_kept_views(monkeypatch):
+    """Each test starts with no feature views kept by an earlier train(), so a
+    load parses whatever test ran before it."""
+    monkeypatch.setattr(features, "_KEPT", {})
 
 
 def same_graph(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:

@@ -3,8 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from dmdk import features
 from dmdk.autograd import Tensor
 from dmdk.features import ProjectionParams, load_features, project_features
+from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
     AblationMode,
     FusionWeights,
@@ -12,11 +14,13 @@ from dmdk.model import (
     PreparedRecord,
     ReportModel,
     encode_batch,
+    generate_for_records,
     prepare_record,
+    train,
 )
-from dmdk.text import CorpusRecord, Vocabulary
+from dmdk.text import CorpusRecord, Vocabulary, decode_utf8, load_corpus
 
-from conftest import save_features
+from conftest import make_config, save_features
 
 RNG = np.random.default_rng(31)
 
@@ -173,6 +177,126 @@ def test_non_finite_values_rejected(tmp_path):
     p = write(tmp_path, "FMAT v1 1 2\n1 inf\n")
     with pytest.raises(ValueError, match="finite"):
         load_features(p)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The list of files parsed since the test began."""
+    parsed = []
+
+    def spy(data, where):
+        parsed.append(where)
+        return decode_utf8(data, where)
+
+    monkeypatch.setattr(features, "decode_utf8", spy)
+    return parsed
+
+
+def test_loading_a_file_keeps_nothing(tmp_path, parses):
+    """Generation reads views through load_features alone: each read parses."""
+    p = write(tmp_path, "FMAT v1 2 3\n1 2 3\n4 5 6\n")
+    assert np.array_equal(load_features(p), load_features(p))
+    assert parses == [str(p), str(p)]
+    assert features._KEPT == {}
+
+
+def test_a_kept_view_is_returned_without_a_parse(tmp_path, parses):
+    p = write(tmp_path, "FMAT v1 2 3\n1 2 3\n4 5 6\n")
+    [[kept]] = features.keep_views([[p]])
+    assert load_features(p) is kept
+    assert parses == [str(p)]
+
+
+def test_two_paths_with_identical_bytes_parse_once(tmp_path, parses):
+    a = write(tmp_path, "FMAT v1 1 2\n1 2\n", "a.fmat")
+    b = write(tmp_path, "FMAT v1 1 2\n1 2\n", "b.fmat")
+    [[va], [vb]] = features.keep_views([[a], [b]])
+    assert va is vb
+    assert parses == [str(a)]
+
+
+def test_kept_views_are_replaced_by_the_next_call(tmp_path, parses):
+    a = write(tmp_path, "FMAT v1 1 2\n1 2\n", "a.fmat")
+    b = write(tmp_path, "FMAT v1 1 2\n3 4\n", "b.fmat")
+    [[va]] = features.keep_views([[a]])
+    assert features.keep_views([[a], [b]])[0][0] is va
+    [[vb]] = features.keep_views([[b]])
+    [kept] = features._KEPT.values()
+    assert kept is vb and load_features(b) is vb
+    load_features(a)
+    assert parses == [str(a), str(b), str(a)]
+
+
+def test_a_path_rewritten_with_other_bytes_of_the_same_length_reads_the_new_values(tmp_path, parses):
+    p = write(tmp_path, "FMAT v1 1 2\n1 2\n")
+    assert np.array_equal(features.keep_views([[p]])[0][0], [[1, 2]])
+    p.write_text("FMAT v1 1 2\n3 4\n", encoding="utf-8")
+    assert np.array_equal(load_features(p), [[3, 4]])
+    assert parses == [str(p), str(p)]
+
+
+def test_a_path_rewritten_malformed_after_a_good_load_still_names_the_file(tmp_path, parses):
+    p = write(tmp_path, "FMAT v1 1 2\n1 2\n")
+    [[good]] = features.keep_views([[p]])
+    p.write_text("FMAT v1 1 2\n1 x\n", encoding="utf-8")
+    for load in (load_features, lambda q: features.keep_views([[q]])):
+        with pytest.raises(ValueError, match=re.escape(f"{p}: non-numeric value 'x' at row 1, column 2")):
+            load(p)
+    [kept] = features._KEPT.values()
+    assert kept is good  # a failed call keeps what was kept
+    assert len(parses) == 3
+
+
+def test_loaded_and_kept_matrices_are_read_only(tmp_path):
+    p = write(tmp_path, "FMAT v1 1 2\n1 2\n")
+    for out in (load_features(p), features.keep_views([[p]])[0][0]):
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 5.0
+
+
+def test_a_full_width_view_loads_bitwise_equal_to_its_source(tmp_path, parses):
+    """49 x 1024 written as repr(float) text, as the benchmark's inputs are."""
+    values = RNG.normal(size=(49, 1024))
+    p = tmp_path / "v.fmat"
+    save_features(p, values)
+    assert load_features(p).tobytes() == values.tobytes()
+    assert features.keep_views([[p]])[0][0].tobytes() == values.tobytes()
+    assert load_features(p).tobytes() == values.tobytes()
+    assert len(parses) == 2
+
+
+def test_training_parses_each_distinct_feature_file_once(overfit_corpus, parses):
+    """Records 1, 4 and 7 of the overfit corpus reuse the files of 0, 3 and 6;
+    a second train() on the same files parses nothing."""
+    records = load_corpus(overfit_corpus)
+    base = load_base_graph(default_base_graph_path())
+    train(records, make_config(d=8, epochs=0), base)
+    assert parses == [str(overfit_corpus.parent / f"feats/r{i:02d}.fmat") for i in (0, 2, 3, 5, 6)]
+    train(records, make_config(d=8, epochs=0), base)
+    assert len(parses) == 5
+
+
+def test_generating_for_the_trained_records_parses_nothing(overfit_corpus, parses):
+    records = load_corpus(overfit_corpus)
+    base = load_base_graph(default_base_graph_path())
+    model, _ = train(records, make_config(d=8, epochs=2), base)
+    parses.clear()
+    first = generate_for_records(model, records[:1], base)
+    assert generate_for_records(model, records[:1], base) == first
+    assert parses == []
+
+
+def test_generating_for_records_not_trained_on_keeps_their_views_out(overfit_corpus, parses):
+    records = load_corpus(overfit_corpus)
+    base = load_base_graph(default_base_graph_path())
+    model, _ = train(records[:4], make_config(d=8, epochs=0), base)
+    kept = list(features._KEPT.items())
+    parses.clear()
+    generate_for_records(model, records[5:6], base)
+    generate_for_records(model, records[5:6], base)
+    assert parses == [str(overfit_corpus.parent / "feats/r05.fmat")] * 2
+    assert [(k, id(v)) for k, v in features._KEPT.items()] == [(k, id(v)) for k, v in kept]
 
 
 def test_projection_is_affine():
