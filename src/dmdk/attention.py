@@ -117,7 +117,7 @@ def attention_weights(qh: np.ndarray, kh: np.ndarray, offset: int | None = None)
     """
     rows = qh.shape[-2]
     scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
-    if not np.isfinite(scores).all():
+    if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise NonFiniteError("attention scores contain non-finite values")
     if offset is not None and rows > 1:  # a single query row at the end sees every key
         scores = scores + causal_mask(rows, offset)
@@ -295,7 +295,7 @@ def feed_forward(h: Tensor, params: FfnParams, norm: LayerNormParams) -> Tensor:
     hv, w1, w2 = h.value, params.w1.value, params.w2.value
     pre = hv @ w1
     pre += params.b1.value
-    if not np.isfinite(pre).all():
+    if not np.logical_and.reduce(np.isfinite(pre), axis=None):
         raise NonFiniteError("feed-forward pre-activation contains non-finite values")
     mask = pre > 0.0
     hidden = np.where(mask, pre, 0.0)

@@ -19,7 +19,8 @@ step ``FD_STEP``, used to audit every backward rule.
 
 ``SparseRows`` holds a constant sparse matrix as a Tensor of its nonzero
 entries; ``canonical_matmul`` multiplies it into a tensor, summing each output
-entry's products in value-sorted order.
+entry's products in value-sorted order. Its transpose, which only that
+product's backward reads, is built on first read, so inference never builds it.
 
 ``affine`` (``x @ w + b``) and ``weighted_sum`` each fuse a chain of ops into
 one node, as ``attention`` does for whole decoder sublayers. A node keeps its
@@ -264,18 +265,27 @@ class SparseRows(Tensor):
     Rows are grouped by their entry count, which makes each group one dense
     gather; the transpose is grouped the same way for the gradient. The
     entries are kept sorted by their row's count, then row, then column
-    (``entries``, ``t_entries``), so each group is a run of them.
+    (``entries``), so each group is a run of them. The transpose's groups are
+    built on first read and kept: only ``canonical_matmul``'s backward reads
+    them, so an operator used under ``no_grad`` never builds them.
     """
 
-    __slots__ = ("n_rows", "n_cols", "entries", "t_entries", "groups", "t_groups")
+    __slots__ = ("n_rows", "n_cols", "entries", "groups", "_t_groups")
 
     def __init__(self, row: np.ndarray, col: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
         n, m = shape
         super().__init__(vals.reshape(-1, 1))
-        vals = self.value[:, 0]
         self.n_rows, self.n_cols = n, m
-        self.entries, self.t_entries = _by_count(row, col, vals, n), _by_count(col, row, vals, m)
-        self.groups, self.t_groups = _groups(*self.entries), _groups(*self.t_entries)
+        self.entries = _by_count(row, col, self.value[:, 0], n)
+        self.groups = _groups(*self.entries)
+        self._t_groups: list | None = None
+
+    @property
+    def t_groups(self) -> list:
+        if self._t_groups is None:
+            row, col, vals, _ = self.entries
+            self._t_groups = _groups(*_by_count(col, row, vals, self.n_cols))
+        return self._t_groups
 
     @classmethod
     def block_diagonal(cls, parts: Sequence["SparseRows"]) -> "SparseRows":
@@ -301,7 +311,8 @@ def _by_count(row, col, vals, n: int) -> tuple:
 
 def _groups(row, col, vals, counts) -> list:
     """(rows, their entries' columns, their values) for each entry count."""
-    starts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()  # where each count's run begins
+    # each count's run begins at the first entry or where the count changes
+    starts = [0] + (np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist() if len(counts) else []
     groups = []
     for start, end in zip(starts, starts[1:] + [len(counts)]):
         c = int(counts[start])  # each row's c entries are adjacent

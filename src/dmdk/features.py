@@ -101,7 +101,7 @@ def _parse(header: str, body: str, path: Path) -> np.ndarray:
         # no cell holds it, so a non-ASCII character separates two values
         line = next(i for i, text in enumerate(body.split("\n"), start=2) if not text.isascii())
         raise ValueError(f"{path}: line {line} separates values by a non-ASCII character") from None
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise ValueError(f"{path}: feature values must be finite")
     out.flags.writeable = False
     return out

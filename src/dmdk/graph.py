@@ -20,6 +20,7 @@ import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +222,7 @@ def normalized_adjacency(g: KnowledgeGraph) -> SparseRows:
     the graph's entries: each edge in both directions, then the diagonal. A
     row's degree is its entry count, and each entry is ``dinv[row] * dinv[col]``."""
     n = g.node_count()
-    i, j = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    i, j = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges)).reshape(-1, 2).T
     loops = np.arange(n)
     row, col = np.concatenate([i, j, loops]), np.concatenate([j, i, loops])
     dinv = 1.0 / np.sqrt(np.bincount(row, minlength=n).astype(np.float64))

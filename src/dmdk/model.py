@@ -358,7 +358,7 @@ def _self_kv(h: Tensor, layer_index: int, params: MhaParams, cache: DecoderCache
         bufs = cache.self_kv[layer_index] = grown
     for buf, w in zip(bufs, (params.wk, params.wv)):
         rows = np.matmul(h.value, w.value, out=buf[start:stop])
-        if not np.isfinite(rows).all():
+        if not np.logical_and.reduce(np.isfinite(rows), axis=None):
             raise NonFiniteError("self-attention keys or values contain non-finite values")
     # every row was checked as it was written: no copy, no second scan
     return Tensor.checked(bufs[0][:stop]), Tensor.checked(bufs[1][:stop])
@@ -435,7 +435,7 @@ def generate_greedy(
     with no_grad():
         while len(out) < max_length:
             logits = decoder_forward([token], x_fused, w_enh, m_enh, dec, table, cache)
-            token = int(np.argmax(logits.value[-1]))
+            token = int(logits.value[-1].argmax())
             if token == Vocabulary.EOS:
                 break
             out.append(token)

@@ -126,8 +126,25 @@ def decode_utf8(data: bytes, where: str) -> str:
         raise ValueError(f"{where}: not UTF-8 text: {e}") from None
 
 
+# deepest JSON nesting parse_json accepts; the input formats nest at most 5 levels
+JSON_MAX_DEPTH = 64
+# a JSON string, or one bracket outside strings
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]', re.DOTALL)
+
+
 def parse_json(text: str, where: str):
-    """``json.loads``; malformed or too deeply nested JSON raises a ValueError naming ``where``."""
+    """``json.loads``; malformed or too deeply nested JSON raises a ValueError naming ``where``.
+
+    Nesting deeper than ``JSON_MAX_DEPTH`` is refused before the parser runs,
+    which would otherwise recurse up to the interpreter's recursion limit, where
+    any Python code it triggers (a gc callback, a tracer) fails in turn.
+    """
+    if text.count("[") + text.count("{") > JSON_MAX_DEPTH:  # otherwise it cannot nest deeper
+        depth = 0
+        for token in _JSON_TOKEN.findall(text):
+            depth += (token in "[{") - (token in "]}")
+            if depth > JSON_MAX_DEPTH:
+                raise ValueError(f"{where}: malformed JSON: nested deeper than {JSON_MAX_DEPTH} levels")
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:

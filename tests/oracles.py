@@ -300,6 +300,19 @@ def oracle_block_diagonal(blocks):
     return a[a != 0], grouped(a), grouped(a.T)
 
 
+def oracle_groups(row, col, vals, counts):
+    """``autograd._groups`` with each count's run start found by
+    ``np.diff(counts, prepend=-1)``: where the count changes, the first entry
+    included (no count is -1)."""
+    starts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()
+    groups = []
+    for start, end in zip(starts, starts[1:] + [len(counts)]):
+        c = int(counts[start])
+        cols, values = col[start:end].reshape(-1, c), vals[start:end].reshape(-1, c, 1)
+        groups.append((row[start:end:c], cols, values))
+    return groups
+
+
 # ---------------------------------------------------------------------------
 # initialization
 

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmdk import autograd
 from dmdk.attention import LAYER_NORM_EPS, layer_norm
@@ -129,6 +131,44 @@ def test_sparse_rows_block_diagonal_offsets_blocks():
     h = RNG.normal(size=(5, 4))
     out = canonical_matmul(SparseRows.block_diagonal([from_dense(b) for b in blocks]), Tensor(h)).value
     assert np.allclose(out, dense @ h, atol=1e-12)
+
+
+def test_sparse_rows_build_the_transpose_on_first_read_and_keep_it(monkeypatch):
+    dense = RNG.normal(size=(3, 4)) * (RNG.random((3, 4)) < 0.6)
+    s, by_count, calls = from_dense(dense), autograd._by_count, []
+    monkeypatch.setattr(autograd, "_by_count", lambda *a: calls.append(a) or by_count(*a))
+    canonical_matmul(s, Tensor(RNG.normal(size=(4, 2))))  # the forward reads no transpose
+    assert s._t_groups is None and calls == []
+    groups = s.t_groups
+    assert len(calls) == 1 and s.t_groups is groups
+    want = from_dense(dense.T).groups
+    assert len(groups) == len(want)
+    for got_group, want_group in zip(groups, want):
+        for a, b in zip(got_group, want_group):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@example(runs=[])
+@example(runs=[(2, 40)])  # one run
+@example(runs=[(1, 1), (1, 1), (1, 1), (2, 1), (3, 1)])  # every count distinct: one row each
+@example(runs=[(1, 300), (2, 150), (5, 60)])  # long runs
+@given(runs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 60)), max_size=8))
+def test_groups_split_where_the_old_run_starts_were(runs):
+    """``_groups`` finds each count's run by comparing neighbours; the groups
+    equal those of the ``np.diff(..., prepend=-1)`` starts bit for bit, on
+    entries laid out as ``_by_count`` leaves them: runs of rows of equal entry
+    count, each run's count (the cumulative ``step``) above the last."""
+    per_row = np.repeat(np.cumsum([step for step, _ in runs], dtype=np.intp), [n for _, n in runs])
+    counts = np.repeat(per_row, per_row)
+    row = np.repeat(np.arange(len(per_row)), per_row)
+    col = np.arange(len(counts)) % 7
+    vals = np.linspace(-1.0, 1.0, len(counts))
+    got, want = autograd._groups(row, col, vals, counts), oracles.oracle_groups(row, col, vals, counts)
+    assert len(got) == len(want) == len(runs)
+    for got_group, want_group in zip(got, want):
+        for a, b in zip(got_group, want_group):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_canonical_matmul_rejects_bad_shapes():

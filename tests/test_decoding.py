@@ -118,6 +118,20 @@ def test_cached_decode_matches_recompute_on_overfit_model(overfit_model):
         assert " ".join(model.vocab.decode(ids)) == rec.report
 
 
+@pytest.mark.parametrize(
+    "tied, first", [((9, 5), 5), ((7, Vocabulary.EOS), None)], ids=["two words", "a word and EOS"]
+)
+def test_greedy_breaks_an_exact_tie_toward_the_lower_id(tied, first):
+    """A zero head makes every step's logits its bias; two ids share the
+    largest, and each step emits the lower one (EOS ends the decode)."""
+    model = random_model(d=16, heads=2, layers=1)
+    model.decoder.head_w.value[:] = 0.0
+    model.decoder.head_b.value[:] = 0.0
+    model.decoder.head_b.value[0, list(tied)] = 1.5
+    ids = generate_greedy(*random_streams(16), model.decoder, model.embed, 4)
+    assert ids == ([] if first is None else [first] * 4)
+
+
 def test_cached_decode_matches_recompute_at_full_width():
     model = random_model(d=512, heads=8, layers=3)
     ids = assert_cached_matches_recompute(random_streams(512), model.decoder, model.embed, 8)

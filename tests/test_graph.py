@@ -366,8 +366,12 @@ def test_sparse_operator_equals_the_dense_reference():
         got = normalized_adjacency(g)
         want = from_dense(oracle_normalized_adjacency(oracle_adjacency(g)))
         assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
-        for got_part, want_part in zip(got.entries + got.t_entries, want.entries + want.t_entries):
+        for got_part, want_part in zip(got.entries, want.entries):
             assert got_part.dtype == want_part.dtype and np.array_equal(got_part, want_part)
+        assert len(got.t_groups) == len(want.t_groups)
+        for got_group, want_group in zip(got.t_groups, want.t_groups):
+            for got_part, want_part in zip(got_group, want_group):
+                assert got_part.dtype == want_part.dtype and np.array_equal(got_part, want_part)
 
 
 def test_single_node_gcn_collapses_to_relu_linear():

@@ -2,6 +2,7 @@
 ValueError that names the file (and the line, where it reads by line);
 nothing else may escape to the CLI."""
 
+import gc
 import json
 import re
 import struct
@@ -15,7 +16,7 @@ from dmdk.checkpoint import load_checkpoint
 from dmdk.config import load_config
 from dmdk.features import load_features
 from dmdk.graph import load_base_graph
-from dmdk.text import Lexicon, load_corpus
+from dmdk.text import JSON_MAX_DEPTH, Lexicon, load_corpus, parse_json
 
 CKPT_HEADER = b'{"meta":{"k":[1]},"tensors":[{"cols":3,"name":"w","offset":0,"rows":1}]}'
 
@@ -108,6 +109,48 @@ def test_loader_returns_or_names_the_file(tmp_path, name, data):
         load(path)
     except ValueError as e:
         assert str(path) in str(e), f"the message does not name the file: {e}"
+
+
+def test_json_nested_deeper_than_the_bound_is_refused_before_parsing(monkeypatch):
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+    at_bound = "[" * JSON_MAX_DEPTH + "]" * JSON_MAX_DEPTH
+    assert parse_json(at_bound, "f") is not None and parsed == [at_bound]
+    in_strings = json.dumps([{"[": "{" * 100}, "]]\\", '"[['])  # brackets in strings do not count
+    assert parse_json(in_strings, "f") == json.loads(in_strings)
+    parsed.clear()
+    for deep in ("[" * (JSON_MAX_DEPTH + 1) + "]" * (JSON_MAX_DEPTH + 1), "[" * 5000, '{"a": ' * 100):
+        with pytest.raises(ValueError, match=f"^f: malformed JSON: nested deeper than {JSON_MAX_DEPTH} levels$"):
+            parse_json(deep, "f")
+    assert parsed == []
+
+
+def test_python_code_run_by_a_gc_during_a_json_parse_has_stack_to_run():
+    """A parse that recursed to the interpreter's limit failed any Python code
+    a gc ran at its deepest level: hypothesis's gc callback failed there under
+    ``tests/untested_lines.py``'s tracer, which failed this file's fuzz test."""
+    failed = []
+
+    def callback(phase, info):
+        def down(n):
+            return n and down(n - 1)
+
+        try:
+            down(20)  # about as deep as a tracer's own calls
+        except RecursionError:
+            failed.append(phase)
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(callback)
+    gc.set_threshold(1)  # a collection at every allocation, so at every level of the parse
+    try:
+        with pytest.raises(ValueError, match="malformed JSON"):
+            parse_json("[" * 5000, "deep")
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(callback)
+    assert failed == []
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dmdk.attention import multi_head_attention
-from dmdk.autograd import Tensor, embedding, no_grad
+from dmdk import autograd
+from dmdk.autograd import Tensor, embedding, leaf_gradients, no_grad
 from dmdk.checkpoint import load_checkpoint
 from dmdk.graph import default_base_graph_path, load_base_graph
 from dmdk.model import (
@@ -635,6 +636,52 @@ def test_load_model_names_the_file_on_a_tensor_mismatch(tmp_path):
     path = save_with_meta(tmp_path / "m.ckpt", lambda meta: meta["node_names"].append("extra"))
     with pytest.raises(ValueError, match=f"{path}: checkpoint tensor 'gcn.embeddings'"):
         load_model(path)
+
+
+def spy_sparse_rows(monkeypatch):
+    """(every ``SparseRows`` built, in order; every ``_by_count`` call) from here on."""
+    made, calls = [], []
+    init, by_count = autograd.SparseRows.__init__, autograd._by_count
+
+    def spy_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(autograd.SparseRows, "__init__", spy_init)
+    monkeypatch.setattr(autograd, "_by_count", lambda *a: calls.append(a) or by_count(*a))
+    return made, calls
+
+
+def test_generation_builds_no_transposed_operator(monkeypatch, overfit_corpus):
+    """Each record's graph operator and tag pooling are read forward only
+    under ``no_grad``, so neither builds its transpose."""
+    records = load_corpus(overfit_corpus)
+    model, _ = train(records, make_config(epochs=0), base_graph())
+    made, calls = spy_sparse_rows(monkeypatch)
+    generate_for_records(model, records, base_graph())
+    assert len(made) == 2 * len(records)  # a_hat and the tag pooling of each record
+    assert len(calls) == len(made)  # each operator's own entries only
+    assert [s._t_groups for s in made] == [None] * len(made)
+
+
+def test_a_training_step_builds_each_batch_operators_transpose_once(monkeypatch, overfit_corpus):
+    """The forward builds no transpose; the walk builds one for the batch's
+    tag pooling and one for its block-diagonal graph operator, which both GCN
+    layers read, and none for the records' own graph operators."""
+    records = load_corpus(overfit_corpus)[:3]
+    g = base_graph()
+    model, _ = train(records, make_config(epochs=0), g)
+    preps = [prepare_record(r, model.vocab, g, fallback_labels(g), model.spec) for r in records]
+    made, calls = spy_sparse_rows(monkeypatch)
+    loss = teacher_forcing_loss(preps, model)
+    # the pooling, each record's a_hat, then the block-diagonal a_hat
+    assert [s.n_rows for s in made[1:4]] == [len(p.node_names) for p in preps]
+    assert made[4].n_rows == sum(s.n_rows for s in made[1:4]) and len(made) == 5
+    assert len(calls) == 5 and all(s._t_groups is None for s in made)
+    for _ in leaf_gradients(loss):
+        pass
+    assert [s._t_groups is not None for s in made] == [True, False, False, False, True]
+    assert len(calls) == 5 + 2
 
 
 def test_generate_for_records_order_and_ids(tmp_path, overfit_corpus):
